@@ -235,27 +235,6 @@ func BenchmarkParseAnalyze(b *testing.B) {
 	}
 }
 
-// E5 ablation — the sparse multi-level variant restricts each level's
-// problem to the subgraph that can carry its variables.
-func BenchmarkMultiLevelSparse(b *testing.B) {
-	for _, d := range []int{2, 4, 8} {
-		cfg := workload.DefaultConfig(600, int64(77+d))
-		cfg.MaxDepth = d
-		cfg.NestFraction = 0.7
-		prog := workload.Random(cfg).Prune()
-		facts := core.ComputeFacts(prog, core.Mod)
-		beta := binding.Build(prog)
-		rmod := core.SolveRMOD(beta, facts)
-		imodPlus := core.ComputeIMODPlus(facts, rmod)
-		cg := callgraph.Build(prog)
-		b.Run(fmt.Sprintf("dP=%d", d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.SolveGMODMultiLevelSparse(cg, facts, imodPlus)
-			}
-		})
-	}
-}
-
 // benchBatchRecord mirrors the row shape cmd/experiments/exp_batch.go
 // writes, so both producers feed the same BENCH_batch.json.
 type benchBatchRecord struct {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"sideeffect"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 	"sideeffect/internal/workload"
@@ -16,17 +15,16 @@ import (
 
 func init() {
 	experiments = append(experiments,
-		experiment{"E16", "Allocation-policy ablation: arena+hybrid vs hybrid vs the dense heap baseline", expE16},
+		experiment{"E16", "Allocator ablation: Analyze's arena vs the heap allocator", expE16},
 	)
 }
 
 // allocBenchRecord is one row of BENCH_core.json: one workload under
-// the three allocation policies of core.AllocPolicy. The headline
-// AnalyzeAll rows measure the solver hot path the batch engine runs
-// per worker — core MOD+USE per program, skeleton shared, each Result
-// released before the next program — so the only variable is where the
-// analysis's bit vectors live. Speedup is dense_ns_per_op over
-// arena_ns_per_op.
+// the two core allocators. The rows measure the solver loop the batch
+// engine runs per worker — core MOD+USE per program, skeleton shared,
+// each Result released before the next program — so the only variable
+// is where the analysis's bit vectors live. Speedup is heap_ns_per_op
+// over arena_ns_per_op.
 type allocBenchRecord struct {
 	Name      string `json:"name"`
 	Config    string `json:"config"`
@@ -35,13 +33,12 @@ type allocBenchRecord struct {
 	Programs  int    `json:"programs"`
 	ProcsEach int    `json:"procs_each"`
 
-	DenseNsPerOp  int64 `json:"dense_ns_per_op"`
-	HybridNsPerOp int64 `json:"hybrid_ns_per_op"`
-	ArenaNsPerOp  int64 `json:"arena_ns_per_op"`
+	HeapNsPerOp  int64 `json:"heap_ns_per_op"`
+	ArenaNsPerOp int64 `json:"arena_ns_per_op"`
 
-	DenseAllocsPerOp int64 `json:"dense_allocs_per_op"`
+	HeapAllocsPerOp  int64 `json:"heap_allocs_per_op"`
 	ArenaAllocsPerOp int64 `json:"arena_allocs_per_op"`
-	DenseBytesPerOp  int64 `json:"dense_bytes_per_op"`
+	HeapBytesPerOp   int64 `json:"heap_bytes_per_op"`
 	ArenaBytesPerOp  int64 `json:"arena_bytes_per_op"`
 
 	Speedup float64 `json:"speedup"`
@@ -93,19 +90,18 @@ func allocsPerOp(f func(), k int) (allocs, bytes int64) {
 		int64(after.TotalAlloc-before.TotalAlloc) / int64(k)
 }
 
-// expE16 isolates the cost of the allocation discipline. Every policy
-// solves the identical equations over the identical shared skeleton
-// (the differential tests assert byte-identical results); the ablation
-// varies only where the sets live:
+// expE16 isolates the cost of the allocator. Both arms solve the
+// identical equations over the identical shared skeleton (the
+// differential tests assert identical results); the ablation varies
+// only where the sets live:
 //
-//	dense        — the pre-hybrid baseline: every set a fresh dense
-//	               heap vector over the whole variable universe,
-//	               per-node solver sets cloned, nothing pooled;
-//	hybrid       — sparse/dense hybrid sets, pooled solver scratch,
-//	               but each result vector its own heap allocation;
-//	arena+hybrid — the production default: result vectors carved from
-//	               a pooled per-analysis arena slab, released back
-//	               after each program.
+//	heap  — core.Options.Heap, the allocator of the panic retry,
+//	        AnalyzeCondensed and the step helpers: every set its own
+//	        heap allocation in its own sparse or dense representation,
+//	        nothing pooled;
+//	arena — Analyze's default: result vectors carved from a pooled
+//	        per-analysis arena slab, released back after each program,
+//	        temporaries from the pooled scratch sets.
 func expE16(quick bool) {
 	corpusSizes := []int{64, 256}
 	progsEach := 20
@@ -116,87 +112,47 @@ func expE16(quick bool) {
 		reps = 5
 	}
 
-	policies := []core.AllocPolicy{core.AllocDense, core.AllocHybrid, core.AllocAuto}
-
 	var records []allocBenchRecord
-	rows := [][]string{{"workload", "dense", "hybrid", "arena+hybrid", "speedup", "dense allocs/op", "arena allocs/op"}}
+	rows := [][]string{{"workload", "heap", "arena", "speedup", "heap allocs/op", "arena allocs/op"}}
 	for _, n := range corpusSizes {
 		progs := make([]*ir.Program, progsEach)
 		for i := range progs {
 			progs[i] = workload.Random(workload.DefaultConfig(n, int64(300*n+i))).Prune()
 		}
 
-		// Headline: the per-worker loop of the batch engine, on the
-		// core solvers alone. One op = MOD+USE for every program in
-		// the corpus, sharing each program's skeleton across the two
-		// problems and releasing each Result before the next program.
-		coreRun := func(pol core.AllocPolicy) func() {
+		// One op = MOD+USE for every program in the corpus, sharing
+		// each program's skeleton across the two problems and releasing
+		// each Result before the next program.
+		coreRun := func(heap bool) func() {
 			return func() {
 				for _, p := range progs {
 					st := core.BuildStructure(p)
-					m := core.Analyze(p, core.Mod, core.Options{Alloc: pol, Structure: st})
-					u := core.Analyze(p, core.Use, core.Options{Alloc: pol, Structure: st})
+					m := core.Analyze(p, core.Mod, core.Options{Heap: heap, Structure: st})
+					u := core.Analyze(p, core.Use, core.Options{Heap: heap, Structure: st})
 					m.Release()
 					u.Release()
 				}
 			}
 		}
-		var ns [3]time.Duration
-		for i, pol := range policies {
-			ns[i] = medianTime(coreRun(pol), reps)
-		}
-		denseAllocs, denseBytes := allocsPerOp(coreRun(core.AllocDense), 3)
-		arenaAllocs, arenaBytes := allocsPerOp(coreRun(core.AllocAuto), 3)
+		heapNs := medianTime(coreRun(true), reps)
+		arenaNs := medianTime(coreRun(false), reps)
+		heapAllocs, heapBytes := allocsPerOp(coreRun(true), 3)
+		arenaAllocs, arenaBytes := allocsPerOp(coreRun(false), 3)
 		rec := allocBenchRecord{
 			Name: fmt.Sprintf("AnalyzeAll/N=%d", n),
 			Config: "core MOD+USE per program, shared skeleton, Release between programs;" +
 				" sequential; ns_per_op covers the whole corpus",
 			Cores: runtime.GOMAXPROCS(0), Workers: 1,
 			Programs: progsEach, ProcsEach: n,
-			DenseNsPerOp: ns[0].Nanoseconds(), HybridNsPerOp: ns[1].Nanoseconds(),
-			ArenaNsPerOp:     ns[2].Nanoseconds(),
-			DenseAllocsPerOp: denseAllocs, ArenaAllocsPerOp: arenaAllocs,
-			DenseBytesPerOp: denseBytes, ArenaBytesPerOp: arenaBytes,
-			Speedup: float64(ns[0]) / float64(ns[2]),
+			HeapNsPerOp: heapNs.Nanoseconds(), ArenaNsPerOp: arenaNs.Nanoseconds(),
+			HeapAllocsPerOp: heapAllocs, ArenaAllocsPerOp: arenaAllocs,
+			HeapBytesPerOp: heapBytes, ArenaBytesPerOp: arenaBytes,
+			Speedup: float64(heapNs) / float64(arenaNs),
 		}
 		records = append(records, rec)
 		rows = append(rows, []string{
-			fmt.Sprintf("core N=%d", n), dur(ns[0]), dur(ns[1]), dur(ns[2]),
-			f2(rec.Speedup), fmt.Sprint(denseAllocs), fmt.Sprint(arenaAllocs),
-		})
-
-		// Transparency row: the full public pipeline (aliases, section
-		// analysis, factoring) around the same corpus. The
-		// policy-independent stages dilute the ratio; recording both
-		// shows where the win lives.
-		fullRun := func(pol core.AllocPolicy) func() {
-			return func() {
-				for _, a := range sideeffect.AnalyzeAllPrograms(progs, sideeffect.Options{Sequential: true, Alloc: pol}) {
-					a.Release()
-				}
-			}
-		}
-		for i, pol := range policies {
-			ns[i] = medianTime(fullRun(pol), reps)
-		}
-		denseAllocs, denseBytes = allocsPerOp(fullRun(core.AllocDense), 3)
-		arenaAllocs, arenaBytes = allocsPerOp(fullRun(core.AllocAuto), 3)
-		rec = allocBenchRecord{
-			Name: fmt.Sprintf("AnalyzeAllPrograms/N=%d", n),
-			Config: "full pipeline (core + aliases + sections + factoring) per program," +
-				" Release between programs; sequential; ns_per_op covers the whole corpus",
-			Cores: runtime.GOMAXPROCS(0), Workers: 1,
-			Programs: progsEach, ProcsEach: n,
-			DenseNsPerOp: ns[0].Nanoseconds(), HybridNsPerOp: ns[1].Nanoseconds(),
-			ArenaNsPerOp:     ns[2].Nanoseconds(),
-			DenseAllocsPerOp: denseAllocs, ArenaAllocsPerOp: arenaAllocs,
-			DenseBytesPerOp: denseBytes, ArenaBytesPerOp: arenaBytes,
-			Speedup: float64(ns[0]) / float64(ns[2]),
-		}
-		records = append(records, rec)
-		rows = append(rows, []string{
-			fmt.Sprintf("full N=%d", n), dur(ns[0]), dur(ns[1]), dur(ns[2]),
-			f2(rec.Speedup), fmt.Sprint(denseAllocs), fmt.Sprint(arenaAllocs),
+			fmt.Sprintf("core N=%d", n), dur(heapNs), dur(arenaNs),
+			f2(rec.Speedup), fmt.Sprint(heapAllocs), fmt.Sprint(arenaAllocs),
 		})
 	}
 
@@ -205,8 +161,7 @@ func expE16(quick bool) {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return
 	}
-	fmt.Printf("\nGOMAXPROCS = %d; records written to BENCH_core.json.\n", runtime.GOMAXPROCS(0))
-	fmt.Println("Claim check: identical solutions under every policy (differential tests);" +
-		" the arena+hybrid discipline should beat the dense baseline ≥ 1.5× on the core rows" +
-		" and carry ~0 steady-state allocations in the solver (see TestFindGMODScratchZeroAlloc).")
+	fmt.Printf("\nGOMAXPROCS = %d, NumCPU = %d; records written to BENCH_core.json.\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
+	fmt.Println("Claim check: identical solutions under both allocators (differential tests);" +
+		" the arena should beat the heap allocator on time and allocate far fewer objects.")
 }

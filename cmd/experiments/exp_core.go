@@ -119,7 +119,7 @@ func expE5(quick bool) {
 	if quick {
 		depths = []int{0, 2, 4}
 	}
-	rows := [][]string{{"d_P", "N", "E", "level runs", "Σ bv steps", "steps/(E+dN)", "time", "sparse time", "= oracle"}}
+	rows := [][]string{{"d_P", "N", "E", "level runs", "Σ bv steps", "steps/(E+dN)", "time", "= oracle"}}
 	for _, d := range depths {
 		cfg := workload.DefaultConfig(600, int64(77+d))
 		cfg.MaxDepth = d
@@ -136,15 +136,11 @@ func expE5(quick bool) {
 		t := timeIt(func() {
 			_, stats = core.SolveGMODMultiLevel(cg, facts, imodPlus)
 		})
-		tSparse := timeIt(func() {
-			core.SolveGMODMultiLevelSparse(cg, facts, imodPlus)
-		})
 		gmodSets, _ := core.SolveGMODMultiLevel(cg, facts, imodPlus)
-		sparseSets, _ := core.SolveGMODMultiLevelSparse(cg, facts, imodPlus)
 		oracle := baseline.GMODReachability(prog, imodPlus, facts)
 		agree := true
 		for _, p := range prog.Procs {
-			if !gmodSets[p.ID].Equal(oracle[p.ID]) || !sparseSets[p.ID].Equal(oracle[p.ID]) {
+			if !gmodSets[p.ID].Equal(oracle[p.ID]) {
 				agree = false
 			}
 		}
@@ -156,14 +152,12 @@ func expE5(quick bool) {
 		rows = append(rows, []string{
 			fmt.Sprint(d), fmt.Sprint(prog.NumProcs()), fmt.Sprint(prog.NumSites()),
 			fmt.Sprint(len(stats)), fmt.Sprint(total),
-			f2(float64(total) / denom), dur(t), dur(tSparse), fmt.Sprint(agree),
+			f2(float64(total) / denom), dur(t), fmt.Sprint(agree),
 		})
 	}
 	printTable(rows)
 	fmt.Println("\nClaim check: one findgmod pass per nesting level (d_P+1 runs), total bit-vector")
-	fmt.Println("steps O(d_P·(E+N)); the sparse variant restricts each level to the procedures that")
-	fmt.Println("can carry its variables (the practical effect of the paper's lowlink-vector")
-	fmt.Println("refinement); every row agrees with the declarative per-level oracle.")
+	fmt.Println("steps O(d_P·(E+N)); every row agrees with the declarative per-level oracle.")
 }
 
 // expE6 sweeps the average parameter count µ and reports β's size

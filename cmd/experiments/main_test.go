@@ -68,7 +68,7 @@ func TestE15LintOverhead(t *testing.T) {
 func TestE16AllocAblation(t *testing.T) {
 	t.Chdir(t.TempDir()) // expE16 writes BENCH_core.json to the cwd
 	out := capture(t, func() { expE16(true) })
-	for _, want := range []string{"core N=", "full N=", "arena+hybrid", "speedup", "BENCH_core.json"} {
+	for _, want := range []string{"core N=", "heap", "arena", "speedup", "BENCH_core.json"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E16 output missing %q:\n%s", want, out)
 		}

@@ -13,21 +13,20 @@ import (
 )
 
 // TestCondensedPerNodeIdentical is the differential gate of the
-// SCC-condensed solver: over the full differential corpus, under every
-// allocation policy, sequentially and with a 4-worker schedule, the
+// SCC-condensed solver: over the full differential corpus, on the arena
+// and on the heap allocator, sequentially and with a 4-worker schedule, the
 // condensed storage layer and the per-node Figure-2 search must render
 // byte-identical reports and bit-identical per-call-site sets.
 func TestCondensedPerNodeIdentical(t *testing.T) {
-	policies := []core.AllocPolicy{core.AllocAuto, core.AllocHybrid, core.AllocDense}
 	schedules := []Options{{Sequential: true}, {Workers: 4}}
 	for _, cfg := range differentialConfigs() {
 		src := workload.Emit(workload.Random(cfg))
-		for _, pol := range policies {
+		for _, heap := range []bool{false, true} {
 			for _, sched := range schedules {
-				tag := fmt.Sprintf("size=%d seed=%d depth=%d alloc=%d workers=%d",
-					cfg.Procs, cfg.Seed, cfg.MaxDepth, pol, sched.Workers)
+				tag := fmt.Sprintf("size=%d seed=%d depth=%d heap=%v workers=%d",
+					cfg.Procs, cfg.Seed, cfg.MaxDepth, heap, sched.Workers)
 				con := sched
-				con.Alloc = pol
+				con.heap = heap
 				base := con
 				base.DisableCondensation = true
 				ca, err := AnalyzeWith(src, con)

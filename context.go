@@ -106,7 +106,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	w := opts.workers()
 	var st *core.Structure
 	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
-	co := core.Options{Alloc: opts.Alloc, Prof: a.Stages, Structure: st, Faults: opts.Faults, DisableCondensation: opts.DisableCondensation}
+	co := core.Options{Heap: opts.heap, Prof: a.Stages, Structure: st, Faults: opts.Faults, DisableCondensation: opts.DisableCondensation}
 	var modErr, useErr error
 	err = batch.RunCtx(ctx, w, []func(){
 		func() { a.Mod, modErr = core.AnalyzeCtx(ctx, prog, core.Mod, co) },
@@ -142,43 +142,49 @@ func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 	})
 }
 
+// AnalyzeContextRetry is AnalyzeContext with graceful degradation: an
+// analysis whose first attempt dies with a captured panic, while ctx is
+// still live, is retried once in degraded mode — sequential, heap
+// allocation, no arena and no pooled sets — so a poisoned worker pool
+// or arena bug degrades throughput instead of failing the request.
+// degraded reports that the returned Analysis came from the retry. When
+// both attempts fail, err joins their errors.
+func AnalyzeContextRetry(ctx context.Context, src string, opts Options) (a *Analysis, degraded bool, err error) {
+	a, err = AnalyzeContext(ctx, src, opts)
+	var pe *batch.PanicError
+	if err == nil || !errors.As(err, &pe) || (ctx != nil && ctx.Err() != nil) {
+		return a, false, err
+	}
+	a, rerr := AnalyzeContext(ctx, src, Options{
+		Sequential: true, Profile: opts.Profile, Faults: opts.Faults, heap: true,
+	})
+	if rerr != nil {
+		return nil, false, errors.Join(err, rerr)
+	}
+	return a, true, nil
+}
+
 // AnalyzeAllContext is AnalyzeAll with per-request cancellation and
-// graceful degradation. Each program runs under the hardened pipeline;
-// one whose first attempt dies with a captured panic is retried once in
-// degraded mode — sequential, dense allocation, nothing pooled — so a
-// poisoned worker pool or arena bug degrades throughput instead of
-// failing requests (BatchResult.Degraded marks those entries). Once ctx
-// is done, undispatched programs are skipped; their slots carry
+// graceful degradation: each program runs through AnalyzeContextRetry,
+// and BatchResult.Degraded marks the entries its retry produced. Once
+// ctx is done, undispatched programs are skipped; their slots carry
 // ctx.Err(). The returned slice always has len(srcs) entries, in input
 // order.
 func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inner := Options{Sequential: true, Alloc: opts.Alloc, Faults: opts.Faults}
+	inner := Options{Sequential: true, Faults: opts.Faults}
 	out, err := batch.MapCtx(ctx, opts.workers(), srcs, func(_ int, src string) BatchResult {
-		a, aerr := AnalyzeContext(ctx, src, inner)
-		if aerr == nil {
-			return BatchResult{Analysis: a}
-		}
-		var pe *batch.PanicError
-		if errors.As(aerr, &pe) && ctx.Err() == nil {
-			da, derr := AnalyzeContext(ctx, src, Options{
-				Sequential: true, Alloc: core.AllocDense, Faults: opts.Faults,
-			})
-			if derr == nil {
-				return BatchResult{Analysis: da, Degraded: true}
-			}
-			aerr = errors.Join(aerr, derr)
-		}
-		return BatchResult{Err: aerr}
+		a, degraded, aerr := AnalyzeContextRetry(ctx, src, inner)
+		return BatchResult{Analysis: a, Err: aerr, Degraded: degraded}
 	})
 	if err != nil {
 		// Skipped (undispatched) slots have a zero BatchResult; stamp
 		// them with the cancellation cause so callers see a structured
 		// error rather than an inexplicable empty entry. Panic errors
-		// cannot reach here — AnalyzeContext is total and the closure
-		// above does not panic.
+		// cannot reach here — AnalyzeContextRetry is total and the
+		// closure above does not panic.
 		for i := range out {
 			if out[i].Analysis == nil && out[i].Err == nil {
 				out[i].Err = err

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 )
 
@@ -204,8 +203,8 @@ func TestGoFrontMetamorphic(t *testing.T) {
 
 // TestGoFrontDeterminism pins byte-identical full reports — analysis
 // plus confidence table, across every fixture package — for the
-// sequential schedule, a four-worker pool, and each allocation
-// policy. The Go path must be as schedule- and allocator-independent
+// sequential schedule, a four-worker pool, and the heap allocator.
+// The Go path must be as schedule- and allocator-independent
 // as the MiniPL path.
 func TestGoFrontDeterminism(t *testing.T) {
 	dirs := corpusDirs(t)
@@ -227,9 +226,8 @@ func TestGoFrontDeterminism(t *testing.T) {
 		opts Options
 	}{
 		{"parallel-j4", Options{Workers: 4}},
-		{"sequential-hybrid", Options{Sequential: true, Alloc: core.AllocHybrid}},
-		{"sequential-dense", Options{Sequential: true, Alloc: core.AllocDense}},
-		{"parallel-j4-dense", Options{Workers: 4, Alloc: core.AllocDense}},
+		{"sequential-heap", Options{Sequential: true, heap: true}},
+		{"parallel-j4-heap", Options{Workers: 4, heap: true}},
 		{"sequential-again", Options{Sequential: true}},
 	}
 	for _, run := range runs {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 )
 
@@ -102,8 +101,8 @@ func TestGoFrontSelfAnalysis(t *testing.T) {
 // one shared program. Cross-package calls that degraded whole
 // packages in single-package mode now resolve, so internal/core's
 // degraded count collapses from 46 to a pinned low bound — and the
-// report must be byte-identical across every schedule and allocation
-// policy.
+// report must be byte-identical across every schedule and both core
+// allocators.
 func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 	patterns := []string{
 		filepath.Join("internal", "core"),
@@ -174,14 +173,13 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 
 	// Determinism: the full report (summaries, sections, confidence
 	// table) is byte-identical under the sequential pipeline, a
-	// parallel schedule, and every allocation policy.
+	// parallel schedule, and the heap allocator.
 	want := base.GoReport()
 	variants := []Options{
 		{Sequential: true},
 		{Workers: 4},
-		{Alloc: core.AllocHybrid},
-		{Alloc: core.AllocDense},
-		{Sequential: true, Alloc: core.AllocDense},
+		{heap: true},
+		{Sequential: true, heap: true},
 	}
 	for _, opts := range variants {
 		r, err := AnalyzeGoModule(".", patterns, opts)

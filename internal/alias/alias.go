@@ -203,7 +203,7 @@ func (a *Analysis) Factor(dmod []*bitset.Set) []*bitset.Set {
 
 // FactorArena is Factor with the output rows drawn from ar, so the
 // factored sets share the lifetime of the Result whose arena backs
-// them (core.Result.Arena under the default allocation policy). A nil
+// them (core.Result.Arena, unless the Result is heap-allocated). A nil
 // arena falls back to heap clones; the arena must not be used from
 // another goroutine while this runs.
 func (a *Analysis) FactorArena(dmod []*bitset.Set, ar *arena.Arena) []*bitset.Set {

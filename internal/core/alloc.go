@@ -6,84 +6,49 @@ import (
 	"sideeffect/internal/ir"
 )
 
-// AllocPolicy selects the allocation discipline of one Analyze. The
-// solved sets are identical under every policy; only where their
-// storage comes from differs. The zero value is the production
-// default; the other policies exist as ablation baselines for the E16
-// experiment (cmd/experiments) and for debugging.
-type AllocPolicy int
-
-const (
-	// AllocAuto — the default — uses hybrid sparse/dense sets, draws
-	// every result-lifetime vector (facts, IMOD+, GMOD, DMOD) from a
-	// per-analysis arena slab, and serves temporaries from the pooled
-	// scratch/solver state.
-	AllocAuto AllocPolicy = iota
-	// AllocHybrid uses hybrid sets and pooled temporaries, but each
-	// result vector is an individual heap allocation (no arena).
-	AllocHybrid
-	// AllocDense is the pre-hybrid baseline: every set is a fresh
-	// dense heap vector spanning the whole variable universe, and
-	// per-node solver sets are freshly cloned rather than pooled.
-	AllocDense
-)
-
-// String names the policy the way BENCH_core.json spells it.
-func (p AllocPolicy) String() string {
-	switch p {
-	case AllocHybrid:
-		return "hybrid"
-	case AllocDense:
-		return "dense"
-	default:
-		return "arena+hybrid"
-	}
-}
-
-// setAlloc is the per-analysis set allocator: the policy plus the
-// arena that backs it under AllocAuto.
+// setAlloc is the per-analysis set allocator. The solved sets are
+// identical under both allocators; only where their storage comes from
+// differs, and each entry point fixes its allocator:
+//
+//   - Analyze draws every result-lifetime vector (facts, IMOD+, GMOD,
+//     DMOD) from a per-analysis arena slab and serves level-lifetime
+//     temporaries from the pooled scratch sets;
+//   - AnalyzeCondensed, the exported step helpers, and Options.Heap
+//     (the panic retry) use the heap: each set is its own allocation in
+//     its own representation — sparse stays sparse until it grows —
+//     and nothing is pooled.
 type setAlloc struct {
-	policy AllocPolicy
-	ar     *arena.Arena
-	nvars  int
+	ar    *arena.Arena // nil for the heap allocator
+	nvars int
 }
 
-func newSetAlloc(policy AllocPolicy, nvars int) setAlloc {
-	al := setAlloc{policy: policy, nvars: nvars}
-	if policy == AllocAuto {
-		// Drawn from the process-wide pool so a batch loop that
-		// Releases each Result reuses warm slabs instead of growing
-		// fresh ones per program.
-		al.ar = arena.Get()
-	}
-	return al
-}
+// arenaAlloc returns the arena allocator. The arena comes from the
+// process-wide pool so a batch loop that Releases each Result reuses
+// warm slabs instead of growing fresh ones per program.
+func arenaAlloc(nvars int) setAlloc { return setAlloc{ar: arena.Get(), nvars: nvars} }
 
-// pooled reports whether temporaries and solver sets may come from the
-// process-wide pools.
-func (al setAlloc) pooled() bool { return al.policy != AllocDense }
+// heapAlloc returns the heap allocator.
+func heapAlloc(nvars int) setAlloc { return setAlloc{nvars: nvars} }
 
-// resultClone returns an analysis-lifetime copy of t. Under AllocAuto
-// the copy is a universe-width row carved from the arena: the slab
-// words are pointer-free (the GC never scans them), carving costs no
-// per-set allocation, and full-width rows keep every later union on
-// the word-parallel fast path — the hybrid sparse mode is reserved for
-// sets that stay genuinely tiny (LOCAL filters, incremental deltas).
-// AllocHybrid preserves t's representation on the heap; AllocDense
-// materializes a fresh universe-spanning heap vector.
+// resultClone returns an analysis-lifetime copy of t. On the arena the
+// copy is a universe-width row carved from the slab: the slab words are
+// pointer-free (the GC never scans them), carving costs no per-set
+// allocation, and full-width rows keep every later union on the
+// word-parallel fast path. On the heap the copy preserves t's
+// representation, so small sets stay sparse and promote only if the
+// solution grows.
 func (al setAlloc) resultClone(t *bitset.Set) *bitset.Set {
-	if al.policy == AllocHybrid {
+	if al.ar == nil {
 		return t.Clone()
 	}
-	c := al.resultDense()
+	c := al.ar.Dense(al.nvars)
 	c.UnionWith(t)
 	return c
 }
 
 // resultDense returns an analysis-lifetime empty dense set spanning
-// the universe, for accumulators that are expected to fill up (GMOD
-// rows, DMOD rows): carving them at full width from the slab means
-// later unions never reallocate.
+// the universe, for accumulators that are expected to fill up (DMOD
+// rows).
 func (al setAlloc) resultDense() *bitset.Set {
 	if al.ar != nil {
 		return al.ar.Dense(al.nvars)
@@ -91,34 +56,19 @@ func (al setAlloc) resultDense() *bitset.Set {
 	return bitset.New(al.nvars)
 }
 
-// gmodResult seeds one GMOD accumulator from IMOD+.
-func (al setAlloc) gmodResult(seed *bitset.Set) *bitset.Set {
-	if al.policy == AllocHybrid {
-		// Mode-preserving heap clone: small procedures keep sparse
-		// accumulators and promote only if the solution grows.
-		return seed.Clone()
-	}
-	s := al.resultDense()
-	s.UnionWith(seed)
-	return s
-}
-
 // localSet builds LOCAL(q) — q's declared locals and formals, the
-// equation (4) filter — under the policy. Mirrors ir.Program.LocalSet,
-// which stays allocator-free for external callers. LOCAL rows filter
-// the hottest unions in the solver (the ∖ LOCAL(q) of equation (4) at
-// every call-graph edge and call site), so under the arena they are
-// carved dense at universe width: the slab makes the width free, and a
-// dense filter keeps those unions on the word-parallel path instead of
-// per-element sparse masking.
+// equation (4) filter. Mirrors ir.Program.LocalSet, which stays
+// allocator-free for external callers. LOCAL rows filter the hottest
+// unions in the solver (the ∖ LOCAL(q) of equation (4) at every
+// call-graph edge and call site), so on the arena they are carved dense
+// at universe width: the slab makes the width free, and a dense filter
+// keeps those unions on the word-parallel path instead of per-element
+// sparse masking.
 func (al setAlloc) localSet(q *ir.Procedure) *bitset.Set {
 	var s *bitset.Set
-	switch {
-	case al.policy == AllocDense:
-		s = bitset.New(al.nvars)
-	case al.ar != nil:
+	if al.ar != nil {
 		s = al.ar.Dense(al.nvars)
-	default:
+	} else {
 		s = bitset.NewSparse()
 	}
 	for _, v := range q.Locals {
@@ -132,23 +82,15 @@ func (al setAlloc) localSet(q *ir.Procedure) *bitset.Set {
 
 // tempCopy returns a level-lifetime copy of t; release with tempDone.
 func (al setAlloc) tempCopy(t *bitset.Set) *bitset.Set {
-	if al.pooled() {
+	if al.ar != nil {
 		return bitset.GetScratch(0).CopyFrom(t)
 	}
 	return t.Clone()
 }
 
-// tempDense returns a cleared level-lifetime dense set for [0, n).
-func (al setAlloc) tempDense(n int) *bitset.Set {
-	if al.pooled() {
-		return bitset.GetScratch(n)
-	}
-	return bitset.New(n)
-}
-
-// tempDone releases a temporary obtained from tempCopy/tempDense.
+// tempDone releases a temporary obtained from tempCopy.
 func (al setAlloc) tempDone(s *bitset.Set) {
-	if al.pooled() {
+	if al.ar != nil {
 		bitset.PutScratch(s)
 	}
 }

@@ -8,30 +8,9 @@ import (
 	"sideeffect/internal/workload"
 )
 
-// TestFindGMODScratchZeroAlloc gates the zero-allocation hot path: in
-// steady state (pool warmed to the program size) a FindGMODScratch
-// call must not touch the heap at all. This is the property the arena
-// + pooled-solver work of the performance PR exists to provide; a
-// regression here silently reintroduces allocator contention under
-// the batch engine.
-func TestFindGMODScratchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates and sync.Pool drops entries at random under it")
-	}
-	res := core.Analyze(workload.Random(workload.DefaultConfig(120, 7)), core.Mod, core.Options{Prune: true})
-	solve := func() {
-		run, _ := core.FindGMODScratch(res.CG.G, res.IMODPlus, res.Facts.Local, res.Prog.Main.ID)
-		run.Release()
-	}
-	solve() // warm the solver pool to this program's size
-	if avg := testing.AllocsPerRun(100, solve); avg != 0 {
-		t.Fatalf("steady-state FindGMODScratch allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-// TestAllocPoliciesAgree: the allocation policy must never change the
-// solution — dense baseline, hybrid, and arena+hybrid runs produce
-// identical GMOD/IMOD+/DMOD sets.
+// TestAllocPoliciesAgree: the allocator must never change the solution
+// — arena and heap runs produce identical facts and GMOD/IMOD+/DMOD
+// sets, with the heap run as the reference.
 func TestAllocPoliciesAgree(t *testing.T) {
 	for _, n := range []int{24, 96} {
 		for seed := int64(0); seed < 4; seed++ {
@@ -39,34 +18,32 @@ func TestAllocPoliciesAgree(t *testing.T) {
 			prog := workload.Random(cfg)
 			for _, kind := range []core.Kind{core.Mod, core.Use} {
 				t.Run(fmt.Sprintf("N=%d/seed=%d/%s", n, seed, kind), func(t *testing.T) {
-					base := core.Analyze(prog, kind, core.Options{Prune: true, Alloc: core.AllocDense})
-					for _, pol := range []core.AllocPolicy{core.AllocAuto, core.AllocHybrid} {
-						r := core.Analyze(prog, kind, core.Options{Prune: true, Alloc: pol})
-						if len(r.GMOD) != len(base.GMOD) || len(r.DMOD) != len(base.DMOD) {
-							t.Fatalf("%v: result shape differs from dense baseline", pol)
+					base := core.Analyze(prog, kind, core.Options{Prune: true, Heap: true})
+					r := core.Analyze(prog, kind, core.Options{Prune: true})
+					if len(r.GMOD) != len(base.GMOD) || len(r.DMOD) != len(base.DMOD) {
+						t.Fatal("arena result shape differs from heap reference")
+					}
+					for i := range base.GMOD {
+						if !r.GMOD[i].Equal(base.GMOD[i]) {
+							t.Errorf("GMOD[%d] = %v, heap reference %v", i, r.GMOD[i], base.GMOD[i])
 						}
-						for i := range base.GMOD {
-							if !r.GMOD[i].Equal(base.GMOD[i]) {
-								t.Errorf("%v: GMOD[%d] = %v, dense baseline %v", pol, i, r.GMOD[i], base.GMOD[i])
-							}
-							if !r.IMODPlus[i].Equal(base.IMODPlus[i]) {
-								t.Errorf("%v: IMODPlus[%d] differs from dense baseline", pol, i)
-							}
-							if !r.Facts.I[i].Equal(base.Facts.I[i]) || !r.Facts.Local[i].Equal(base.Facts.Local[i]) {
-								t.Errorf("%v: facts[%d] differ from dense baseline", pol, i)
-							}
+						if !r.IMODPlus[i].Equal(base.IMODPlus[i]) {
+							t.Errorf("IMODPlus[%d] differs from heap reference", i)
 						}
-						for i := range base.DMOD {
-							if !r.DMOD[i].Equal(base.DMOD[i]) {
-								t.Errorf("%v: DMOD[%d] = %v, dense baseline %v", pol, i, r.DMOD[i], base.DMOD[i])
-							}
+						if !r.Facts.I[i].Equal(base.Facts.I[i]) || !r.Facts.Local[i].Equal(base.Facts.Local[i]) {
+							t.Errorf("facts[%d] differ from heap reference", i)
 						}
-						if pol == core.AllocAuto && r.Arena == nil {
-							t.Error("AllocAuto result has no arena")
+					}
+					for i := range base.DMOD {
+						if !r.DMOD[i].Equal(base.DMOD[i]) {
+							t.Errorf("DMOD[%d] = %v, heap reference %v", i, r.DMOD[i], base.DMOD[i])
 						}
-						if pol == core.AllocHybrid && r.Arena != nil {
-							t.Error("AllocHybrid result unexpectedly has an arena")
-						}
+					}
+					if r.Arena == nil {
+						t.Error("default result has no arena")
+					}
+					if base.Arena != nil {
+						t.Error("heap result unexpectedly has an arena")
 					}
 				})
 			}
@@ -78,9 +55,9 @@ func TestAllocPoliciesAgree(t *testing.T) {
 // loop the batch engine runs per worker: each Release parks the arena
 // in the process-wide pool and the next Analyze draws it back warm. If
 // Reset failed to clear a carved prefix, or a stale set aliased a
-// recycled slab, the recycled analyses would diverge from the dense
-// baseline — so every iteration is checked set-for-set against a fresh
-// dense run of the same program.
+// recycled slab, the recycled analyses would diverge from the heap
+// reference — so every iteration is checked set-for-set against a
+// fresh heap run of the same program.
 func TestReleaseRecyclesArena(t *testing.T) {
 	progs := []struct {
 		n    int
@@ -91,8 +68,8 @@ func TestReleaseRecyclesArena(t *testing.T) {
 			prog := workload.Random(workload.DefaultConfig(pc.n, pc.seed)).Prune()
 			st := core.BuildStructure(prog)
 			for _, kind := range []core.Kind{core.Mod, core.Use} {
-				got := core.Analyze(prog, kind, core.Options{Alloc: core.AllocAuto, Structure: st})
-				want := core.Analyze(prog, kind, core.Options{Alloc: core.AllocDense, Structure: st})
+				got := core.Analyze(prog, kind, core.Options{Structure: st})
+				want := core.Analyze(prog, kind, core.Options{Heap: true, Structure: st})
 				for i := range want.GMOD {
 					if !got.GMOD[i].Equal(want.GMOD[i]) {
 						t.Fatalf("round %d N=%d %v: recycled GMOD[%d] = %v, want %v",
@@ -117,7 +94,7 @@ func TestArenaResultsIndependent(t *testing.T) {
 	prog := workload.Random(workload.DefaultConfig(40, 11))
 	r := core.Analyze(prog, core.Mod, core.Options{Prune: true})
 	if r.Arena == nil {
-		t.Fatal("default policy produced no arena")
+		t.Fatal("default allocator produced no arena")
 	}
 	before := make([]string, len(r.GMOD))
 	for i, s := range r.GMOD {

@@ -37,10 +37,10 @@ type Result struct {
 	// the call statement, before alias factoring.
 	DMOD []*bitset.Set
 
-	// Arena backs the result's bit vectors under the default
-	// allocation policy (nil under AllocHybrid/AllocDense). It lives
-	// and dies with the Result; downstream passes whose output shares
-	// the Result's lifetime (alias factoring) may draw from it too.
+	// Arena backs the result's bit vectors (nil under Options.Heap). It
+	// lives and dies with the Result; downstream passes whose output
+	// shares the Result's lifetime (alias factoring) may draw from it
+	// too.
 	Arena *arena.Arena
 
 	// GMODStats holds the findgmod work counters, one entry per
@@ -56,9 +56,12 @@ type Options struct {
 	// procedures. Pruning re-indexes the program, so results refer to
 	// Result.Prog, not the input.
 	Prune bool
-	// Alloc selects the allocation discipline; the zero value
-	// (AllocAuto) is the arena+hybrid production default.
-	Alloc AllocPolicy
+	// Heap draws every set from the heap, each in its own
+	// representation, instead of from a pooled arena, and pools no
+	// temporaries. The solution is identical. The public layer's panic
+	// retry sets it, so the retry shares no storage with the attempt
+	// that failed.
+	Heap bool
 	// Prof, when non-nil, accumulates per-stage wall time (and
 	// optionally allocation counters) under names like "mod.gmod".
 	Prof *prof.Profile
@@ -110,10 +113,8 @@ func Analyze(prog *ir.Program, kind Kind, opts Options) *Result {
 // (Options.Faults) surface the same way, except injected panics, which
 // propagate to the caller after the arena is poisoned so a recovery
 // layer can never recycle slabs whose carve state is unknown.
-func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) (_ *Result, err error) {
-	pfx := strings.ToLower(kind.String()) + "."
-	p := opts.Prof
-	al := setAlloc{}
+func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) (*Result, error) {
+	pl := newPipeline(ctx, kind, opts)
 	// Arena-safe recovery: a panic anywhere in the pipeline (injected
 	// or genuine) poisons the checked-out arena before unwinding. The
 	// panic itself still propagates — converting it to an error is the
@@ -121,61 +122,106 @@ func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) 
 	// recovers above us.
 	defer func() {
 		if rec := recover(); rec != nil {
-			al.ar.Poison()
+			pl.al.ar.Poison()
 			// Route the poisoned arena through Put so the pool's
 			// accounting closes (Gets = Puts + PoisonDropped): Put
 			// refuses poisoned arenas, it only records the drop.
-			arena.Put(al.ar)
+			arena.Put(pl.al.ar)
 			panic(rec)
 		}
 	}()
-	// step guards one stage: fault point first (so chaos runs can hit
-	// a stage even when the context is healthy), then the deadline.
-	step := func(stage string, f func()) bool {
-		if err == nil {
-			err = opts.Faults.At("core." + pfx + stage)
-		}
-		if err == nil && ctx != nil {
-			err = ctx.Err()
-		}
-		if err != nil {
-			return false
-		}
-		p.Do(pfx+stage, f)
-		return true
+	cr, gmod := pl.solve(prog, true)
+	if pl.err != nil {
+		return nil, pl.abort()
 	}
-	if opts.Prune {
-		if !step("prune", func() { prog = prog.Prune() }) {
-			return nil, fmt.Errorf("core: %s analysis aborted: %w", pfx[:len(pfx)-1], err)
-		}
+	r := &Result{
+		Prog: cr.Prog, Kind: kind, Facts: cr.Facts, Beta: cr.Beta, CG: cr.CG,
+		RMOD: cr.RMOD, IMODPlus: cr.IMODPlus, GMOD: gmod, Arena: pl.al.ar, GMODStats: cr.GMODStats,
 	}
-	al = newSetAlloc(opts.Alloc, prog.NumVars())
-	r := &Result{Prog: prog, Kind: kind, Arena: al.ar}
-	st := opts.Structure
-	ok := true
-	if st == nil || st.Prog != prog {
-		st = &Structure{Prog: prog}
-		ok = ok && step("beta", func() { st.Beta = binding.Build(prog); st.BetaSCC = st.Beta.G.SCC() })
-		ok = ok && step("callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
-	}
-	r.Beta, r.CG = st.Beta, st.CG
-	ok = ok && step("facts", func() { r.Facts = computeFacts(prog, kind, al) })
-	ok = ok && step("rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.BetaSCC) })
-	ok = ok && step("imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, al) })
-	ok = ok && step("gmod", func() {
-		r.GMOD, r.GMODStats = solveGMODMultiLevel(st, r.Facts, r.IMODPlus, al, opts.DisableCondensation)
-	})
-	ok = ok && step("dmod", func() { r.DMOD = computeDMOD(prog, r.RMOD, r.GMOD, r.Facts, al) })
-	if !ok {
-		// The aborted result never escaped: every set carved so far is
-		// private to this call, so the arena can recycle immediately.
-		if al.ar != nil {
-			r.Arena = nil
-			arena.Put(al.ar)
-		}
-		return nil, fmt.Errorf("core: %s analysis aborted: %w", pfx[:len(pfx)-1], err)
+	if !pl.step("dmod", func() { r.DMOD = computeDMOD(r.Prog, r.RMOD, r.GMOD, r.Facts, pl.al) }) {
+		return nil, pl.abort()
 	}
 	return r, nil
+}
+
+// pipeline is one run of the stage sequence shared by AnalyzeCtx and
+// AnalyzeCondensed. It owns the run's allocator, so the recovery path
+// sees the arena as soon as one is checked out.
+type pipeline struct {
+	ctx  context.Context // nil: not cancellable
+	kind Kind
+	opts Options
+	pfx  string // stage-name prefix, "mod." or "use."
+	al   setAlloc
+	err  error // the first failed step's error
+}
+
+func newPipeline(ctx context.Context, kind Kind, opts Options) *pipeline {
+	return &pipeline{ctx: ctx, kind: kind, opts: opts, pfx: strings.ToLower(kind.String()) + "."}
+}
+
+// step guards one stage: fault point first (so chaos runs can hit a
+// stage even when the context is healthy), then the deadline. Once a
+// step fails, it and every later step return false without running.
+func (pl *pipeline) step(stage string, f func()) bool {
+	if pl.err == nil {
+		pl.err = pl.opts.Faults.At("core." + pl.pfx + stage)
+	}
+	if pl.err == nil && pl.ctx != nil {
+		pl.err = pl.ctx.Err()
+	}
+	if pl.err != nil {
+		return false
+	}
+	pl.opts.Prof.Do(pl.pfx+stage, f)
+	return true
+}
+
+// solve runs the stages up to GMOD:
+//
+//	prune → β → call graph → facts → RMOD → IMOD+ → GMOD
+//
+// GMOD is solved as per-level escape layers. With rows set (Analyze),
+// the gmod stage materializes every procedure's row from the layers and
+// returns the rows, and sets come from an arena unless Options.Heap;
+// without it (AnalyzeCondensed), the layers stay on the returned
+// CondensedResult and sets come from the heap. After a failed step
+// pl.err is set and the results are incomplete.
+func (pl *pipeline) solve(prog *ir.Program, rows bool) (*CondensedResult, []*bitset.Set) {
+	if pl.opts.Prune && !pl.step("prune", func() { prog = prog.Prune() }) {
+		return nil, nil
+	}
+	if rows && !pl.opts.Heap {
+		pl.al = arenaAlloc(prog.NumVars())
+	} else {
+		pl.al = heapAlloc(prog.NumVars())
+	}
+	r := &CondensedResult{Prog: prog, Kind: pl.kind}
+	st := pl.opts.Structure
+	if st == nil || st.Prog != prog {
+		st = &Structure{Prog: prog}
+		pl.step("beta", func() { st.Beta = binding.Build(prog); st.BetaSCC = st.Beta.G.SCC() })
+		pl.step("callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
+	}
+	r.Beta, r.CG = st.Beta, st.CG
+	pl.step("facts", func() { r.Facts = computeFacts(prog, pl.kind, pl.al) })
+	pl.step("rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.BetaSCC) })
+	pl.step("imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, pl.al) })
+	var gmod []*bitset.Set
+	pl.step("gmod", func() {
+		r.levels, r.GMODStats = solveLevels(st, r.Facts, r.IMODPlus, pl.al, pl.opts.DisableCondensation)
+		if rows {
+			gmod, r.levels = gmodRows(r.levels, r.IMODPlus, pl.al), nil
+		}
+	})
+	return r, gmod
+}
+
+// abort ends a run that failed at a stage boundary. No set escaped, so
+// the arena's slabs are clean and go straight back to the pool.
+func (pl *pipeline) abort() error {
+	arena.Put(pl.al.ar)
+	return fmt.Errorf("core: %s analysis aborted: %w", pl.pfx[:len(pl.pfx)-1], pl.err)
 }
 
 // Release returns the Result's arena to the process-wide pool for
@@ -185,9 +231,9 @@ func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) 
 // which recycles the slab storage without waiting for (or paying) a
 // collection. After Release every set reachable from the Result is
 // dead — the receiver's set fields are nilled to fail fast. Release on
-// a Result without an arena (AllocHybrid/AllocDense) is a no-op, so
-// callers need not branch on policy. Not safe to call concurrently
-// with reads of the same Result.
+// a heap-allocated Result (Options.Heap) is a no-op, so callers need
+// not branch on the allocator. Not safe to call concurrently with
+// reads of the same Result.
 func (r *Result) Release() {
 	if r == nil || r.Arena == nil {
 		return
@@ -213,7 +259,7 @@ func (r *Result) Release() {
 // under its own name (globals and variables of enclosing scopes) and
 // maps formals in RMOD(q) to the actual variables bound to them.
 func ComputeDMOD(prog *ir.Program, rmod *RMOD, gmod []*bitset.Set, facts *Facts) []*bitset.Set {
-	return computeDMOD(prog, rmod, gmod, facts, newSetAlloc(AllocHybrid, prog.NumVars()))
+	return computeDMOD(prog, rmod, gmod, facts, heapAlloc(prog.NumVars()))
 }
 
 // computeDMOD is ComputeDMOD with the per-site rows drawn from al.

@@ -42,85 +42,23 @@ type CondensedResult struct {
 	levels []escLevel
 }
 
-// escLevel is one level's solved escape layer: the condensed table
-// when the pass ran condensed, or materialized per-node rows from the
-// Figure-2 fallback (hand-built IR whose flat pass fails the scope
-// premise).
-type escLevel struct {
-	esc     *escTable
-	perNode []*bitset.Set
-}
-
-// AnalyzeCondensed runs the same pipeline as Analyze but keeps the
-// GMOD solution in condensed form; it is the giant-graph entry point.
-// Of the options, Prune, Prof, Structure, and DisableCondensation are
-// honored (the latter forces the per-node fallback layer, for
-// differential tests); allocation is always the hybrid policy — the
-// condensed store is itself the memory optimization, and tying it to
-// an arena would pin slabs for the result's lifetime. Callers needing
-// cancellation or fault injection use AnalyzeCtx, whose Result this
+// AnalyzeCondensed runs the same stage sequence as Analyze but keeps
+// the GMOD solution in condensed form; it is the giant-graph entry
+// point. Of the options, Prune, Prof, Structure, Faults, and
+// DisableCondensation are honored (the latter forces the per-node
+// fallback layer, for differential tests). Sets come from the heap
+// allocator: the condensed store is itself the memory optimization,
+// and tying it to an arena would pin slabs for the result's lifetime.
+// Callers needing cancellation use AnalyzeCtx, whose Result this
 // matches row for row.
 func AnalyzeCondensed(prog *ir.Program, kind Kind, opts Options) *CondensedResult {
-	pfx := "mod."
-	if kind == Use {
-		pfx = "use."
+	pl := newPipeline(nil, kind, opts)
+	r, _ := pl.solve(prog, false)
+	if pl.err != nil {
+		// Unreachable without a fault injector, as for Analyze.
+		panic(pl.abort())
 	}
-	p := opts.Prof
-	if opts.Prune {
-		p.Do(pfx+"prune", func() { prog = prog.Prune() })
-	}
-	al := newSetAlloc(AllocHybrid, prog.NumVars())
-	r := &CondensedResult{Prog: prog, Kind: kind}
-	st := opts.Structure
-	if st == nil || st.Prog != prog {
-		st = &Structure{Prog: prog}
-		p.Do(pfx+"beta", func() { st.Beta = binding.Build(prog); st.BetaSCC = st.Beta.G.SCC() })
-		p.Do(pfx+"callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
-	}
-	r.Beta, r.CG = st.Beta, st.CG
-	p.Do(pfx+"facts", func() { r.Facts = computeFacts(prog, kind, al) })
-	p.Do(pfx+"rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.BetaSCC) })
-	p.Do(pfx+"imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, al) })
-	p.Do(pfx+"gmod", func() { r.solveLevels(st, al, opts.DisableCondensation) })
 	return r
-}
-
-// solveLevels runs the per-level findgmod passes, retaining each
-// level's escape layer instead of folding it into per-node rows.
-func (r *CondensedResult) solveLevels(st *Structure, al setAlloc, noCondense bool) {
-	prog := r.Prog
-	dP := prog.MaxLevel()
-	runLevel := func(lvl int, seeds []*bitset.Set, checkScope bool) {
-		if !noCondense {
-			et, stats, ok := solveCondensed(st.Levels[lvl], st.levelSCC(lvl), seeds, r.Facts.Local, prog.Vars, checkScope)
-			if ok {
-				r.levels = append(r.levels, escLevel{esc: et})
-				r.GMODStats = append(r.GMODStats, stats)
-				return
-			}
-		}
-		// Per-node fallback: FindGMOD's freshly cloned rows are safe to
-		// retain (the multi-level seeds below are temporaries).
-		gmod, stats := FindGMOD(st.Levels[lvl], seeds, r.Facts.Local, prog.Main.ID)
-		r.levels = append(r.levels, escLevel{perNode: gmod})
-		r.GMODStats = append(r.GMODStats, stats)
-	}
-	if dP == 0 {
-		runLevel(0, r.IMODPlus, true)
-		return
-	}
-	for lvl := 0; lvl <= dP; lvl++ {
-		seeds := make([]*bitset.Set, prog.NumProcs())
-		for _, pr := range prog.Procs {
-			s := al.tempCopy(r.IMODPlus[pr.ID])
-			s.IntersectWith(st.ClassVars[lvl])
-			seeds[pr.ID] = s
-		}
-		runLevel(lvl, seeds, false)
-		for i := range seeds {
-			al.tempDone(seeds[i])
-		}
-	}
 }
 
 // GMODInto unions GMOD(pid) — equations (3)/(4), or GUSE for the Use
@@ -128,12 +66,8 @@ func (r *CondensedResult) solveLevels(st *Structure, al setAlloc, noCondense boo
 // GMOD(p) = IMOD+(p) ∪ ∪_lvl Esc_lvl(comp(p)).
 func (r *CondensedResult) GMODInto(pid int, dst *bitset.Set) *bitset.Set {
 	dst.UnionWith(r.IMODPlus[pid])
-	for i := range r.levels {
-		if et := r.levels[i].esc; et != nil {
-			et.escInto(et.scc.Comp[pid], dst)
-		} else {
-			dst.UnionWith(r.levels[i].perNode[pid])
-		}
+	for _, l := range r.levels {
+		l.into(pid, dst)
 	}
 	return dst
 }

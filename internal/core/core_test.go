@@ -6,7 +6,6 @@ import (
 	"sideeffect/internal/baseline"
 	"sideeffect/internal/binding"
 	"sideeffect/internal/bitset"
-	"sideeffect/internal/callgraph"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 	"sideeffect/internal/lang/sem"
@@ -390,67 +389,5 @@ begin call inc(g) end.
 func TestKindString(t *testing.T) {
 	if core.Mod.String() != "MOD" || core.Use.String() != "USE" {
 		t.Error("Kind.String wrong")
-	}
-}
-
-// TestMultiLevelSparseAgrees validates the sparse multi-level solver
-// against the straightforward per-level solver and the oracle, on
-// nested random programs and the structured families.
-func TestMultiLevelSparseAgrees(t *testing.T) {
-	progs := []*ir.Program{
-		workload.NestedTower(5),
-		workload.PaperExample(),
-		workload.Chain(10),
-	}
-	for seed := int64(400); seed < 420; seed++ {
-		cfg := workload.DefaultConfig(40, seed)
-		cfg.MaxDepth = 4
-		cfg.NestFraction = 0.6
-		progs = append(progs, workload.Random(cfg).Prune())
-	}
-	for pi, prog := range progs {
-		for _, kind := range []core.Kind{core.Mod, core.Use} {
-			facts := core.ComputeFacts(prog, kind)
-			beta := binding.Build(prog)
-			rmod := core.SolveRMOD(beta, facts)
-			imodPlus := core.ComputeIMODPlus(facts, rmod)
-			cg := callgraph.Build(prog)
-			repeated, _ := core.SolveGMODMultiLevel(cg, facts, imodPlus)
-			sparse, _ := core.SolveGMODMultiLevelSparse(cg, facts, imodPlus)
-			for _, p := range prog.Procs {
-				if !repeated[p.ID].Equal(sparse[p.ID]) {
-					t.Errorf("program %d %v: GMOD(%s): repeated %v, sparse %v",
-						pi, kind, p.Name,
-						names(prog, repeated[p.ID]), names(prog, sparse[p.ID]))
-				}
-			}
-		}
-	}
-}
-
-// TestMultiLevelSparseDoesLessWork confirms the point of the sparse
-// variant: its deeper-level passes visit only the subgraph that can
-// matter.
-func TestMultiLevelSparseDoesLessWork(t *testing.T) {
-	cfg := workload.DefaultConfig(300, 99)
-	cfg.MaxDepth = 4
-	cfg.NestFraction = 0.3 // most procedures stay at level 0
-	prog := workload.Random(cfg).Prune()
-	facts := core.ComputeFacts(prog, core.Mod)
-	beta := binding.Build(prog)
-	rmod := core.SolveRMOD(beta, facts)
-	imodPlus := core.ComputeIMODPlus(facts, rmod)
-	cg := callgraph.Build(prog)
-	_, repStats := core.SolveGMODMultiLevel(cg, facts, imodPlus)
-	_, spStats := core.SolveGMODMultiLevelSparse(cg, facts, imodPlus)
-	repVisits, spVisits := 0, 0
-	for _, s := range repStats {
-		repVisits += s.Visits
-	}
-	for _, s := range spStats {
-		spVisits += s.Visits
-	}
-	if spVisits >= repVisits {
-		t.Errorf("sparse visits %d ≥ repeated visits %d", spVisits, repVisits)
 	}
 }

@@ -66,7 +66,7 @@ type Facts struct {
 // The computation is bottom-up over the nesting forest and linear in
 // the size of the program.
 func ComputeFacts(prog *ir.Program, kind Kind) *Facts {
-	return computeFacts(prog, kind, newSetAlloc(AllocHybrid, prog.NumVars()))
+	return computeFacts(prog, kind, heapAlloc(prog.NumVars()))
 }
 
 // computeFacts is ComputeFacts with the sets drawn from al.

@@ -45,18 +45,13 @@ func (s *GMODStats) Accumulate(o GMODStats) {
 // gmodFrame is one explicit DFS frame: node and next-successor index.
 type gmodFrame struct{ v, ei int }
 
-// gmodState is a reusable findgmod solver: the Tarjan index arrays,
-// the explicit frame stack, and (for the scratch path) the per-node
-// accumulator sets all live here and are recycled through a
-// process-wide pool. Once the pool has warmed to the program size, a
-// FindGMODScratch call touches no allocator at all — the property
-// gated by TestFindGMODScratchZeroAlloc.
+// gmodState is the findgmod search state: the Tarjan index arrays and
+// the explicit frame stack, recycled through a process-wide pool.
 type gmodState struct {
 	dfn, lowlink []int
 	onStack      []bool
 	stack        []int
 	frames       []gmodFrame
-	sets         []*bitset.Set // lazily created, retained accumulators
 	nextdfn      int
 }
 
@@ -83,13 +78,6 @@ func (st *gmodState) ensure(n int) {
 	st.nextdfn = 1
 }
 
-// ensureSets guarantees n retained accumulator sets.
-func (st *gmodState) ensureSets(n int) {
-	for len(st.sets) < n {
-		st.sets = append(st.sets, new(bitset.Set))
-	}
-}
-
 // FindGMOD is the paper's findgmod (Figure 2): a one-pass adaptation
 // of Tarjan's strongly-connected-components algorithm that evaluates
 // equation (4),
@@ -113,90 +101,46 @@ func (st *gmodState) ensureSets(n int) {
 // For programs whose procedures all sit at nesting level 0 (two-level
 // languages like C or Fortran — equation (8)'s premise), the result is
 // the exact least solution of equation (4). For nested programs use
-// SolveGMODMultiLevel, which runs this pass once per nesting level.
+// SolveGMODMultiLevel, which runs one pass per nesting level; it falls
+// back to this search on a level whose condensed pass does not apply.
 //
 // The search is iterative (explicit frame stack) so call chains of
 // hundreds of thousands of procedures cannot overflow the goroutine
 // stack; the structure otherwise mirrors Figure 2 line by line. Every
-// returned set is freshly cloned from IMOD+ — this is the unpooled
-// baseline; the solver hot path uses FindGMODScratch.
+// returned set is freshly cloned from IMOD+, so the caller may keep the
+// rows after releasing the seeds.
 func FindGMOD(g *graph.Graph, imodPlus []*bitset.Set, local []*bitset.Set, roots ...int) ([]*bitset.Set, GMODStats) {
-	out := make([]*bitset.Set, g.NumNodes())
+	n := g.NumNodes()
+	out := make([]*bitset.Set, n)
 	st := gmodStates.Get().(*gmodState)
-	stats := st.run(g, imodPlus, local, out, false, roots)
+	st.ensure(n)
+	var stats GMODStats
+	for _, r := range roots {
+		st.search(g, imodPlus, local, out, r, &stats)
+	}
+	for v := 0; v < n; v++ {
+		st.search(g, imodPlus, local, out, v, &stats)
+	}
 	gmodStates.Put(st)
 	return out, stats
 }
 
-// GMODRun is the result of FindGMODScratch. Sets is indexed by node
-// ID; the sets, the slice, and the search state behind them are owned
-// by a pooled solver, so the caller must fold the sets into
-// longer-lived storage and then call Release. After Release the run
-// must not be used.
-type GMODRun struct {
-	Sets []*bitset.Set
-	st   *gmodState
-}
-
-// Release returns the run's solver (sets included) to the pool.
-func (r GMODRun) Release() {
-	if r.st != nil {
-		gmodStates.Put(r.st)
-	}
-}
-
-// FindGMODScratch is FindGMOD with every per-node set, the result
-// slice, and the search state drawn from a process-wide pool of
-// reusable solvers: in steady state — once the pool has warmed to the
-// program size — a call performs zero heap allocations. Used by the
-// multi-level driver, which runs one findgmod pass per nesting level
-// and discards each pass's sets after folding them into the result.
-func FindGMODScratch(g *graph.Graph, imodPlus []*bitset.Set, local []*bitset.Set, roots ...int) (GMODRun, GMODStats) {
-	n := g.NumNodes()
-	st := gmodStates.Get().(*gmodState)
-	st.ensureSets(n)
-	out := st.sets[:n]
-	stats := st.run(g, imodPlus, local, out, true, roots)
-	return GMODRun{Sets: out, st: st}, stats
-}
-
-// run executes the Figure-2 search over g, filling out[v] with node
-// v's GMOD set. With reuse=true, out[v] must already point at a
-// caller-owned set, which is overwritten via CopyFrom; with
-// reuse=false, out[v] receives a fresh clone of imodPlus[v].
-func (st *gmodState) run(g *graph.Graph, imodPlus, local, out []*bitset.Set, reuse bool, roots []int) GMODStats {
-	n := g.NumNodes()
-	st.ensure(n)
-	var stats GMODStats
-	for _, r := range roots {
-		st.search(g, imodPlus, local, out, reuse, r, &stats)
-	}
-	for v := 0; v < n; v++ {
-		st.search(g, imodPlus, local, out, reuse, v, &stats)
-	}
-	return stats
-}
-
-func (st *gmodState) visit(v int, imodPlus, out []*bitset.Set, reuse bool, stats *GMODStats) {
+func (st *gmodState) visit(v int, imodPlus, out []*bitset.Set, stats *GMODStats) {
 	st.dfn[v] = st.nextdfn
 	st.nextdfn++
 	st.lowlink[v] = st.dfn[v]
-	if reuse { // line 8: initialize to IMOD+
-		out[v].CopyFrom(imodPlus[v])
-	} else {
-		out[v] = imodPlus[v].Clone()
-	}
+	out[v] = imodPlus[v].Clone() // line 8: initialize to IMOD+
 	st.stack = append(st.stack, v)
 	st.onStack[v] = true
 	stats.Visits++
 	st.frames = append(st.frames, gmodFrame{v: v})
 }
 
-func (st *gmodState) search(g *graph.Graph, imodPlus, local, out []*bitset.Set, reuse bool, root int, stats *GMODStats) {
+func (st *gmodState) search(g *graph.Graph, imodPlus, local, out []*bitset.Set, root int, stats *GMODStats) {
 	if st.dfn[root] != 0 {
 		return
 	}
-	st.visit(root, imodPlus, out, reuse, stats)
+	st.visit(root, imodPlus, out, stats)
 	for len(st.frames) > 0 {
 		f := &st.frames[len(st.frames)-1]
 		v := f.v
@@ -207,7 +151,7 @@ func (st *gmodState) search(g *graph.Graph, imodPlus, local, out []*bitset.Set, 
 			f.ei++
 			q := e.To
 			if st.dfn[q] == 0 { // tree edge: descend
-				st.visit(q, imodPlus, out, reuse, stats)
+				st.visit(q, imodPlus, out, stats)
 				advanced = true
 				break
 			}

@@ -22,7 +22,7 @@ import (
 // over the call sites plus one bottom-up pass over the nesting forest,
 // linear in program size for bounded parameter lists.
 func ComputeIMODPlus(facts *Facts, rmod *RMOD) []*bitset.Set {
-	return computeIMODPlus(facts, rmod, newSetAlloc(AllocHybrid, facts.Prog.NumVars()))
+	return computeIMODPlus(facts, rmod, heapAlloc(facts.Prog.NumVars()))
 }
 
 // computeIMODPlus is ComputeIMODPlus with the sets drawn from al.

@@ -36,83 +36,91 @@ import (
 // is identical either way; only the storage and the work counters
 // differ.
 func SolveGMODMultiLevel(cg *callgraph.CallGraph, facts *Facts, imodPlus []*bitset.Set) ([]*bitset.Set, []GMODStats) {
-	return solveGMODMultiLevel(structureForGMOD(cg), facts, imodPlus, newSetAlloc(AllocHybrid, cg.Prog.NumVars()), false)
+	al := heapAlloc(cg.Prog.NumVars())
+	levels, stats := solveLevels(structureForGMOD(cg), facts, imodPlus, al, false)
+	return gmodRows(levels, imodPlus, al), stats
 }
 
-// solveGMODMultiLevel is the allocator-threaded driver behind
-// SolveGMODMultiLevel; Analyze calls it with the analysis's policy.
-// The per-level subgraphs and scope classes come precomputed on st —
-// they are kind-independent, so a MOD+USE pair shares one copy.
-// noCondense forces the per-node solver (the differential baseline).
-func solveGMODMultiLevel(st *Structure, facts *Facts, imodPlus []*bitset.Set, al setAlloc, noCondense bool) ([]*bitset.Set, []GMODStats) {
+// escLevel is one level's solved escape layer: the condensed table
+// when the pass ran condensed, or the per-node rows of the Figure-2
+// fallback (DisableCondensation, or hand-built IR whose flat pass fails
+// the scope premise).
+type escLevel struct {
+	esc     *escTable
+	perNode []*bitset.Set
+}
+
+// into unions procedure pid's escape set at this level into dst.
+func (l escLevel) into(pid int, dst *bitset.Set) {
+	if l.esc != nil {
+		l.esc.escInto(l.esc.scc.Comp[pid], dst)
+	} else {
+		dst.UnionWith(l.perNode[pid])
+	}
+}
+
+// solveLevels is the multi-level findgmod driver: one pass per nesting
+// level, each returned as an escape layer. Per-level escape sets are
+// disjoint — a level-l pass escapes only scope-class-l variables — so
+// a procedure's row is GMOD(p) = IMOD+(p) ∪ ∪_l Esc_l(p). Analyze
+// materializes the rows from the layers (gmodRows); AnalyzeCondensed
+// keeps them. The per-level subgraphs and scope classes come
+// precomputed on st — they are kind-independent, so a MOD+USE pair
+// shares one copy. noCondense forces the per-node solver (the
+// differential baseline).
+func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, al setAlloc, noCondense bool) ([]escLevel, []GMODStats) {
 	prog := st.Prog
 	dP := prog.MaxLevel()
-
-	// Every procedure's own direct and ref-parameter effects are in
-	// its GMOD regardless of levels.
-	result := make([]*bitset.Set, prog.NumProcs())
-	for i := range result {
-		result[i] = al.gmodResult(imodPlus[i])
-	}
-	// runLevel executes one findgmod pass and folds its solution into
-	// result. The condensed layer computes one escape set per
-	// strongly-connected component and recovers each node's row as
-	// seed ∪ Esc(comp); checkScope is set on the flat full-seed pass,
-	// where the mask-free premise rests on IR validation rather than
-	// on the driver's class restriction, and a violation (hand-built,
-	// never-validated IR) falls through to the per-node search. Under
-	// a pooled policy that fallback runs on a recycled solver; under
-	// the dense baseline it clones every set.
-	runLevel := func(lvl int, seeds, locals []*bitset.Set, checkScope bool, roots ...int) GMODStats {
-		g := st.Levels[lvl]
-		if !noCondense {
-			et, stats, ok := solveCondensed(g, st.levelSCC(lvl), seeds, locals, prog.Vars, checkScope)
-			if ok {
-				comp := et.scc.Comp
-				for i := range result {
-					et.escInto(comp[i], result[i])
-				}
-				return stats
-			}
-		}
-		if al.pooled() {
-			run, stats := FindGMODScratch(g, seeds, locals, roots...)
-			for i, s := range run.Sets {
-				result[i].UnionWith(s)
-			}
-			run.Release()
-			return stats
-		}
-		gmod, stats := FindGMOD(g, seeds, locals, roots...)
-		for i, s := range gmod {
-			result[i].UnionWith(s)
-		}
-		return stats
-	}
-
-	if dP == 0 {
-		stats := runLevel(0, imodPlus, facts.Local, true, prog.Main.ID)
-		return result, []GMODStats{stats}
-	}
-
-	var allStats []GMODStats
-	for lvl := 0; lvl <= dP; lvl++ {
+	levels := make([]escLevel, dP+1)
+	stats := make([]GMODStats, dP+1)
+	for lvl := range levels {
 		// Problem lvl: st.Levels[lvl] has dropped the edges that invoke
 		// a procedure declared at a level shallower than lvl; the seeds
 		// restrict IMOD+ to the variables whose lifetime that problem
 		// tracks (scope class lvl), which is also what makes the
 		// condensed pass's premise structural: every callee on a
-		// surviving edge declares its names at class ≥ lvl+1.
-		seeds := make([]*bitset.Set, prog.NumProcs())
-		for _, p := range prog.Procs {
-			s := al.tempCopy(imodPlus[p.ID])
-			s.IntersectWith(st.ClassVars[lvl])
-			seeds[p.ID] = s
+		// surviving edge declares its names at class ≥ lvl+1. A flat
+		// program's single pass takes IMOD+ whole; there the premise
+		// rests on IR validation, so the pass checks it (checkScope)
+		// and a violation falls through to the per-node search.
+		seeds := imodPlus
+		if dP > 0 {
+			seeds = make([]*bitset.Set, prog.NumProcs())
+			for _, p := range prog.Procs {
+				s := al.tempCopy(imodPlus[p.ID])
+				s.IntersectWith(st.ClassVars[lvl])
+				seeds[p.ID] = s
+			}
 		}
-		allStats = append(allStats, runLevel(lvl, seeds, facts.Local, false, prog.Main.ID))
-		for i := range seeds {
-			al.tempDone(seeds[i])
+		ok := false
+		if !noCondense {
+			levels[lvl].esc, stats[lvl], ok = solveCondensed(st.Levels[lvl], st.levelSCC(lvl), seeds, facts.Local, prog.Vars, dP == 0)
+		}
+		if !ok {
+			// FindGMOD's rows are fresh clones, so they outlive the
+			// seeds released below.
+			levels[lvl].perNode, stats[lvl] = FindGMOD(st.Levels[lvl], seeds, facts.Local, prog.Main.ID)
+		}
+		if dP > 0 {
+			for _, s := range seeds {
+				al.tempDone(s)
+			}
 		}
 	}
-	return result, allStats
+	return levels, stats
+}
+
+// gmodRows materializes every procedure's GMOD row from the escape
+// layers, the reconstruction of CondensedResult.GMODInto: the row
+// starts as an allocator-owned copy of IMOD+ and each layer is unioned
+// in.
+func gmodRows(levels []escLevel, imodPlus []*bitset.Set, al setAlloc) []*bitset.Set {
+	rows := make([]*bitset.Set, len(imodPlus))
+	for pid := range rows {
+		rows[pid] = al.resultClone(imodPlus[pid])
+		for _, l := range levels {
+			l.into(pid, rows[pid])
+		}
+	}
+	return rows
 }

@@ -40,7 +40,6 @@ import (
 	"sideeffect"
 	"sideeffect/internal/batch"
 	"sideeffect/internal/cache"
-	"sideeffect/internal/core"
 	"sideeffect/internal/faultinject"
 	"sideeffect/internal/gofront"
 	"sideeffect/internal/report"
@@ -647,8 +646,7 @@ func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 // options with the deadline threaded through every pipeline stage;
 // concurrent identical requests share one computation. A miss whose
 // first attempt dies with a captured panic is retried once in degraded
-// mode (sequential, dense allocation, nothing pooled) before the
-// request fails. The computation runs on the request's own goroutine —
+// mode (sideeffect.AnalyzeContextRetry) before the request fails. The computation runs on the request's own goroutine —
 // a cancelled request stops at the next stage boundary, releases its
 // arena, and frees its admission slot; nothing is left running in the
 // background. Dedup waiters share the leader's outcome, errors
@@ -663,18 +661,11 @@ func (s *Server) analyzeCached(ctx context.Context, src string) (*cached, string
 		// time to pipeline stages.
 		popts := s.opts
 		popts.Profile = true
-		a, err := sideeffect.AnalyzeContext(ctx, src, popts)
+		a, degraded, err := sideeffect.AnalyzeContextRetry(ctx, src, popts)
 		if err != nil {
-			var pe *batch.PanicError
-			if !errors.As(err, &pe) || ctx.Err() != nil {
-				return nil, err
-			}
-			a, err = sideeffect.AnalyzeContext(ctx, src, sideeffect.Options{
-				Sequential: true, Alloc: core.AllocDense, Profile: true, Faults: s.opts.Faults,
-			})
-			if err != nil {
-				return nil, err
-			}
+			return nil, err
+		}
+		if degraded {
 			s.met.degradedRetry()
 		}
 		s.met.observeAnalysis(time.Since(start).Seconds())

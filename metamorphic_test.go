@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"sideeffect/internal/core"
 	"sideeffect/internal/lang/token"
 	"sideeffect/internal/workload"
 )
@@ -42,11 +41,9 @@ func metaSrc(i int) string {
 	return workload.Emit(workload.Random(cfg))
 }
 
-// metaPolicy rotates the allocation policy across the corpus so every
-// transform is exercised under all three disciplines.
-func metaPolicy(i int) core.AllocPolicy {
-	return []core.AllocPolicy{core.AllocAuto, core.AllocHybrid, core.AllocDense}[i%3]
-}
+// metaHeap alternates the core allocator across the corpus so every
+// transform is exercised on both the arena and the heap.
+func metaHeap(i int) bool { return i%2 == 1 }
 
 // procSig is one procedure's summary signature: the qualified GMOD and
 // GUSE member names plus the RMOD formal names, each sorted.
@@ -54,12 +51,13 @@ type procSig struct {
 	MOD, USE, RMOD []string
 }
 
-// metaSig analyzes src under the policy and extracts the per-procedure
+// metaSig analyzes src on the arena, or on the heap allocator when heap
+// is set, and extracts the per-procedure
 // signature map. The Analysis is released before returning so the
 // corpus sweep recycles arenas instead of growing the heap.
-func metaSig(t *testing.T, src string, pol core.AllocPolicy) map[string]procSig {
+func metaSig(t *testing.T, src string, heap bool) map[string]procSig {
 	t.Helper()
-	a, err := AnalyzeWith(src, Options{Sequential: true, Alloc: pol})
+	a, err := AnalyzeWith(src, Options{Sequential: true, heap: heap})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -156,9 +154,9 @@ func TestMetamorphicRename(t *testing.T) {
 			}
 			return strings.Join(parts, ".")
 		}
-		pol := metaPolicy(i)
-		base := metaSig(t, src, pol)
-		got := metaSig(t, renamed, pol)
+		heap := metaHeap(i)
+		base := metaSig(t, src, heap)
+		got := metaSig(t, renamed, heap)
 		want := make(map[string]procSig, len(base))
 		for p, s := range base {
 			want[rn(p)] = s.mapNames(rn)
@@ -166,7 +164,7 @@ func TestMetamorphicRename(t *testing.T) {
 		if len(want) != len(got) {
 			t.Fatalf("program %d: procedure count changed: %d -> %d", i, len(want), len(got))
 		}
-		diffSigs(t, fmt.Sprintf("program %d (%v)", i, pol), want, got)
+		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), want, got)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -191,16 +189,16 @@ func TestMetamorphicDeadProc(t *testing.T) {
 	n := metaCorpusSize(t)
 	for i := 0; i < n; i++ {
 		src := metaSrc(i)
-		pol := metaPolicy(i)
-		base := metaSig(t, src, pol)
-		got := metaSig(t, addDeadProc(src), pol)
+		heap := metaHeap(i)
+		base := metaSig(t, src, heap)
+		got := metaSig(t, addDeadProc(src), heap)
 		if len(got) != len(base) {
 			t.Fatalf("program %d: procedure count changed: %d -> %d", i, len(base), len(got))
 		}
 		if _, ok := got["dead_p"]; ok {
 			t.Fatalf("program %d: unreachable dead_p survived pruning", i)
 		}
-		diffSigs(t, fmt.Sprintf("program %d (%v)", i, pol), base, got)
+		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), base, got)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -229,13 +227,13 @@ func TestMetamorphicCallDup(t *testing.T) {
 	n := metaCorpusSize(t)
 	for i := 0; i < n; i++ {
 		src := metaSrc(i)
-		pol := metaPolicy(i)
-		base := metaSig(t, src, pol)
-		got := metaSig(t, duplicateCalls(src), pol)
+		heap := metaHeap(i)
+		base := metaSig(t, src, heap)
+		got := metaSig(t, duplicateCalls(src), heap)
 		if len(got) != len(base) {
 			t.Fatalf("program %d: procedure count changed", i)
 		}
-		diffSigs(t, fmt.Sprintf("program %d (%v)", i, pol), base, got)
+		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), base, got)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -302,23 +300,23 @@ func TestMetamorphicParamPermute(t *testing.T) {
 	n := metaCorpusSize(t)
 	for i := 0; i < n; i++ {
 		src := metaSrc(i)
-		pol := metaPolicy(i)
-		base := metaSig(t, src, pol)
-		got := metaSig(t, permuteFormals(src), pol)
+		heap := metaHeap(i)
+		base := metaSig(t, src, heap)
+		got := metaSig(t, permuteFormals(src), heap)
 		if len(got) != len(base) {
 			t.Fatalf("program %d: procedure count changed", i)
 		}
-		diffSigs(t, fmt.Sprintf("program %d (%v)", i, pol), base, got)
+		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), base, got)
 		if t.Failed() {
 			t.FailNow()
 		}
 	}
 }
 
-// TestMetamorphicPoliciesAgree pins a corpus subset under all three
-// allocation policies at once: the transform invariants above rotate
-// policies, and this closes the loop by checking the policies against
-// each other on the transformed sources too.
+// TestMetamorphicPoliciesAgree pins a corpus subset under both core
+// allocators at once: the transform invariants above alternate them,
+// and this closes the loop by checking the arena against the heap
+// reference on the transformed sources too.
 func TestMetamorphicPoliciesAgree(t *testing.T) {
 	n := 6
 	if testing.Short() {
@@ -333,10 +331,7 @@ func TestMetamorphicPoliciesAgree(t *testing.T) {
 		src := metaSrc(i)
 		for name, tr := range transforms {
 			tsrc := tr(src)
-			dense := metaSig(t, tsrc, core.AllocDense)
-			for _, pol := range []core.AllocPolicy{core.AllocAuto, core.AllocHybrid} {
-				diffSigs(t, fmt.Sprintf("program %d %s (%v vs dense)", i, name, pol), dense, metaSig(t, tsrc, pol))
-			}
+			diffSigs(t, fmt.Sprintf("program %d %s (arena vs heap)", i, name), metaSig(t, tsrc, true), metaSig(t, tsrc, false))
 			if t.Failed() {
 				t.FailNow()
 			}

@@ -48,11 +48,6 @@ type Options struct {
 	// stage runs in order on the calling goroutine. The result is
 	// identical either way — only the schedule changes.
 	Sequential bool
-	// Alloc selects the bit-vector allocation discipline for the core
-	// solvers. The zero value (core.AllocAuto) is the arena+hybrid
-	// production default; core.AllocDense is the pre-arena baseline
-	// kept for benchmarking and differential testing.
-	Alloc core.AllocPolicy
 	// Profile, when true, records per-stage wall time (and, on a
 	// sequential run, allocation counts) in Analysis.Stages and tags
 	// each stage's execution with a pprof "stage" label.
@@ -76,6 +71,11 @@ type Options struct {
 	// faulted run never corrupts pooled storage. Production runs leave
 	// this nil.
 	Faults *faultinject.Injector
+
+	// heap puts the core solvers on the heap allocator (see
+	// core.Options.Heap). Outside this package's tests, only the panic
+	// retry of AnalyzeContextRetry sets it.
+	heap bool
 }
 
 // workers resolves the options to a concrete positive worker count.
@@ -184,7 +184,7 @@ func AnalyzeProgramWith(prog *ir.Program, opts Options) *Analysis {
 	// the Structure is read-only) share the skeleton.
 	var st *core.Structure
 	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
-	co := core.Options{Alloc: opts.Alloc, Prof: a.Stages, Structure: st, DisableCondensation: opts.DisableCondensation}
+	co := core.Options{Heap: opts.heap, Prof: a.Stages, Structure: st, DisableCondensation: opts.DisableCondensation}
 	batch.Run(w, []func(){
 		func() { a.Mod = core.Analyze(prog, core.Mod, co) },
 		func() { a.Use = core.Analyze(prog, core.Use, co) },
@@ -221,8 +221,9 @@ func (a *Analysis) refreshDerived(opts Options) {
 // before the next (the batch engine's steady state) recycles warm
 // slabs this way instead of growing fresh ones per program. After
 // Release no set previously obtained from the Analysis may be used;
-// the set-valued fields are nilled to fail fast. Under AllocHybrid or
-// AllocDense there is nothing pooled and Release is a no-op.
+// the set-valued fields are nilled to fail fast. An analysis from the
+// degraded retry (AnalyzeContextRetry) is heap-allocated, so it holds
+// no pooled storage to recycle.
 func (a *Analysis) Release() {
 	if a == nil {
 		return
@@ -239,8 +240,9 @@ type BatchResult struct {
 	Analysis *Analysis
 	Err      error
 	// Degraded reports that the first attempt failed with a captured
-	// panic and the Analysis came from AnalyzeAllContext's fallback
-	// retry (sequential, dense allocation, no pooled storage).
+	// panic and the Analysis came from the fallback retry of
+	// AnalyzeContextRetry (sequential, heap allocation, no arena, no
+	// pooled sets).
 	Degraded bool
 }
 
@@ -253,7 +255,7 @@ type BatchResult struct {
 // unaffected.
 func AnalyzeAll(srcs []string, opts Options) []BatchResult {
 	return batch.Map(opts.workers(), srcs, func(_ int, src string) BatchResult {
-		a, err := AnalyzeWith(src, Options{Sequential: true, Alloc: opts.Alloc})
+		a, err := AnalyzeWith(src, Options{Sequential: true, heap: opts.heap})
 		return BatchResult{Analysis: a, Err: err}
 	})
 }
@@ -264,7 +266,7 @@ func AnalyzeAll(srcs []string, opts Options) []BatchResult {
 // analyzed as given (prune first if needed).
 func AnalyzeAllPrograms(progs []*ir.Program, opts Options) []*Analysis {
 	return batch.Map(opts.workers(), progs, func(_ int, p *ir.Program) *Analysis {
-		return AnalyzeProgramWith(p, Options{Sequential: true, Alloc: opts.Alloc})
+		return AnalyzeProgramWith(p, Options{Sequential: true, heap: opts.heap})
 	})
 }
 

@@ -1,5 +1,5 @@
 // Command experiments regenerates every experiment table in
-// EXPERIMENTS.md (E1–E19), reproducing the analytic claims of Cooper &
+// EXPERIMENTS.md (E1–E20), reproducing the analytic claims of Cooper &
 // Kennedy's PLDI 1988 paper as measurements: linear-time RMOD on the
 // binding multi-graph (Figure 1), linear-time findgmod (Figure 2 /
 // Theorem 2), the Figure 3 regular-section lattice, and the

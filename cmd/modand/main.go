@@ -10,9 +10,11 @@
 //
 //	POST   /analyze            analyze one source (cached, singleflight)
 //	POST   /batch              analyze many sources on the worker pool
+//	POST   /lint               lint one source (cached like /analyze)
 //	POST   /session            open an incremental session
 //	GET    /session/{id}       session state and report
 //	POST   /session/{id}/edit  apply an edit (incremental or full)
+//	POST   /session/{id}/lint  lint a session's current analysis
 //	DELETE /session/{id}       close a session
 //	GET    /index/status       watch-mode indexer summary
 //	GET    /index/files        watch-mode per-file table
@@ -60,7 +62,9 @@ func main() {
 // run is the testable entry point. If ready is non-nil it receives the
 // bound listen address once the server is accepting connections; if
 // shutdown is non-nil, a value on it triggers the same graceful drain
-// as SIGINT/SIGTERM.
+// as SIGINT/SIGTERM. stdout and stderr must be safe for concurrent use
+// (os.Stdout and os.Stderr are): the watcher's log lines are written
+// from the indexer's goroutine while run writes its own.
 func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown <-chan struct{}) int {
 	fs := flag.NewFlagSet("modand", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -84,10 +88,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		debounce  = fs.Duration("debounce", 500*time.Millisecond, "quiet window after the last change before a batch is processed")
 		ckptEvery = fs.Duration("checkpoint", 30*time.Second, "periodic checkpoint interval (requires -state-dir)")
 		goModule  = fs.Bool("go-module", false, "index the watched tree's .go files as one whole module (cross-package calls resolved, closed interfaces devirtualized) instead of per-file packages")
-		coord     = fs.Bool("coordinator", false, "run as the cluster coordinator: route requests to -shards by content hash instead of analyzing locally")
-		shards    = fs.String("shards", "", "coordinator mode: comma-separated shard list, id=http://host:port entries (bare URLs get shard-N ids)")
-		join      = fs.String("join", "", "shard mode: coordinator base URL to self-register with on startup (POST /cluster/join)")
-		shardID   = fs.String("shard-id", "", "this replica's stable cluster identity (default: the bound listen address); the ID, not the URL, feeds the rendezvous hash")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: modand [flags]\n")
@@ -101,49 +101,17 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		return 2
 	}
 
-	if *coord {
-		if *watch != "" || *join != "" {
-			fmt.Fprintln(stderr, "modand: -coordinator is incompatible with -watch and -join")
-			return 2
-		}
-		return runCoordinator(coordOptions{
-			addr:     *addr,
-			shards:   *shards,
-			stateDir: *stateDir,
-			timeout:  *timeout,
-			maxBytes: *maxBytes,
-			workers:  *jobs,
-			drain:    *drain,
-		}, stdout, stderr, ready, shutdown)
-	}
-	if *shards != "" {
-		fmt.Fprintln(stderr, "modand: -shards requires -coordinator")
-		return 2
-	}
-
-	// Bind before building the server: the shard's default cluster
-	// identity is its bound address, which an ephemeral :0 listen only
-	// yields after the fact.
+	// Bind before starting anything else, so a busy port fails fast.
+	// Serve closes ln; the deferred Close covers the error paths before
+	// the hand-off.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "modand: %v\n", err)
 		return 1
 	}
-	id := *shardID
-	if id == "" && *join != "" {
-		id = ln.Addr().String()
-	}
-	// The listener is handed to http.Server below; close it ourselves
-	// only on the error paths before that hand-off.
-	handedOff := false
-	defer func() {
-		if !handedOff {
-			ln.Close()
-		}
-	}()
+	defer ln.Close()
 
 	srv := server.New(server.Config{
-		ShardID:         id,
 		Workers:         *jobs,
 		CacheEntries:    *cacheN,
 		MaxRequestBytes: *maxBytes,
@@ -168,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		restored *store.Checkpoint
 	)
 	if *stateDir != "" {
-		var err error
 		st, err = store.Open(*stateDir)
 		if err != nil {
 			fmt.Fprintf(stderr, "modand: state: %v\n", err)
@@ -273,16 +240,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	}
 
 	serveErr := make(chan error, 1)
-	handedOff = true
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	// Cluster membership: announce this shard to the coordinator. The
-	// coordinator may still be booting, so registration retries in the
-	// background; the daemon serves either way (the prober will find it
-	// healthy the moment it joins).
-	if *join != "" {
-		go joinCluster(*join, id, "http://"+ln.Addr().String(), stdout, stderr)
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

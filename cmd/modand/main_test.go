@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -23,19 +24,38 @@ begin
 end.
 `
 
+// syncBuffer is a bytes.Buffer safe for concurrent use: run writes
+// its log from several goroutines (the watcher logs from its own).
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // startDaemon runs the daemon on an ephemeral port and returns its
-// base URL, a shutdown trigger, and the exit-code channel.
-func startDaemon(t *testing.T, extra ...string) (string, chan struct{}, chan int, *bytes.Buffer) {
+// base URL, a shutdown trigger, the exit-code channel, and its log.
+func startDaemon(t *testing.T, extra ...string) (string, chan struct{}, chan int, *syncBuffer) {
 	t.Helper()
 	ready := make(chan string, 1)
 	shutdown := make(chan struct{})
 	exit := make(chan int, 1)
-	var out bytes.Buffer
+	out := &syncBuffer{}
 	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	go func() { exit <- run(args, &out, &out, ready, shutdown) }()
+	go func() { exit <- run(args, out, out, ready, shutdown) }()
 	select {
 	case addr := <-ready:
-		return "http://" + addr, shutdown, exit, &out
+		return "http://" + addr, shutdown, exit, out
 	case code := <-exit:
 		t.Fatalf("daemon exited early with %d: %s", code, out.String())
 		return "", nil, nil, nil

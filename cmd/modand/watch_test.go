@@ -58,7 +58,7 @@ func getBody(t *testing.T, url string) string {
 	return string(data)
 }
 
-func stopDaemon(t *testing.T, shutdown chan struct{}, exit chan int, out *bytes.Buffer) {
+func stopDaemon(t *testing.T, shutdown chan struct{}, exit chan int, out *syncBuffer) {
 	t.Helper()
 	close(shutdown)
 	select {

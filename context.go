@@ -19,10 +19,31 @@ import (
 // This file is the hardened face of the public API: every entry point
 // here takes a context, never panics, and guarantees that a failed or
 // abandoned analysis cannot corrupt the process-wide arena pool. The
-// plain entry points (Analyze, AnalyzeProgramWith, AnalyzeAll) keep
-// their historical contract — panics propagate — for callers that
-// want fail-fast behavior; they are thin shells over the same
-// pipeline, so the two families cannot drift.
+// plain entry points (Analyze, AnalyzeProgramWith, AnalyzeAll,
+// NewSession, Session.Edit, Incremental.AddLocalEffect) are thin
+// shells over the same pipeline, so the two families cannot drift:
+// they run it with a background context and fault injection off.
+// The analyses and NewSession re-raise a captured panic (repanic) for
+// callers that want fail-fast behavior; Session.Edit keeps
+// EditContext's recovery, and AddLocalEffect returns the error.
+
+// withoutFaults returns o with fault injection off, as every plain
+// entry point runs the pipeline.
+func (o Options) withoutFaults() Options {
+	o.Faults = nil
+	return o
+}
+
+// repanic re-raises a panic that the pipeline captured as an error
+// wrapping *batch.PanicError, as batch.Run does; any other error is
+// returned unchanged.
+func repanic(err error) error {
+	var pe *batch.PanicError
+	if errors.As(err, &pe) {
+		panic(pe)
+	}
+	return err
+}
 
 // asPanicError normalizes a recovered value: captured *batch.PanicError
 // values pass through (keeping the panicking goroutine's stack), raw
@@ -77,6 +98,7 @@ func AnalyzeContext(ctx context.Context, src string, opts Options) (*Analysis, e
 // AnalyzeProgramContext is AnalyzeProgramWith under the hardened
 // contract of AnalyzeContext: cancellable, fault-injectable, total (it
 // returns errors, never panics), and arena-safe on every failure path.
+// AnalyzeProgramWith describes the stage schedule.
 func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) (ra *Analysis, err error) {
 	a := &Analysis{Prog: prog}
 	defer func() {
@@ -99,11 +121,18 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	if opts.Profile {
 		popts := []prof.Option{prof.WithLabels()}
 		if opts.workers() == 1 {
+			// Allocation deltas come from runtime.ReadMemStats and are
+			// only attributable to a stage when stages run one at a
+			// time.
 			popts = append(popts, prof.CountAllocs())
 		}
 		a.Stages = prof.New(popts...)
 	}
 	w := opts.workers()
+	// The binding graph, its components, the call graph, and the
+	// per-level subgraphs are identical for the Mod and Use problems;
+	// build them once and let both analyses (running concurrently —
+	// the Structure is read-only) share the skeleton.
 	var st *core.Structure
 	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
 	co := core.Options{Heap: opts.heap, Prof: a.Stages, Structure: st, Faults: opts.Faults, DisableCondensation: opts.DisableCondensation}
@@ -122,10 +151,14 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	return a, nil
 }
 
-// refreshDerivedCtx is refreshDerived with cancellation, fault
-// injection, and panic capture. The derived stages draw from the core
-// results' arenas, so a panic here leaves carve state unknown — the
-// caller's abort path poisons the arenas before any Release.
+// refreshDerivedCtx recomputes the second stage layer — both section
+// problems and the alias-factored per-call-site sets — from the
+// current Mod/Use results and alias analysis, with cancellation, fault
+// injection, and panic capture. The pipeline runs it once; the
+// incremental updater reruns it after the core results change. The
+// derived stages draw from the core results' arenas, so a panic here
+// leaves carve state unknown — the caller poisons the arenas before
+// any Release.
 func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 	if err := opts.Faults.At("sideeffect.derived"); err != nil {
 		return err
@@ -133,6 +166,9 @@ func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 	return batch.RunCtx(ctx, opts.workers(), []func(){
 		func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
 		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
+		// Factored sets share their core Result's lifetime, so they are
+		// drawn from its arena; each arena is touched by exactly one of
+		// these goroutines.
 		func() {
 			a.Stages.Do("factor.mod", func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) })
 		},
@@ -251,7 +287,13 @@ func NewSessionContext(ctx context.Context, src string, opts Options) (*Session,
 //
 // EditContext never panics and never hands a half-updated solution to
 // a later read.
-func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode, err error) {
+func (s *Session) EditContext(ctx context.Context, newSrc string) (EditMode, error) {
+	return s.edit(ctx, newSrc, s.opts)
+}
+
+// edit is EditContext with the pipeline options given explicitly, so
+// Edit can run it with fault injection off.
+func (s *Session) edit(ctx context.Context, newSrc string, opts Options) (mode EditMode, err error) {
 	if s.broken {
 		return EditFull, ErrSessionBroken
 	}
@@ -264,7 +306,7 @@ func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode
 	if !ok {
 		// Full path: the fresh analysis is built off to the side, so a
 		// failure here cannot touch the current solution.
-		return s.editFullCtx(ctx, prog, newSrc, false)
+		return s.editFullCtx(ctx, opts, prog, newSrc, false)
 	}
 	// Incremental path: from the rebase on, the maintained solution is
 	// being mutated in place, so every failure must recover through
@@ -280,7 +322,7 @@ func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode
 			// this analysis.
 			s.inc.a.poisonArenas()
 			var ferr error
-			mode, ferr = s.editFullCtx(ctx, prog, newSrc, true)
+			mode, ferr = s.editFullCtx(ctx, opts, prog, newSrc, true)
 			if ferr == nil {
 				err = nil
 				return
@@ -291,22 +333,22 @@ func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode
 	s.inc.rebase(prog)
 	for _, d := range modAdds {
 		if _, err := s.inc.mod.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, prog, newSrc, true)
+			return s.editFullCtx(ctx, opts, prog, newSrc, true)
 		}
 	}
 	for _, d := range useAdds {
 		if _, err := s.inc.use.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, prog, newSrc, true)
+			return s.editFullCtx(ctx, opts, prog, newSrc, true)
 		}
 	}
-	if err := s.inc.a.refreshDerivedCtx(ctx, s.opts); err != nil {
+	if err := s.inc.a.refreshDerivedCtx(ctx, opts); err != nil {
 		var pe *batch.PanicError
 		if errors.As(err, &pe) {
 			// The panic tore a derived stage mid-carve; the arenas must
 			// not be pooled when the fallback releases this analysis.
 			s.inc.a.poisonArenas()
 		}
-		mode, ferr := s.editFullCtx(ctx, prog, newSrc, true)
+		mode, ferr := s.editFullCtx(ctx, opts, prog, newSrc, true)
 		if ferr == nil {
 			return mode, nil
 		}
@@ -319,9 +361,12 @@ func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode
 // editFullCtx replaces the session's analysis with a fresh one of prog.
 // mutated says whether the current solution has already been touched in
 // place: if so, a failure here is unrecoverable and breaks the session;
-// if not, failure leaves the session unchanged.
-func (s *Session) editFullCtx(ctx context.Context, prog *ir.Program, src string, mutated bool) (EditMode, error) {
-	a, err := AnalyzeProgramContext(ctx, prog, s.opts)
+// if not, failure leaves the session unchanged. The superseded analysis
+// is released: a Session owns its analysis across edits (incremental
+// edits already mutate it in place), so a caller must not hold sets
+// from before an edit either way.
+func (s *Session) editFullCtx(ctx context.Context, opts Options, prog *ir.Program, src string, mutated bool) (EditMode, error) {
+	a, err := AnalyzeProgramContext(ctx, prog, opts)
 	if err != nil {
 		if mutated {
 			s.broken = true

@@ -65,6 +65,58 @@ func TestAnalyzeContextPanicBecomesError(t *testing.T) {
 	}
 }
 
+// TestPlainEntryPointsIgnoreFaults pins the plain family's contract
+// now that it runs the context-aware pipeline: an armed injector in
+// Options.Faults changes nothing for AnalyzeWith, NewSession or
+// Session.Edit, while EditContext on the same session honors it.
+func TestPlainEntryPointsIgnoreFaults(t *testing.T) {
+	panicAll := func() *faultinject.Injector {
+		return faultinject.New(faultinject.Config{
+			Rate: 1, Seed: 5, Kinds: []faultinject.Kind{faultinject.KindPanic},
+		})
+	}
+	src := chaosSrc(t, 9)
+	want, err := Analyze(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AnalyzeWith(src, Options{Sequential: true, Faults: panicAll()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Report() != want.Report() {
+		t.Fatal("AnalyzeWith with an injector differs from Analyze")
+	}
+	got.Release()
+	want.Release()
+
+	s, err := NewSession(incrSrc, Options{Sequential: true, Faults: panicAll()})
+	if err != nil {
+		t.Fatalf("NewSession injected a fault: %v", err)
+	}
+	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1)
+	mode, err := s.Edit(edited)
+	if err != nil || mode != EditIncremental {
+		t.Fatalf("Edit with an injector = %v, %v; want an incremental edit", mode, err)
+	}
+	if _, err := s.EditContext(context.Background(), incrSrc); err == nil {
+		t.Fatal("EditContext ignored the session's injector")
+	}
+	s.Close()
+}
+
+// TestAnalyzeProgramWithRepanics pins the fail-fast contract: a panic
+// inside the pipeline reaches the caller of AnalyzeProgramWith as a
+// *batch.PanicError, as batch.Run re-raises it.
+func TestAnalyzeProgramWithRepanics(t *testing.T) {
+	defer func() {
+		if _, ok := recover().(*batch.PanicError); !ok {
+			t.Fatal("AnalyzeProgramWith did not re-panic a *batch.PanicError")
+		}
+	}()
+	AnalyzeProgramWith(nil, Options{Sequential: true})
+}
+
 // TestAnalyzeContextPanicMidPipelinePoisons drives a panic-only
 // injector at a rate low enough that the analysis usually checks out an
 // arena before the fault lands, and asserts the pool accounting closes:

@@ -1,13 +1,13 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"sideeffect/internal/alias"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
-	"sideeffect/internal/lang/sem"
 )
 
 // Effect selects which side of an incremental update a new local fact
@@ -86,7 +86,12 @@ func (inc *Incremental) AddLocalEffect(proc, variable string, effect Effect) ([]
 	if err != nil {
 		return nil, err
 	}
-	inc.a.refreshDerived(inc.opts)
+	if err := inc.a.refreshDerivedCtx(context.Background(), inc.opts.withoutFaults()); err != nil {
+		// Only a panic fails the refresh here; it tore a derived stage
+		// mid-carve, so the arenas must never be pooled.
+		inc.a.poisonArenas()
+		return nil, fmt.Errorf("sideeffect: %w", err)
+	}
 	return changed, nil
 }
 
@@ -190,13 +195,16 @@ type Session struct {
 }
 
 // NewSession parses, checks, and analyzes src and holds it open for
-// edits.
+// edits. Like AnalyzeWith it ignores opts.Faults and lets a panic in
+// the analysis propagate; the session keeps opts, so its EditContext
+// calls do inject faults.
 func NewSession(src string, opts Options) (*Session, error) {
-	a, err := AnalyzeWith(src, opts)
+	s, err := NewSessionContext(context.Background(), src, opts.withoutFaults())
 	if err != nil {
-		return nil, err
+		return nil, repanic(err)
 	}
-	return &Session{opts: opts, src: src, inc: NewIncrementalWith(a, opts)}, nil
+	s.opts = opts
+	return s, nil
 }
 
 // Analysis returns the session's current analysis.
@@ -208,50 +216,10 @@ func (s *Session) Source() string { return s.src }
 // Edit replaces the session's source text and brings the analysis up
 // to date, incrementally when the edit is additive and by full
 // reanalysis otherwise. On a parse or semantic error the session is
-// left unchanged and the error is returned.
+// left unchanged and the error is returned. Edit is EditContext with
+// no deadline and fault injection off.
 func (s *Session) Edit(newSrc string) (EditMode, error) {
-	if s.broken {
-		return EditFull, ErrSessionBroken
-	}
-	prog, err := sem.AnalyzeSource(newSrc)
-	if err != nil {
-		return EditFull, fmt.Errorf("sideeffect: %w", err)
-	}
-	prog = prog.Prune()
-	modAdds, useAdds, ok := ir.AdditiveDelta(s.inc.a.Prog, prog)
-	if !ok {
-		return s.editFull(prog, newSrc), nil
-	}
-	s.inc.rebase(prog)
-	for _, d := range modAdds {
-		if _, err := s.inc.mod.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			// Cannot happen for AdditiveDelta-certified programs
-			// (visibility is guaranteed); recover by reanalyzing rather
-			// than serving a half-updated solution.
-			return s.editFull(prog, newSrc), nil
-		}
-	}
-	for _, d := range useAdds {
-		if _, err := s.inc.use.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFull(prog, newSrc), nil
-		}
-	}
-	s.inc.a.refreshDerived(s.opts)
-	s.src = newSrc
-	return EditIncremental, nil
-}
-
-// editFull replaces the session's analysis with a fresh one of prog.
-// The superseded analysis is released: a Session owns its analysis
-// across edits (incremental edits already mutate it in place), so a
-// caller must not hold sets from before an Edit either way.
-func (s *Session) editFull(prog *ir.Program, src string) EditMode {
-	old := s.inc.a
-	a := AnalyzeProgramWith(prog, s.opts)
-	s.inc = NewIncrementalWith(a, s.opts)
-	s.src = src
-	old.Release()
-	return EditFull
+	return s.edit(context.Background(), newSrc, s.opts.withoutFaults())
 }
 
 // Close releases the session's analysis storage back to the pool. The

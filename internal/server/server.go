@@ -83,13 +83,6 @@ type Config struct {
 	// FaultSeed seeds the injector; the same seed and request sequence
 	// replays the same faults.
 	FaultSeed int64
-	// ShardID, when non-empty, marks this server as one replica of a
-	// sharded cluster (see internal/cluster). It is purely an identity:
-	// the ID shows up in /healthz, /cluster/status, and the
-	// modand_shard_info metric so operators and the coordinator's
-	// prober can tell replicas apart. Routing itself lives in the
-	// coordinator — a shard answers any request it receives.
-	ShardID string
 }
 
 func (c Config) withDefaults() Config {
@@ -436,14 +429,9 @@ func New(cfg Config) *Server {
 	s.route("DELETE /session/{id}", "/session/{id}", s.handleSessionDelete)
 	s.route("GET /index/status", "/index/status", s.handleIndexStatus)
 	s.route("GET /index/files", "/index/files", s.handleIndexFiles)
-	s.route("GET /cluster/status", "/cluster/status", s.handleClusterStatus)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		resp := map[string]any{"ok": true, "role": s.role()}
-		if s.cfg.ShardID != "" {
-			resp["shard"] = s.cfg.ShardID
-		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -909,15 +897,6 @@ func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 	return entries
 }
 
-// role reports how this process participates in a cluster:
-// "shard" when it carries a ShardID, "standalone" otherwise.
-func (s *Server) role() string {
-	if s.cfg.ShardID != "" {
-		return "shard"
-	}
-	return "standalone"
-}
-
 // effectiveWorkers is the analysis pool size actually in use (the
 // library treats 0 and negative Workers as GOMAXPROCS).
 func (s *Server) effectiveWorkers() int {
@@ -925,28 +904,6 @@ func (s *Server) effectiveWorkers() int {
 		return s.cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// handleClusterStatus is GET /cluster/status on a shard (or standalone
-// server): its identity plus the capacity facts — CPU count,
-// GOMAXPROCS, worker-pool size, admission limits — a coordinator or
-// operator needs to interpret shard-scaling numbers. A fleet packing
-// more workers than cores onto one box is oversubscribed: aggregate
-// qps then measures scheduler contention, not capacity, so the skew is
-// surfaced here and in the BENCH emitters rather than discovered after
-// a confusing benchmark.
-func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) (int, any, *apiError) {
-	workers := s.effectiveWorkers()
-	return http.StatusOK, map[string]any{
-		"role":           s.role(),
-		"shard":          s.cfg.ShardID,
-		"numCPU":         runtime.NumCPU(),
-		"gomaxprocs":     runtime.GOMAXPROCS(0),
-		"workers":        workers,
-		"maxInFlight":    s.cfg.MaxInFlight,
-		"maxQueue":       s.cfg.MaxQueue,
-		"oversubscribed": workers > runtime.NumCPU() || runtime.GOMAXPROCS(0) > runtime.NumCPU(),
-	}, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -958,17 +915,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		faults:   s.faults.Counts(),
 	}
 	fmt.Fprint(w, s.met.render(s.cache.Stats(), s.sessions.open(), rs))
-	// Capacity gauges: shard-scaling numbers are only interpretable
-	// when the worker-vs-core skew is visible next to them.
+	// Capacity gauges: throughput numbers are only interpretable when
+	// the worker-vs-core skew is visible next to them.
 	fmt.Fprintf(w, "# HELP modand_num_cpu Logical CPUs visible to this process.\n")
 	fmt.Fprintf(w, "# TYPE modand_num_cpu gauge\nmodand_num_cpu %d\n", runtime.NumCPU())
 	fmt.Fprintf(w, "# TYPE modand_gomaxprocs gauge\nmodand_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "# HELP modand_workers Analysis worker-pool size in effect.\n")
 	fmt.Fprintf(w, "# TYPE modand_workers gauge\nmodand_workers %d\n", s.effectiveWorkers())
-	if s.cfg.ShardID != "" {
-		fmt.Fprintf(w, "# HELP modand_shard_info This replica's cluster identity.\n")
-		fmt.Fprintf(w, "# TYPE modand_shard_info gauge\nmodand_shard_info{shard=%q} 1\n", s.cfg.ShardID)
-	}
 	if v := s.indexView(); v != nil {
 		fmt.Fprint(w, v.MetricsLines())
 	}

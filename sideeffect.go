@@ -21,6 +21,7 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -165,53 +166,17 @@ func AnalyzeProgram(prog *ir.Program) *Analysis {
 // which fix symbol invariance), and the final per-call-site sets
 // factor each core result through the alias analysis. All reads of
 // the shared inputs are read-only, so the layer runs with no locking.
+//
+// Options.Faults is ignored, and a panic in any stage propagates as a
+// *batch.PanicError; AnalyzeProgramContext is the total variant.
 func AnalyzeProgramWith(prog *ir.Program, opts Options) *Analysis {
-	a := &Analysis{Prog: prog}
-	if opts.Profile {
-		popts := []prof.Option{prof.WithLabels()}
-		if opts.workers() == 1 {
-			// Allocation deltas come from runtime.ReadMemStats and are
-			// only attributable to a stage when stages run one at a
-			// time.
-			popts = append(popts, prof.CountAllocs())
-		}
-		a.Stages = prof.New(popts...)
+	a, err := AnalyzeProgramContext(context.Background(), prog, opts.withoutFaults())
+	if err != nil {
+		// With no deadline and no injector, only a panic stops the
+		// pipeline; re-raise it.
+		panic(repanic(err))
 	}
-	w := opts.workers()
-	// The binding graph, its components, the call graph, and the
-	// per-level subgraphs are identical for the Mod and Use problems;
-	// build them once and let both analyses (running concurrently —
-	// the Structure is read-only) share the skeleton.
-	var st *core.Structure
-	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
-	co := core.Options{Heap: opts.heap, Prof: a.Stages, Structure: st, DisableCondensation: opts.DisableCondensation}
-	batch.Run(w, []func(){
-		func() { a.Mod = core.Analyze(prog, core.Mod, co) },
-		func() { a.Use = core.Analyze(prog, core.Use, co) },
-		func() { a.Stages.Do("aliases", func() { a.Aliases = alias.Compute(prog) }) },
-	})
-	a.refreshDerived(opts)
 	return a
-}
-
-// refreshDerived recomputes the second stage layer — both section
-// problems and the alias-factored per-call-site sets — from the
-// current Mod/Use results and alias analysis. Used by the pipeline and
-// by the incremental updater after the core results change.
-func (a *Analysis) refreshDerived(opts Options) {
-	batch.Run(opts.workers(), []func(){
-		func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
-		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
-		// Factored sets share their core Result's lifetime, so they are
-		// drawn from its arena; each arena is touched by exactly one of
-		// these goroutines.
-		func() {
-			a.Stages.Do("factor.mod", func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) })
-		},
-		func() {
-			a.Stages.Do("factor.use", func() { a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena) })
-		},
-	})
 }
 
 // Release returns the analysis's arena-backed set storage to a

@@ -312,7 +312,7 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 			}
 		}
 	}
-	seq := benchSchedule(b, "seq", func() { check(AnalyzeAll(srcs, Options{Sequential: true})) })
+	seq := benchSchedule(b, "seq", func() { check(AnalyzeAll(srcs, Options{Workers: 1})) })
 	par := benchSchedule(b, "par", func() { check(AnalyzeAll(srcs, Options{})) })
 	if seq > 0 && par > 0 {
 		mergeBenchBatch(b, benchBatchRecord{
@@ -329,7 +329,7 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 func BenchmarkAnalyzeParallelStages(b *testing.B) {
 	const procs = 1024
 	prog := workload.Random(workload.DefaultConfig(procs, 7)).Prune()
-	seq := benchSchedule(b, "seq", func() { AnalyzeProgramWith(prog, Options{Sequential: true}) })
+	seq := benchSchedule(b, "seq", func() { AnalyzeProgramWith(prog, Options{Workers: 1}) })
 	par := benchSchedule(b, "par", func() { AnalyzeProgramWith(prog, Options{}) })
 	if seq > 0 && par > 0 {
 		mergeBenchBatch(b, benchBatchRecord{
@@ -347,7 +347,7 @@ func BenchmarkAnalyzeParallelStages(b *testing.B) {
 func BenchmarkLint(b *testing.B) {
 	for _, n := range []int{64, 512} {
 		src := workload.Emit(workload.Random(workload.DefaultConfig(n, int64(300+n))))
-		a, err := AnalyzeWith(src, Options{Sequential: true})
+		a, err := AnalyzeWith(src, Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func init() {
 // allocBenchRecord is one row of BENCH_core.json: one workload under
 // the two core allocators. The rows measure the solver loop the batch
 // engine runs per worker — core MOD+USE per program, skeleton shared,
-// each Result released before the next program — so the only variable
+// each Result dropped before the next program — so the only variable
 // is where the analysis's bit vectors live. Speedup is heap_ns_per_op
 // over arena_ns_per_op.
 type allocBenchRecord struct {
@@ -99,8 +99,8 @@ func allocsPerOp(f func(), k int) (allocs, bytes int64) {
 //	        AnalyzeCondensed and the step helpers: every set its own
 //	        heap allocation in its own sparse or dense representation,
 //	        nothing pooled;
-//	arena — Analyze's default: result vectors carved from a pooled
-//	        per-analysis arena slab, released back after each program,
+//	arena — Analyze's default: result vectors carved from a fresh
+//	        per-analysis arena, freed by the collector with the Result,
 //	        temporaries from the pooled scratch sets.
 func expE16(quick bool) {
 	corpusSizes := []int{64, 256}
@@ -121,16 +121,14 @@ func expE16(quick bool) {
 		}
 
 		// One op = MOD+USE for every program in the corpus, sharing
-		// each program's skeleton across the two problems and releasing
+		// each program's skeleton across the two problems and dropping
 		// each Result before the next program.
 		coreRun := func(heap bool) func() {
 			return func() {
 				for _, p := range progs {
 					st := core.BuildStructure(p)
-					m := core.Analyze(p, core.Mod, core.Options{Heap: heap, Structure: st})
-					u := core.Analyze(p, core.Use, core.Options{Heap: heap, Structure: st})
-					m.Release()
-					u.Release()
+					core.Analyze(p, core.Mod, core.Options{Heap: heap, Structure: st})
+					core.Analyze(p, core.Use, core.Options{Heap: heap, Structure: st})
 				}
 			}
 		}
@@ -140,7 +138,7 @@ func expE16(quick bool) {
 		arenaAllocs, arenaBytes := allocsPerOp(coreRun(false), 3)
 		rec := allocBenchRecord{
 			Name: fmt.Sprintf("AnalyzeAll/N=%d", n),
-			Config: "core MOD+USE per program, shared skeleton, Release between programs;" +
+			Config: "core MOD+USE per program, shared skeleton, fresh arena per analysis;" +
 				" sequential; ns_per_op covers the whole corpus",
 			Cores: runtime.GOMAXPROCS(0), Workers: 1,
 			Programs: progsEach, ProcsEach: n,
@@ -163,5 +161,5 @@ func expE16(quick bool) {
 	}
 	fmt.Printf("\nGOMAXPROCS = %d, NumCPU = %d; records written to BENCH_core.json.\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
 	fmt.Println("Claim check: identical solutions under both allocators (differential tests);" +
-		" the arena should beat the heap allocator on time and allocate far fewer objects.")
+		" a speedup below 1 means the arena's universe-width rows cost more than they save.")
 }

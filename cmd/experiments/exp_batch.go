@@ -48,7 +48,7 @@ func writeBenchBatch(records []batchBenchRecord) error {
 // expE13 measures the concurrent engine twice: a corpus of programs
 // through AnalyzeAll (program-level parallelism) and one large program
 // through AnalyzeWith (stage-level parallelism), each against the
-// Sequential pipeline. On a single-core box the ratio is expected to
+// one-worker pipeline. On a single-core box the ratio is expected to
 // hover near 1.0 — the point of the sequential differential tests is
 // that only the schedule changes — so the table records the core
 // count alongside the speedup.
@@ -71,7 +71,7 @@ func expE13(quick bool) {
 		for i := range srcs {
 			srcs[i] = workload.Emit(workload.Random(workload.DefaultConfig(n, int64(100*n+i))))
 		}
-		seq := timeIt(func() { sideeffect.AnalyzeAll(srcs, sideeffect.Options{Sequential: true}) })
+		seq := timeIt(func() { sideeffect.AnalyzeAll(srcs, sideeffect.Options{Workers: 1}) })
 		par := timeIt(func() { sideeffect.AnalyzeAll(srcs, sideeffect.Options{Workers: workers}) })
 		rows = append(rows, []string{
 			fmt.Sprintf("batch N=%d", n), fmt.Sprint(progsEach), fmt.Sprint(n),
@@ -91,7 +91,7 @@ func expE13(quick bool) {
 		bigN = 1024
 	}
 	src := workload.Emit(workload.Random(workload.DefaultConfig(bigN, 7)))
-	seq := timeIt(func() { mustAnalyze(src, sideeffect.Options{Sequential: true}) })
+	seq := timeIt(func() { mustAnalyze(src, sideeffect.Options{Workers: 1}) })
 	par := timeIt(func() { mustAnalyze(src, sideeffect.Options{Workers: workers}) })
 	rows = append(rows, []string{
 		fmt.Sprintf("stages N=%d", bigN), "1", fmt.Sprint(bigN),

@@ -143,10 +143,7 @@ func expE18(quick bool) {
 		})
 		var a *sideeffect.Analysis
 		solveNs := timeIt(func() {
-			if a != nil {
-				a.Release()
-			}
-			a = sideeffect.AnalyzeProgramWith(pkg.Prog, sideeffect.Options{Sequential: true})
+			a = sideeffect.AnalyzeProgramWith(pkg.Prog, sideeffect.Options{Workers: 1})
 		})
 		facts := 0
 		for _, p := range pkg.Prog.Procs {
@@ -171,7 +168,6 @@ func expE18(quick bool) {
 			time.Duration(lowerNs).Round(time.Microsecond).String(),
 			time.Duration(solveNs).Round(time.Microsecond).String(),
 		})
-		a.Release()
 	}
 	printTable(rows)
 	fmt.Println()
@@ -225,15 +221,13 @@ func expE18Module(root string, pkgs []string) gofrontModuleRecord {
 	var r sideeffect.GoResult
 	lowerNs := timeIt(func() {
 		var err error
-		r, err = sideeffect.AnalyzeGoModule(root, patterns, sideeffect.Options{Sequential: true})
+		r, err = sideeffect.AnalyzeGoModule(root, patterns, sideeffect.Options{Workers: 1})
 		if err != nil {
 			panic(fmt.Sprintf("E18: module: %v", err))
 		}
 	})
-	defer r.Release()
 	solveNs := timeIt(func() {
-		a := sideeffect.AnalyzeProgramWith(r.Pkg.Prog, sideeffect.Options{Sequential: true})
-		a.Release()
+		sideeffect.AnalyzeProgramWith(r.Pkg.Prog, sideeffect.Options{Workers: 1})
 	})
 
 	after := r.Pkg.DegradedByPackage()

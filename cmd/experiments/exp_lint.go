@@ -75,11 +75,11 @@ func expE15(quick bool) {
 	var records []lintBenchRecord
 	rows := [][]string{{"workload", "procs", "analyze", "lint", "overhead", "findings", "per-finding", "per-rule"}}
 	addRow := func(name string, procs int, src string) {
-		a, err := sideeffect.AnalyzeWith(src, sideeffect.Options{Sequential: true})
+		a, err := sideeffect.AnalyzeWith(src, sideeffect.Options{Workers: 1})
 		if err != nil {
 			panic(err)
 		}
-		analyze := timeIt(func() { mustAnalyze(src, sideeffect.Options{Sequential: true}) })
+		analyze := timeIt(func() { mustAnalyze(src, sideeffect.Options{Workers: 1}) })
 		lintTime := timeIt(func() {
 			if _, err := a.Lint(lint.Config{}); err != nil {
 				panic(err)

@@ -227,7 +227,6 @@ func verifyCondensed(prog *ir.Program, mod, use *core.CondensedResult) bool {
 				return false
 			}
 		}
-		r.Release()
 	}
 	return true
 }

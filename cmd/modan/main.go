@@ -41,7 +41,6 @@ func emitDegraded(format string, results []sideeffect.GoResult, stdout, stderr i
 	pkgs := make([]*gofront.Package, len(results))
 	for i, r := range results {
 		pkgs[i] = r.Pkg
-		r.Release()
 	}
 	switch format {
 	case "text":
@@ -97,7 +96,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	opts := sideeffect.Options{Workers: *jobs, Sequential: *jobs == 1, Profile: *profile}
+	opts := sideeffect.Options{Workers: *jobs, Profile: *profile}
 	inj := faultinject.New(faultinject.Config{Rate: *faults, Seed: *faultSeed})
 	opts.Faults = inj
 	if inj != nil {
@@ -165,7 +164,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			if *profile {
 				profileLines(stdout, r.Analysis)
 			}
-			r.Release()
 		}
 		return 0
 	} else if *lang != "minipl" {

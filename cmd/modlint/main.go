@@ -91,7 +91,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		cfg.MinSeverity = sev
 	}
 
-	opts := sideeffect.Options{Workers: *jobs, Sequential: *jobs == 1}
+	opts := sideeffect.Options{Workers: *jobs}
 
 	switch *lang {
 	case "minipl":
@@ -148,8 +148,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			code = 1
 		}
 		files = append(files, lint.FileReport{File: names[i], Report: rep})
-		// The report holds rendered strings only; recycle the analysis.
-		r.Analysis.Release()
 	}
 
 	if c := emit(*format, files, stdout, stderr); c != 0 {
@@ -217,7 +215,6 @@ func runGo(patterns []string, format, degradedFmt string, cfg lint.Config, opts 
 					r.Pkg.Path, strings.Join(degraded, ", "))
 			}
 		}
-		r.Release()
 	}
 	if degradedFmt == "json" {
 		out, err := gofront.DegradedJSON(pkgs)

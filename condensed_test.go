@@ -18,7 +18,7 @@ import (
 // condensed storage layer and the per-node Figure-2 search must render
 // byte-identical reports and bit-identical per-call-site sets.
 func TestCondensedPerNodeIdentical(t *testing.T) {
-	schedules := []Options{{Sequential: true}, {Workers: 4}}
+	schedules := []Options{{Workers: 1}, {Workers: 4}}
 	for _, cfg := range differentialConfigs() {
 		src := workload.Emit(workload.Random(cfg))
 		for _, heap := range []bool{false, true} {
@@ -163,7 +163,7 @@ func TestWriteJSONMatchesRender(t *testing.T) {
 	}
 	for i, src := range progs {
 		for _, profile := range []bool{false, true} {
-			a, err := AnalyzeWith(src, Options{Sequential: true, Profile: profile})
+			a, err := AnalyzeWith(src, Options{Workers: 1, Profile: profile})
 			if err != nil {
 				t.Fatalf("prog %d: %v", i, err)
 			}

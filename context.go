@@ -17,12 +17,11 @@ import (
 )
 
 // This file is the hardened face of the public API: every entry point
-// here takes a context, never panics, and guarantees that a failed or
-// abandoned analysis cannot corrupt the process-wide arena pool. The
-// plain entry points (Analyze, AnalyzeProgramWith, AnalyzeAll,
-// NewSession, Session.Edit, Incremental.AddLocalEffect) are thin
-// shells over the same pipeline, so the two families cannot drift:
-// they run it with a background context and fault injection off.
+// here takes a context and never panics. The plain entry points
+// (Analyze, AnalyzeProgramWith, AnalyzeAll, NewSession, Session.Edit,
+// Incremental.AddLocalEffect) are thin shells over the same pipeline,
+// so the two families cannot drift: they run it with a background
+// context and fault injection off.
 // The analyses and NewSession re-raise a captured panic (repanic) for
 // callers that want fail-fast behavior; Session.Edit keeps
 // EditContext's recovery, and AddLocalEffect returns the error.
@@ -55,38 +54,11 @@ func asPanicError(rec any) *batch.PanicError {
 	return &batch.PanicError{Value: rec, Stack: debug.Stack()}
 }
 
-// poisonArenas marks both core results' arenas as unsafe for pooling.
-// Called on the panic path only: a panic mid-stage leaves carve state
-// unknown, and a poisoned arena is dropped by Release instead of
-// recycled. Conservative — a panic in one problem's stage poisons the
-// sibling's arena too, trading a slab reallocation for certainty.
-func (a *Analysis) poisonArenas() {
-	if a.Mod != nil {
-		a.Mod.Arena.Poison()
-	}
-	if a.Use != nil {
-		a.Use.Arena.Poison()
-	}
-}
-
-// abort tears down a partially built analysis after err stopped it:
-// panic-path arenas are poisoned (so the pool never sees them), then
-// everything checked out so far is released.
-func (a *Analysis) abort(err error) {
-	var pe *batch.PanicError
-	if errors.As(err, &pe) {
-		a.poisonArenas()
-	}
-	a.Release()
-}
-
 // AnalyzeContext is Analyze with deadline propagation and fault
 // isolation: the context is consulted at every stage boundary, injected
 // faults (Options.Faults) surface as errors, and a panic anywhere in
 // the pipeline — injected or genuine — is returned as an error wrapping
-// *batch.PanicError after the affected arenas are poisoned. It never
-// panics and never leaks pooled storage: a failed call has already
-// released (or safely dropped) everything it checked out.
+// *batch.PanicError. It never panics.
 func AnalyzeContext(ctx context.Context, src string, opts Options) (*Analysis, error) {
 	prog, err := sem.AnalyzeSource(src)
 	if err != nil {
@@ -96,9 +68,9 @@ func AnalyzeContext(ctx context.Context, src string, opts Options) (*Analysis, e
 }
 
 // AnalyzeProgramContext is AnalyzeProgramWith under the hardened
-// contract of AnalyzeContext: cancellable, fault-injectable, total (it
-// returns errors, never panics), and arena-safe on every failure path.
-// AnalyzeProgramWith describes the stage schedule.
+// contract of AnalyzeContext: cancellable, fault-injectable, and total
+// (it returns errors, never panics). AnalyzeProgramWith describes the
+// stage schedule.
 func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) (ra *Analysis, err error) {
 	a := &Analysis{Prog: prog}
 	defer func() {
@@ -106,7 +78,6 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 			err = asPanicError(rec)
 		}
 		if err != nil {
-			a.abort(err)
 			ra, err = nil, fmt.Errorf("sideeffect: analysis failed: %w", err)
 		}
 	}()
@@ -155,10 +126,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 // problems and the alias-factored per-call-site sets — from the
 // current Mod/Use results and alias analysis, with cancellation, fault
 // injection, and panic capture. The pipeline runs it once; the
-// incremental updater reruns it after the core results change. The
-// derived stages draw from the core results' arenas, so a panic here
-// leaves carve state unknown — the caller poisons the arenas before
-// any Release.
+// incremental updater reruns it after the core results change.
 func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 	if err := opts.Faults.At("sideeffect.derived"); err != nil {
 		return err
@@ -180,9 +148,9 @@ func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 
 // AnalyzeContextRetry is AnalyzeContext with graceful degradation: an
 // analysis whose first attempt dies with a captured panic, while ctx is
-// still live, is retried once in degraded mode — sequential, heap
-// allocation, no arena and no pooled sets — so a poisoned worker pool
-// or arena bug degrades throughput instead of failing the request.
+// still live, is retried once in degraded mode — one worker, heap
+// allocation, no arena and no pooled sets — so a worker-pool or
+// allocator bug degrades throughput instead of failing the request.
 // degraded reports that the returned Analysis came from the retry. When
 // both attempts fail, err joins their errors.
 func AnalyzeContextRetry(ctx context.Context, src string, opts Options) (a *Analysis, degraded bool, err error) {
@@ -192,7 +160,7 @@ func AnalyzeContextRetry(ctx context.Context, src string, opts Options) (a *Anal
 		return a, false, err
 	}
 	a, rerr := AnalyzeContext(ctx, src, Options{
-		Sequential: true, Profile: opts.Profile, Faults: opts.Faults, heap: true,
+		Workers: 1, Profile: opts.Profile, Faults: opts.Faults, heap: true,
 	})
 	if rerr != nil {
 		return nil, false, errors.Join(err, rerr)
@@ -210,7 +178,7 @@ func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []Batch
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inner := Options{Sequential: true, Faults: opts.Faults}
+	inner := Options{Workers: 1, Faults: opts.Faults}
 	out, err := batch.MapCtx(ctx, opts.workers(), srcs, func(_ int, src string) BatchResult {
 		a, degraded, aerr := AnalyzeContextRetry(ctx, src, inner)
 		return BatchResult{Analysis: a, Err: aerr, Degraded: degraded}
@@ -232,8 +200,7 @@ func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []Batch
 
 // LintContext is Lint with cancellation and panic capture: a panic in a
 // lint rule is returned as an error wrapping *batch.PanicError instead
-// of crossing an API boundary (the lint stage allocates nothing pooled,
-// so no arena handling is needed).
+// of crossing an API boundary.
 func (a *Analysis) LintContext(ctx context.Context, cfg lint.Config) (rep *lint.Report, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -251,9 +218,9 @@ func (a *Analysis) LintContext(ctx context.Context, cfg lint.Config) (rep *lint.
 // ErrSessionBroken reports an operation on a session whose maintained
 // solution was left inconsistent by a failed edit (the failure hit
 // after in-place mutation had begun and the full-reanalysis fallback
-// failed too). A broken session refuses every further edit; the only
-// safe operation is Close. The server surfaces this as a structured
-// error until the client deletes the session.
+// failed too). A broken session refuses every further edit. The server
+// surfaces this as a structured error until the client deletes the
+// session.
 var ErrSessionBroken = errors.New("sideeffect: session broken by a failed edit; close and recreate it")
 
 // Broken reports whether a failed edit left the session's maintained
@@ -261,8 +228,7 @@ var ErrSessionBroken = errors.New("sideeffect: session broken by a failed edit; 
 func (s *Session) Broken() bool { return s.broken }
 
 // NewSessionContext is NewSession under the hardened pipeline:
-// cancellable and total. A failed construction leaves nothing checked
-// out.
+// cancellable and total.
 func NewSessionContext(ctx context.Context, src string, opts Options) (*Session, error) {
 	a, err := AnalyzeContext(ctx, src, opts)
 	if err != nil {
@@ -317,10 +283,6 @@ func (s *Session) edit(ctx context.Context, newSrc string, opts Options) (mode E
 	// would be served as if the edit had never happened.
 	defer func() {
 		if rec := recover(); rec != nil {
-			// The panic tore the in-place update at an arbitrary point;
-			// the arenas must not be pooled when the fallback releases
-			// this analysis.
-			s.inc.a.poisonArenas()
 			var ferr error
 			mode, ferr = s.editFullCtx(ctx, opts, prog, newSrc, true)
 			if ferr == nil {
@@ -342,12 +304,6 @@ func (s *Session) edit(ctx context.Context, newSrc string, opts Options) (mode E
 		}
 	}
 	if err := s.inc.a.refreshDerivedCtx(ctx, opts); err != nil {
-		var pe *batch.PanicError
-		if errors.As(err, &pe) {
-			// The panic tore a derived stage mid-carve; the arenas must
-			// not be pooled when the fallback releases this analysis.
-			s.inc.a.poisonArenas()
-		}
 		mode, ferr := s.editFullCtx(ctx, opts, prog, newSrc, true)
 		if ferr == nil {
 			return mode, nil
@@ -361,10 +317,7 @@ func (s *Session) edit(ctx context.Context, newSrc string, opts Options) (mode E
 // editFullCtx replaces the session's analysis with a fresh one of prog.
 // mutated says whether the current solution has already been touched in
 // place: if so, a failure here is unrecoverable and breaks the session;
-// if not, failure leaves the session unchanged. The superseded analysis
-// is released: a Session owns its analysis across edits (incremental
-// edits already mutate it in place), so a caller must not hold sets
-// from before an edit either way.
+// if not, failure leaves the session unchanged.
 func (s *Session) editFullCtx(ctx context.Context, opts Options, prog *ir.Program, src string, mutated bool) (EditMode, error) {
 	a, err := AnalyzeProgramContext(ctx, prog, opts)
 	if err != nil {
@@ -374,9 +327,7 @@ func (s *Session) editFullCtx(ctx context.Context, opts Options, prog *ir.Progra
 		}
 		return EditFull, err
 	}
-	old := s.inc.a
 	s.inc = NewIncrementalWith(a, s.opts)
 	s.src = src
-	old.Release()
 	return EditFull, nil
 }

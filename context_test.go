@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"sideeffect/internal/arena"
 	"sideeffect/internal/batch"
 	"sideeffect/internal/faultinject"
 	"sideeffect/internal/workload"
@@ -30,21 +29,14 @@ func TestAnalyzeContextIdentity(t *testing.T) {
 	if got.Report() != want.Report() {
 		t.Fatal("AnalyzeContext report differs from Analyze")
 	}
-	got.Release()
-	want.Release()
 }
 
 func TestAnalyzeContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := arena.Stats()
-	a, err := AnalyzeContext(ctx, chaosSrc(t, 1), Options{Sequential: true})
+	a, err := AnalyzeContext(ctx, chaosSrc(t, 1), Options{Workers: 1})
 	if a != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled AnalyzeContext = %v, %v", a, err)
-	}
-	after := arena.Stats()
-	if leaked := (after.Gets - before.Gets) - (after.Puts - before.Puts) - (after.PoisonDropped - before.PoisonDropped); leaked != 0 {
-		t.Fatalf("cancelled analysis leaked %d arenas", leaked)
 	}
 }
 
@@ -52,16 +44,13 @@ func TestAnalyzeContextPanicBecomesError(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{
 		Rate: 1, Seed: 7, Kinds: []faultinject.Kind{faultinject.KindPanic},
 	})
-	a, err := AnalyzeContext(context.Background(), chaosSrc(t, 2), Options{Sequential: true, Faults: inj})
+	a, err := AnalyzeContext(context.Background(), chaosSrc(t, 2), Options{Workers: 1, Faults: inj})
 	if a != nil || err == nil {
 		t.Fatalf("faulted AnalyzeContext = %v, %v", a, err)
 	}
 	var pe *batch.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %v does not wrap *batch.PanicError", err)
-	}
-	if arena.Stats().PoisonedReuse != 0 {
-		t.Fatal("a poisoned arena re-entered circulation")
 	}
 }
 
@@ -80,17 +69,15 @@ func TestPlainEntryPointsIgnoreFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeWith(src, Options{Sequential: true, Faults: panicAll()})
+	got, err := AnalyzeWith(src, Options{Workers: 1, Faults: panicAll()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Report() != want.Report() {
 		t.Fatal("AnalyzeWith with an injector differs from Analyze")
 	}
-	got.Release()
-	want.Release()
 
-	s, err := NewSession(incrSrc, Options{Sequential: true, Faults: panicAll()})
+	s, err := NewSession(incrSrc, Options{Workers: 1, Faults: panicAll()})
 	if err != nil {
 		t.Fatalf("NewSession injected a fault: %v", err)
 	}
@@ -102,7 +89,6 @@ func TestPlainEntryPointsIgnoreFaults(t *testing.T) {
 	if _, err := s.EditContext(context.Background(), incrSrc); err == nil {
 		t.Fatal("EditContext ignored the session's injector")
 	}
-	s.Close()
 }
 
 // TestAnalyzeProgramWithRepanics pins the fail-fast contract: a panic
@@ -114,37 +100,39 @@ func TestAnalyzeProgramWithRepanics(t *testing.T) {
 			t.Fatal("AnalyzeProgramWith did not re-panic a *batch.PanicError")
 		}
 	}()
-	AnalyzeProgramWith(nil, Options{Sequential: true})
+	AnalyzeProgramWith(nil, Options{Workers: 1})
 }
 
-// TestAnalyzeContextPanicMidPipelinePoisons drives a panic-only
-// injector at a rate low enough that the analysis usually checks out an
-// arena before the fault lands, and asserts the pool accounting closes:
-// every Get is matched by a Put or a poison-drop, and nothing poisoned
-// is ever reused.
-func TestAnalyzeContextPanicMidPipelinePoisons(t *testing.T) {
+// TestAnalyzeContextPanicMidPipeline drives a panic-only injector at a
+// rate low enough that most faults land partway through the pipeline:
+// every failure must be a *batch.PanicError, and every analysis that
+// survives must be byte-identical to the faultless one.
+func TestAnalyzeContextPanicMidPipeline(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{
 		Rate: 0.08, Seed: 3, Kinds: []faultinject.Kind{faultinject.KindPanic},
 	})
-	before := arena.Stats()
 	var failures int
 	for seed := int64(0); seed < 30; seed++ {
-		a, err := AnalyzeContext(context.Background(), chaosSrc(t, 50+seed), Options{Sequential: true, Faults: inj})
+		src := chaosSrc(t, 50+seed)
+		a, err := AnalyzeContext(context.Background(), src, Options{Workers: 1, Faults: inj})
 		if err != nil {
+			var pe *batch.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("seed %d: error %v does not wrap *batch.PanicError", seed, err)
+			}
 			failures++
 			continue
 		}
-		a.Release()
+		want, err := Analyze(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Report() != want.Report() {
+			t.Fatalf("seed %d: surviving analysis differs from the faultless one", seed)
+		}
 	}
 	if failures == 0 {
 		t.Fatal("fault rate 0.08 over 30 analyses produced no failures; injector dead?")
-	}
-	after := arena.Stats()
-	if leaked := (after.Gets - before.Gets) - (after.Puts - before.Puts) - (after.PoisonDropped - before.PoisonDropped); leaked != 0 {
-		t.Fatalf("panicking analyses leaked %d arenas", leaked)
-	}
-	if after.PoisonedReuse != 0 {
-		t.Fatal("a poisoned arena re-entered circulation")
 	}
 }
 
@@ -153,11 +141,11 @@ func TestAnalyzeAllContextDegradedRetry(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = chaosSrc(t, 100+int64(i))
 	}
-	want := AnalyzeAll(srcs, Options{Sequential: true})
+	want := AnalyzeAll(srcs, Options{Workers: 1})
 	inj := faultinject.New(faultinject.Config{
 		Rate: 0.05, Seed: 11, Kinds: []faultinject.Kind{faultinject.KindPanic},
 	})
-	got := AnalyzeAllContext(context.Background(), srcs, Options{Sequential: true, Faults: inj})
+	got := AnalyzeAllContext(context.Background(), srcs, Options{Workers: 1, Faults: inj})
 	if len(got) != len(srcs) {
 		t.Fatalf("got %d results for %d inputs", len(got), len(srcs))
 	}
@@ -171,8 +159,8 @@ func TestAnalyzeAllContextDegradedRetry(t *testing.T) {
 		default:
 			if r.Degraded {
 				degraded++
-				// The retry shares no pooled storage with the attempt
-				// that failed: heap allocation, no arena.
+				// The retry shares no storage with the attempt that
+				// failed: heap allocation, no arena.
 				if r.Analysis.Mod.Arena != nil || r.Analysis.Use.Arena != nil {
 					t.Fatalf("degraded result %d is arena-backed", i)
 				}
@@ -194,7 +182,7 @@ func TestAnalyzeAllContextCancelStampsSkipped(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	srcs := []string{chaosSrc(t, 1), chaosSrc(t, 2), chaosSrc(t, 3)}
-	out := AnalyzeAllContext(ctx, srcs, Options{Sequential: true})
+	out := AnalyzeAllContext(ctx, srcs, Options{Workers: 1})
 	for i, r := range out {
 		if r.Analysis != nil || !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("slot %d after pre-cancel = %+v", i, r)
@@ -204,11 +192,10 @@ func TestAnalyzeAllContextCancelStampsSkipped(t *testing.T) {
 
 func TestSessionEditContextTransactional(t *testing.T) {
 	base := chaosSrc(t, 200)
-	s, err := NewSessionContext(context.Background(), base, Options{Sequential: true})
+	s, err := NewSessionContext(context.Background(), base, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	wantReport := s.Analysis().Report()
 
 	// Parse error: session untouched.
@@ -252,8 +239,7 @@ func TestSessionEditContextTransactional(t *testing.T) {
 func TestSessionEditContextPanicMidMutation(t *testing.T) {
 	base := incrSrc
 	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1)
-	before := arena.Stats()
-	s, err := NewSessionContext(context.Background(), base, Options{Sequential: true})
+	s, err := NewSessionContext(context.Background(), base, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,17 +268,6 @@ func TestSessionEditContextPanicMidMutation(t *testing.T) {
 			t.Fatal("failed edit left a half-mutated session readable")
 		}
 	}
-	s.opts.Faults = nil
-	s.Close()
-	after := arena.Stats()
-	held := (after.Gets - before.Gets) - (after.Puts - before.Puts) -
-		(after.PoisonDropped - before.PoisonDropped)
-	if held != 0 {
-		t.Fatalf("arena accounting open after close: %d unreturned", held)
-	}
-	if after.PoisonedReuse != before.PoisonedReuse {
-		t.Fatal("a poisoned arena re-entered circulation")
-	}
 }
 
 func TestSessionEditContextBreaks(t *testing.T) {
@@ -303,7 +278,7 @@ func TestSessionEditContextBreaks(t *testing.T) {
 	// the session must come out broken, refusing further edits.
 	base := incrSrc
 	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1)
-	s, err := NewSessionContext(context.Background(), base, Options{Sequential: true})
+	s, err := NewSessionContext(context.Background(), base, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,5 +300,4 @@ func TestSessionEditContextBreaks(t *testing.T) {
 	if _, err := s.Edit(base); !errors.Is(err, ErrSessionBroken) {
 		t.Fatalf("broken session accepted a legacy Edit: %v", err)
 	}
-	s.Close()
 }

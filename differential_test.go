@@ -87,7 +87,7 @@ func TestSequentialParallelIdentical(t *testing.T) {
 	}
 	for name, prog := range progs {
 		src := workload.Emit(prog)
-		seq, err := AnalyzeWith(src, Options{Sequential: true})
+		seq, err := AnalyzeWith(src, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}

@@ -85,7 +85,7 @@ func FuzzAnalyze(f *testing.F) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		seq, err := AnalyzeWith(src, Options{Sequential: true})
+		seq, err := AnalyzeWith(src, Options{Workers: 1})
 		if err != nil {
 			return // rejected inputs only need to fail cleanly
 		}
@@ -131,8 +131,8 @@ func FuzzRoundTrip(f *testing.F) {
 		// The printed form must be semantically equivalent: identical
 		// acceptance, and identical summaries (positions excluded —
 		// formatting legitimately moves statements).
-		a1, err1 := AnalyzeWith(src, Options{Sequential: true})
-		a2, err2 := AnalyzeWith(out1, Options{Sequential: true})
+		a1, err1 := AnalyzeWith(src, Options{Workers: 1})
+		a2, err2 := AnalyzeWith(out1, Options{Workers: 1})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("acceptance changed by printing: original err %v, printed err %v\n%s", err1, err2, out1)
 		}

@@ -87,7 +87,6 @@ func TestGoFrontCorpusGolden(t *testing.T) {
 				t.Fatalf("got %d packages for %s, want 1", len(results), dir)
 			}
 			r := results[0]
-			defer r.Release()
 
 			golden := func(ext string) string {
 				return filepath.Join("testdata", "gofront", "golden", name+"."+ext)
@@ -147,7 +146,6 @@ func TestGoFrontModuleGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Release()
 
 			golden := func(ext string) string {
 				return filepath.Join("testdata", "gofront", "golden", "mod_"+name+"."+ext)
@@ -184,7 +182,6 @@ func TestGoFrontModuleFacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		byName[filepath.Base(dir)] = r
-		defer r.Release()
 	}
 
 	// Cross-package calls resolve: nothing in crosspkg degrades, and
@@ -265,7 +262,6 @@ func TestGoFrontCorpusFacts(t *testing.T) {
 	byPath := map[string]GoResult{}
 	for _, r := range results {
 		byPath[filepath.Base(r.Pkg.Path)] = r
-		defer r.Release()
 	}
 
 	// rmod reports whether proc's formal named f is in RMOD.

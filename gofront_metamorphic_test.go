@@ -178,7 +178,6 @@ func TestGoFrontMetamorphic(t *testing.T) {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		got := canonicalGoSummary(r)
-		r.Release()
 		if v.name == "base" {
 			want = got
 			// The base must actually demonstrate the interesting facts,
@@ -216,19 +215,18 @@ func TestGoFrontDeterminism(t *testing.T) {
 		var sb strings.Builder
 		for _, r := range results {
 			sb.WriteString(r.GoReport())
-			r.Release()
 		}
 		return sb.String()
 	}
-	base := render(Options{Sequential: true})
+	base := render(Options{Workers: 1})
 	runs := []struct {
 		name string
 		opts Options
 	}{
 		{"parallel-j4", Options{Workers: 4}},
-		{"sequential-heap", Options{Sequential: true, heap: true}},
+		{"sequential-heap", Options{Workers: 1, heap: true}},
 		{"parallel-j4-heap", Options{Workers: 4, heap: true}},
-		{"sequential-again", Options{Sequential: true}},
+		{"sequential-again", Options{Workers: 1}},
 	}
 	for _, run := range runs {
 		if got := render(run.opts); got != base {
@@ -248,6 +246,4 @@ func TestGoFrontDeterminism(t *testing.T) {
 	if a[0].Pkg.Hash != b[0].Pkg.Hash {
 		t.Errorf("package hash unstable: %s vs %s", a[0].Pkg.Hash, b[0].Pkg.Hash)
 	}
-	a[0].Release()
-	b[0].Release()
 }

@@ -29,7 +29,7 @@ func findFormal(t *testing.T, r GoResult, proc, formal string) *ir.Variable {
 // TestGoFrontSelfAnalysis turns the frontend on the repository's own
 // packages — the strongest available fixture, since these sources
 // evolve with the codebase and exercise real idioms (receiver
-// mutation, sparse/dense promotion, pooled arenas). The asserted
+// mutation, sparse/dense promotion, bump-allocated slabs). The asserted
 // facts are deliberately coarse and stable: mutators modify their
 // receiver, accessors do not.
 func TestGoFrontSelfAnalysis(t *testing.T) {
@@ -43,7 +43,6 @@ func TestGoFrontSelfAnalysis(t *testing.T) {
 	byBase := map[string]GoResult{}
 	for _, r := range results {
 		byBase[filepath.Base(r.Pkg.Path)] = r
-		defer r.Release()
 	}
 	bs, ok := byBase["bitset"]
 	if !ok {
@@ -73,8 +72,7 @@ func TestGoFrontSelfAnalysis(t *testing.T) {
 		{bs, "Set.Clear", "s", true},
 		{bs, "Set.Densify", "s", true},
 		{bs, "Set.IsSparse", "s", false},
-		{ar, "Arena.Reset", "a", true},
-		{ar, "Arena.Poisoned", "a", false},
+		{ar, "Arena.Dense", "a", true},
 	}
 	for _, c := range cases {
 		fm := findFormal(t, c.r, c.proc, c.formal)
@@ -113,7 +111,6 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer base.Release()
 
 	if !base.Pkg.Module {
 		t.Fatal("result is not a whole-module lowering")
@@ -139,11 +136,10 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 	if got := byPkg["internal/core"]; got == 0 || got > 10 {
 		t.Errorf("internal/core degraded count = %d, want 1..10 (was 46 single-package)", got)
 	}
-	// arena's calls into bitset now bind to real procedures; what
-	// remains degraded there is only its sync.Pool function-value
-	// plumbing ("dynamic call"), never a cross-package call.
-	if got := byPkg["internal/arena"]; got > 4 {
-		t.Errorf("internal/arena degraded count = %d, want <= 4", got)
+	// arena's calls into bitset now bind to real procedures, and it
+	// has no function values, so nothing there degrades.
+	if got := byPkg["internal/arena"]; got != 0 {
+		t.Errorf("internal/arena degraded count = %d, want 0", got)
 	}
 	for _, rec := range base.Pkg.DegradedRecords() {
 		for _, reason := range rec.Reasons {
@@ -161,8 +157,7 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 	}{
 		{"internal/bitset.Set.Add", "s", true},
 		{"internal/bitset.Set.IsSparse", "s", false},
-		{"internal/arena.Arena.Reset", "a", true},
-		{"internal/arena.Arena.Poisoned", "a", false},
+		{"internal/arena.Arena.Dense", "a", true},
 	}
 	for _, c := range cases {
 		fm := findFormal(t, base, c.proc, c.formal)
@@ -176,10 +171,10 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 	// parallel schedule, and the heap allocator.
 	want := base.GoReport()
 	variants := []Options{
-		{Sequential: true},
+		{Workers: 1},
 		{Workers: 4},
 		{heap: true},
-		{Sequential: true, heap: true},
+		{Workers: 1, heap: true},
 	}
 	for _, opts := range variants {
 		r, err := AnalyzeGoModule(".", patterns, opts)
@@ -187,7 +182,6 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := r.GoReport()
-		r.Release()
 		if got != want {
 			t.Errorf("report differs under %+v (len %d vs %d)", opts, len(got), len(want))
 		}

@@ -95,13 +95,6 @@ func (r GoResult) GoReport() string {
 	return r.Analysis.Report() + "\n" + r.Pkg.ConfidenceReport()
 }
 
-// Release recycles the analysis scratch state (see Analysis.Release).
-func (r GoResult) Release() {
-	if r.Analysis != nil {
-		r.Analysis.Release()
-	}
-}
-
 // String identifies the result by package path and hash prefix.
 func (r GoResult) String() string {
 	if r.Pkg == nil {

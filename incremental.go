@@ -87,9 +87,7 @@ func (inc *Incremental) AddLocalEffect(proc, variable string, effect Effect) ([]
 		return nil, err
 	}
 	if err := inc.a.refreshDerivedCtx(context.Background(), inc.opts.withoutFaults()); err != nil {
-		// Only a panic fails the refresh here; it tore a derived stage
-		// mid-carve, so the arenas must never be pooled.
-		inc.a.poisonArenas()
+		// Only a panic fails the refresh here.
 		return nil, fmt.Errorf("sideeffect: %w", err)
 	}
 	return changed, nil
@@ -222,7 +220,8 @@ func (s *Session) Edit(newSrc string) (EditMode, error) {
 	return s.edit(context.Background(), newSrc, s.opts.withoutFaults())
 }
 
-// Close releases the session's analysis storage back to the pool. The
-// session (and any Analysis it handed out) must not be used afterwards.
-// Optional, like Analysis.Release.
-func (s *Session) Close() { s.inc.a.Release() }
+// Close is a no-op: the collector frees a session's analysis once the
+// session is unreachable, and a handle that is still reachable stays
+// readable. It remains so callers can pair NewSession with a deferred
+// Close.
+func (s *Session) Close() {}

@@ -184,7 +184,7 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 		src := workload.Emit(model)
 		sessions := map[string]*Session{}
 		for name, opts := range map[string]Options{
-			"sequential": {Sequential: true},
+			"sequential": {Workers: 1},
 			"parallel":   {Workers: 4},
 		} {
 			s, err := NewSession(src, opts)

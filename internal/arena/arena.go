@@ -1,10 +1,7 @@
 // Package arena provides a slab allocator for analysis-lifetime bit
 // vectors. One core.Analyze produces O(N + S) result sets (GMOD,
-// IMOD+, LOCAL, and per-site DMOD vectors); allocating each from the
-// Go heap makes the allocator — not bit-vector arithmetic — the hot
-// path once thousands of analyses run under the batch engine. An
-// Arena instead carves the word storage for all of a Result's sets
-// out of a handful of large slabs:
+// IMOD+, LOCAL, and per-site DMOD vectors); an Arena carves the word
+// storage for all of a Result's sets out of a handful of large slabs:
 //
 //   - allocation is a bump-pointer slice, not a malloc;
 //   - the word slabs are []uint64 — pointer-free memory the garbage
@@ -14,22 +11,16 @@
 //     Result becomes unreachable, instead of as tens of thousands of
 //     individual sets.
 //
-// An Arena is NOT safe for concurrent use; each Analyze owns its own.
-// Sets carved from an arena are ordinary bitset.Sets — if one grows
-// past its block it falls back to the heap transparently — so arena
-// ownership never changes set semantics, only where the initial words
-// live. Reset recycles the slabs for callers that fully own the
-// previous results' lifetime (e.g. a re-analysis loop that drops the
-// prior Result before rebuilding); everyone else just drops the arena
-// with its Result.
+// Each analysis carves from its own fresh Arena and nothing is
+// recycled: the collector frees the slabs with the Result, so no
+// caller needs to know when a result is dead. An Arena is NOT safe
+// for concurrent use. Sets carved from an arena are ordinary
+// bitset.Sets — if one grows past its block it falls back to the heap
+// transparently — so arena ownership never changes set semantics, only
+// where the initial words live.
 package arena
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"sideeffect/internal/bitset"
-)
+import "sideeffect/internal/bitset"
 
 // Slab growth: start small so toy programs pay a few hundred bytes,
 // double per slab so large programs need O(log n) slabs, cap so a
@@ -44,98 +35,37 @@ const (
 
 // Arena is a bump allocator for bitset storage. The zero value is
 // ready to use.
-//
-// Every slab ever allocated is kept so that Reset can hand the same
-// storage out again: the steady state of an analyze/Release loop is a
-// fixed set of warm slabs and zero slab allocation per analysis. The
-// cur* cursors index the slab backing the corresponding tail; slabs
-// before the cursor are (partially) carved, slabs after it are still
-// pristine from the previous Reset.
 type Arena struct {
 	words []uint64     // tail of the current word slab
 	elems []uint32     // tail of the current sparse-buffer slab
 	hdrs  []bitset.Set // tail of the current header slab
 
-	wordSlabs [][]uint64     // every word slab, reused across Reset
-	elemSlabs [][]uint32     // likewise for sparse element buffers
-	hdrSlabs  [][]bitset.Set // likewise for set headers
-	curWord   int            // index past the slab backing words
-	curElem   int
-	curHdr    int
 	nextWords int // size of the next word slab
 	nextHdrs  int
-
-	// Stats for allocation accounting in experiments.
-	Sets      int // sets carved
-	SlabBytes int // payload bytes held across all slabs
-
-	// poisoned marks an arena whose analysis panicked mid-flight: its
-	// bump cursors may be inconsistent and sets carved from it may
-	// have escaped to an unknown extent, so it must never re-enter the
-	// pool. See Poison.
-	poisoned bool
 }
-
-// Poison marks the arena as unsafe for reuse. The recovery path of a
-// panicked analysis calls this before unwinding: a later Put (e.g.
-// from a defensive Release on the error path) then drops the arena to
-// the collector instead of recycling its slabs, so no future analysis
-// can alias storage whose carve state is unknown. Nil-safe.
-func (a *Arena) Poison() {
-	if a != nil && !a.poisoned {
-		a.poisoned = true
-		poolStats.Poisoned.Add(1)
-	}
-}
-
-// Poisoned reports whether the arena was poisoned.
-func (a *Arena) Poisoned() bool { return a != nil && a.poisoned }
 
 func (a *Arena) hdr() *bitset.Set {
-	for len(a.hdrs) == 0 {
-		if a.curHdr < len(a.hdrSlabs) {
-			a.hdrs = a.hdrSlabs[a.curHdr]
-			a.curHdr++
-			continue
-		}
+	if len(a.hdrs) == 0 {
 		if a.nextHdrs == 0 {
 			a.nextHdrs = firstHdrChunk
 		}
-		slab := make([]bitset.Set, a.nextHdrs)
-		a.hdrSlabs = append(a.hdrSlabs, slab)
-		a.curHdr = len(a.hdrSlabs)
-		a.hdrs = slab
+		a.hdrs = make([]bitset.Set, a.nextHdrs)
 		if a.nextHdrs < maxHdrChunk {
 			a.nextHdrs *= 2
 		}
 	}
 	s := &a.hdrs[0]
 	a.hdrs = a.hdrs[1:]
-	a.Sets++
 	return s
 }
 
 func (a *Arena) wordBlock(w int) []uint64 {
-	for w > len(a.words) {
-		// The remainder of the current slab (if any) is abandoned; it
-		// was never carved, so it is still zero for the next Reset.
-		if a.curWord < len(a.wordSlabs) {
-			a.words = a.wordSlabs[a.curWord]
-			a.curWord++
-			continue
-		}
+	if w > len(a.words) {
+		// The remainder of the current slab (if any) is abandoned.
 		if a.nextWords == 0 {
 			a.nextWords = firstWordChunk
 		}
-		n := a.nextWords
-		if n < w {
-			n = w
-		}
-		slab := make([]uint64, n)
-		a.wordSlabs = append(a.wordSlabs, slab)
-		a.curWord = len(a.wordSlabs)
-		a.SlabBytes += 8 * n
-		a.words = slab
+		a.words = make([]uint64, max(a.nextWords, w))
 		if a.nextWords < maxWordChunk {
 			a.nextWords *= 2
 		}
@@ -161,17 +91,8 @@ func (a *Arena) Dense(nbits int) *bitset.Set {
 // bitset.SparseMax) is carved from the arena. It promotes to a
 // heap-allocated dense vector if it outgrows the buffer.
 func (a *Arena) Sparse() *bitset.Set {
-	for len(a.elems) < bitset.SparseMax {
-		if a.curElem < len(a.elemSlabs) {
-			a.elems = a.elemSlabs[a.curElem]
-			a.curElem++
-			continue
-		}
-		slab := make([]uint32, elemChunkSets*bitset.SparseMax)
-		a.elemSlabs = append(a.elemSlabs, slab)
-		a.curElem = len(a.elemSlabs)
-		a.SlabBytes += 4 * len(slab)
-		a.elems = slab
+	if len(a.elems) < bitset.SparseMax {
+		a.elems = make([]uint32, elemChunkSets*bitset.SparseMax)
 	}
 	buf := a.elems[:bitset.SparseMax:bitset.SparseMax]
 	a.elems = a.elems[bitset.SparseMax:]
@@ -201,108 +122,4 @@ func (a *Arena) Clone(t *bitset.Set) *bitset.Set {
 		s = a.Dense(t.Words() * 64)
 	}
 	return s.CopyFrom(t)
-}
-
-// Reset recycles every slab for a new round of allocations. The caller
-// must guarantee that no set carved before the Reset is still in use:
-// the slabs are handed out again, so stale sets would alias new ones.
-// Only the carved prefixes are cleared — word blocks because Dense
-// promises zeroed storage, headers because they hold slice pointers
-// that would otherwise keep the previous analysis's stray
-// heap-promoted sets alive. Sparse element buffers need no clearing:
-// carving installs a zero length, so stale elements are never read.
-func (a *Arena) Reset() {
-	for i := 0; i < a.curWord; i++ {
-		s := a.wordSlabs[i]
-		if i == a.curWord-1 {
-			s = s[:len(s)-len(a.words)]
-		}
-		for j := range s {
-			s[j] = 0
-		}
-	}
-	for i := 0; i < a.curHdr; i++ {
-		s := a.hdrSlabs[i]
-		if i == a.curHdr-1 {
-			s = s[:len(s)-len(a.hdrs)]
-		}
-		for j := range s {
-			s[j] = bitset.Set{}
-		}
-	}
-	a.curWord, a.curElem, a.curHdr = 0, 0, 0
-	a.words, a.elems, a.hdrs = nil, nil, nil
-	a.Sets = 0
-}
-
-// pool recycles arenas process-wide: the steady state of a batch run —
-// analyze, consume, Release, repeat — reuses one warm arena per worker
-// instead of growing fresh slabs for every program. Arenas parked here
-// are ordinary pool entries; the collector reclaims them under memory
-// pressure, which bounds how much slab storage an unusually large
-// program pins.
-var pool = sync.Pool{New: func() any { return new(Arena) }}
-
-// PoolStats is a snapshot of the process-wide pool counters, for the
-// chaos harness's reuse-after-poison invariants.
-type PoolStats struct {
-	// Gets/Puts count pool checkouts and successful returns.
-	Gets, Puts int64
-	// Poisoned counts arenas marked unsafe by a panic recovery path.
-	Poisoned int64
-	// PoisonDropped counts Puts that were refused because the arena
-	// was poisoned (the arena went to the collector instead).
-	PoisonDropped int64
-	// PoisonedReuse counts poisoned arenas handed out by Get. The Put
-	// gate makes this impossible; a non-zero value is a bug, and the
-	// chaos soak asserts it stays zero.
-	PoisonedReuse int64
-}
-
-// poolStats holds the counters behind Stats as independent atomics.
-var poolStats struct {
-	Gets, Puts, Poisoned, PoisonDropped, PoisonedReuse atomic.Int64
-}
-
-// Stats snapshots the pool counters.
-func Stats() PoolStats {
-	return PoolStats{
-		Gets:          poolStats.Gets.Load(),
-		Puts:          poolStats.Puts.Load(),
-		Poisoned:      poolStats.Poisoned.Load(),
-		PoisonDropped: poolStats.PoisonDropped.Load(),
-		PoisonedReuse: poolStats.PoisonedReuse.Load(),
-	}
-}
-
-// Get returns an empty Arena, recycled from the pool when one is
-// available. Pair with Put when the sets carved from it are dead.
-func Get() *Arena {
-	a := pool.Get().(*Arena)
-	if a.poisoned {
-		// Unreachable while Put holds its gate; replace defensively and
-		// let the chaos invariants surface the bug.
-		poolStats.PoisonedReuse.Add(1)
-		a = new(Arena)
-	}
-	poolStats.Gets.Add(1)
-	return a
-}
-
-// Put resets a and returns it to the pool. The caller must guarantee
-// that no set carved from a is still reachable: the slabs are handed
-// out again and stale sets would alias new ones. Poisoned arenas are
-// dropped to the collector instead of pooled — after a panic the carve
-// state is unknown, and recycling it could alias a live analysis.
-func Put(a *Arena) {
-	if a == nil {
-		return
-	}
-	if a.poisoned {
-		poolStats.PoisonDropped.Add(1)
-		return
-	}
-	poolStats.Puts.Add(1)
-	a.Reset()
-	pool.Put(a)
 }

@@ -19,9 +19,6 @@ func TestDenseCarving(t *testing.T) {
 	if s1.Has(64) {
 		t.Fatal("adjacent arena sets share bits (reverse)")
 	}
-	if a.Sets != 2 {
-		t.Errorf("Sets = %d, want 2", a.Sets)
-	}
 }
 
 func TestDenseGrowsPastBlock(t *testing.T) {
@@ -83,70 +80,5 @@ func TestBigRequestAndManySets(t *testing.T) {
 		if s.Len() != 1 {
 			t.Fatalf("set %d corrupted", i)
 		}
-	}
-}
-
-func TestPoisonedArenaNeverPooled(t *testing.T) {
-	before := Stats()
-	a := Get()
-	a.Dense(128).Add(7)
-	a.Poison()
-	if !a.Poisoned() {
-		t.Fatal("Poison did not mark the arena")
-	}
-	a.Poison() // idempotent: counted once
-	Put(a)     // must be refused
-	after := Stats()
-	if got := after.PoisonDropped - before.PoisonDropped; got != 1 {
-		t.Fatalf("PoisonDropped delta = %d, want 1", got)
-	}
-	if got := after.Poisoned - before.Poisoned; got != 1 {
-		t.Fatalf("Poisoned delta = %d, want 1 (Poison must be idempotent)", got)
-	}
-	if after.Puts != before.Puts {
-		t.Fatal("poisoned arena was counted as a successful Put")
-	}
-	// Drain the pool: no Get may ever see a poisoned arena.
-	for i := 0; i < 64; i++ {
-		b := Get()
-		if b.Poisoned() {
-			t.Fatal("Get returned a poisoned arena")
-		}
-		Put(b)
-	}
-	if Stats().PoisonedReuse != 0 {
-		t.Fatal("PoisonedReuse is non-zero")
-	}
-	var nilA *Arena
-	nilA.Poison() // nil-safe
-	if nilA.Poisoned() {
-		t.Fatal("nil arena reports poisoned")
-	}
-}
-
-func TestReset(t *testing.T) {
-	var a Arena
-	for i := 0; i < 100; i++ {
-		a.Dense(512).Add(i)
-	}
-	slabs := len(a.wordSlabs)
-	if slabs == 0 {
-		t.Fatal("no slabs allocated")
-	}
-	a.Reset()
-	if a.Sets != 0 {
-		t.Errorf("Sets after Reset = %d", a.Sets)
-	}
-	// Post-reset sets must come out empty even though the slab was
-	// previously written.
-	for i := 0; i < 100; i++ {
-		s := a.Dense(512)
-		if !s.Empty() {
-			t.Fatalf("recycled slab leaked bits into set %d: %v", i, s)
-		}
-		s.Add(511)
-	}
-	if len(a.wordSlabs) > slabs {
-		t.Errorf("Reset did not recycle slabs: %d → %d", slabs, len(a.wordSlabs))
 	}
 }

@@ -72,7 +72,7 @@ func protect(t func()) (err *PanicError) {
 //
 // With one worker the tasks run sequentially on the calling goroutine
 // in order — no goroutines, no nondeterministic interleaving — which
-// keeps Sequential mode truly sequential for debugging and
+// keeps a one-worker schedule truly sequential for debugging and
 // differential testing.
 func RunCtx(ctx context.Context, workers int, tasks []func()) error {
 	if ctx == nil {

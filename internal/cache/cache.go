@@ -75,19 +75,6 @@ type Cache[V any] struct {
 	// the cache lock held and must not call back into the cache.
 	Validate func(key string, val V) bool
 
-	// Acquire and Drop, when non-nil, let the caller reference-count
-	// stored values so resources (pooled arenas) can be reclaimed the
-	// moment the last user lets go. Acquire is called once for every
-	// reference handed out: to the cache itself when a value is stored,
-	// and to each caller a lookup serves (Get hits, Do hits, and Do
-	// dedup waiters — the Do leader keeps the reference its compute
-	// callback created). Drop is called when the cache releases its own
-	// reference: eviction, validation rejection, and replacement by Put.
-	// Both run with the cache lock held and must not call back into the
-	// cache. Set them before the cache is shared between goroutines.
-	Acquire func(val V)
-	Drop    func(val V)
-
 	mu       sync.Mutex
 	max      int
 	ll       *list.List // front = most recently used
@@ -102,10 +89,9 @@ type entry[V any] struct {
 }
 
 type flight[V any] struct {
-	done    chan struct{}
-	waiters int // dedup callers sharing this flight, counted under mu
-	val     V
-	err     error
+	done chan struct{}
+	val  V
+	err  error
 }
 
 // New creates a cache holding at most maxEntries values. Requests for
@@ -132,11 +118,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		if c.valid(el) {
 			c.stats.Hits++
 			c.ll.MoveToFront(el)
-			val := el.Value.(*entry[V]).val
-			if c.Acquire != nil {
-				c.Acquire(val)
-			}
-			return val, true
+			return el.Value.(*entry[V]).val, true
 		}
 	}
 	c.stats.Misses++
@@ -154,9 +136,6 @@ func (c *Cache[V]) valid(el *list.Element) bool {
 	c.stats.Corruptions++
 	c.ll.Remove(el)
 	delete(c.entries, e.key)
-	if c.Drop != nil {
-		c.Drop(e.val)
-	}
 	return false
 }
 
@@ -170,20 +149,11 @@ func (c *Cache[V]) Put(key string, val V) {
 	c.put(key, val)
 }
 
-// put inserts under c.mu, taking the cache's own reference on val and
-// dropping the reference to whatever it displaces.
+// put inserts under c.mu.
 func (c *Cache[V]) put(key string, val V) {
-	if c.Acquire != nil {
-		c.Acquire(val)
-	}
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry[V])
-		old := e.val
-		e.val = val
+		el.Value.(*entry[V]).val = val
 		c.ll.MoveToFront(el)
-		if c.Drop != nil {
-			c.Drop(old)
-		}
 		return
 	}
 	c.entries[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
@@ -193,9 +163,6 @@ func (c *Cache[V]) put(key string, val V) {
 		e := oldest.Value.(*entry[V])
 		delete(c.entries, e.key)
 		c.stats.Evictions++
-		if c.Drop != nil {
-			c.Drop(e.val)
-		}
 	}
 }
 
@@ -211,15 +178,11 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 		c.stats.Hits++
 		c.ll.MoveToFront(el)
 		val := el.Value.(*entry[V]).val
-		if c.Acquire != nil {
-			c.Acquire(val)
-		}
 		c.mu.Unlock()
 		return val, Hit, nil
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.stats.Dedups++
-		fl.waiters++
 		c.mu.Unlock()
 		<-fl.done
 		return fl.val, Dedup, fl.err
@@ -235,38 +198,10 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 	delete(c.inflight, key)
 	if fl.err == nil {
 		c.put(key, fl.val)
-		// Waiters registered while the flight was inflight; none can
-		// join after its deletion above, so handing each its reference
-		// here (under the same lock) cannot race a late arrival. The
-		// leader keeps the reference compute created. On error no
-		// references exist and waiters must not touch the value.
-		if c.Acquire != nil {
-			for i := 0; i < fl.waiters; i++ {
-				c.Acquire(fl.val)
-			}
-		}
 	}
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.val, Miss, fl.err
-}
-
-// Clear drops every cached entry (counting them as evictions), leaving
-// in-flight computations untouched. With a Drop hook installed this
-// releases the cache's reference to each value, so a quiesced server
-// can return pooled resources held by memoized results.
-func (c *Cache[V]) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry[V])
-		delete(c.entries, e.key)
-		c.stats.Evictions++
-		if c.Drop != nil {
-			c.Drop(e.val)
-		}
-	}
-	c.ll.Init()
 }
 
 // KV pairs one stored key with its value, as returned by Snapshot.
@@ -276,28 +211,24 @@ type KV[V any] struct {
 }
 
 // Snapshot returns every cached entry in recency order (most recently
-// used first), without touching the hit/miss counters or recency. With
-// an Acquire hook installed, the caller receives one reference per
-// returned value and must release each when done — the checkpoint
-// exporter uses this so entries evicted mid-export stay readable.
+// used first), without touching the hit/miss counters or recency. The
+// checkpoint exporter renders from it outside the lock; an entry
+// evicted mid-export stays readable through the returned slice.
 func (c *Cache[V]) Snapshot() []KV[V] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]KV[V], 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry[V])
-		if c.Acquire != nil {
-			c.Acquire(e.val)
-		}
 		out = append(out, KV[V]{Key: e.key, Val: e.val})
 	}
 	return out
 }
 
 // Contains reports whether key is currently stored, without counting
-// the lookup, bumping recency, validating, or handing out a
-// reference. The watch-mode indexer uses it to classify already-known
-// content (renames, restarts) as warm without disturbing the LRU.
+// the lookup, bumping recency, or validating. The watch-mode indexer
+// uses it to classify already-known content (renames, restarts) as
+// warm without disturbing the LRU.
 func (c *Cache[V]) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestKeyIsContentAddressed(t *testing.T) {
@@ -204,115 +203,5 @@ func TestValidateEvictsCorruptEntries(t *testing.T) {
 	corrupt["b"] = true
 	if _, ok := c.Get("b"); !ok {
 		t.Fatal("nil validator rejected an entry")
-	}
-}
-
-// TestRefHooks verifies the Acquire/Drop reference protocol: one
-// Acquire per reference handed out (the cache's own on store, one per
-// served lookup, one per dedup waiter) and one Drop per reference the
-// cache lets go (evict, replace, corrupt, Clear). A consumer balancing
-// each served Acquire with its own release therefore sees net zero
-// once the cache is cleared.
-func TestRefHooks(t *testing.T) {
-	refs := make(map[int]int)
-	var mu sync.Mutex
-	c := New[int](2)
-	c.Acquire = func(v int) { mu.Lock(); refs[v]++; mu.Unlock() }
-	c.Drop = func(v int) { mu.Lock(); refs[v]--; mu.Unlock() }
-
-	c.Put("a", 1) // cache ref: refs[1]=1
-	if refs[1] != 1 {
-		t.Fatalf("after Put: refs[1] = %d, want 1", refs[1])
-	}
-	if v, ok := c.Get("a"); !ok || v != 1 || refs[1] != 2 {
-		t.Fatalf("Get hit: v=%d ok=%v refs=%d, want 1 true 2", v, ok, refs[1])
-	}
-	refs[1]-- // the consumer releases its Get reference
-	if _, _, err := c.Do("a", func() (int, error) { t.Fatal("hit recomputed"); return 0, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if refs[1] != 2 {
-		t.Fatalf("Do hit: refs[1] = %d, want 2", refs[1])
-	}
-	refs[1]--
-
-	// Replacement drops the old value's cache reference.
-	c.Put("a", 2)
-	if refs[1] != 0 || refs[2] != 1 {
-		t.Fatalf("after replace: refs[1]=%d refs[2]=%d, want 0 1", refs[1], refs[2])
-	}
-
-	// LRU eviction drops the evicted value.
-	c.Put("b", 3)
-	c.Put("c", 4) // evicts "a" (value 2)
-	if refs[2] != 0 {
-		t.Fatalf("after evict: refs[2] = %d, want 0", refs[2])
-	}
-
-	// A Do miss leaves the leader holding the compute reference and the
-	// cache holding its own.
-	if v, out, err := c.Do("d", func() (int, error) { return 5, nil }); err != nil || v != 5 || out != Miss {
-		t.Fatalf("Do miss: %d %v %v", v, out, err)
-	}
-	// Acquire fired once (cache); the leader's reference came from
-	// compute itself, so the hook count is 1 here.
-	if refs[5] != 1 {
-		t.Fatalf("Do miss: refs[5] = %d, want 1 (cache only)", refs[5])
-	}
-
-	// Dedup waiters each get a reference, granted by the leader.
-	block := make(chan struct{})
-	started := make(chan struct{})
-	done := make(chan struct{}, 2)
-	go func() {
-		c.Do("e", func() (int, error) { close(started); <-block; return 6, nil })
-		done <- struct{}{}
-	}()
-	<-started
-	go func() {
-		c.Do("e", func() (int, error) { return -1, nil })
-		done <- struct{}{}
-	}()
-	for c.Stats().Dedups == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(block)
-	<-done
-	<-done
-	// cache ref + leader compute-ref not hook-counted + 1 waiter = 2.
-	mu.Lock()
-	got := refs[6]
-	mu.Unlock()
-	if got != 2 {
-		t.Fatalf("dedup: refs[6] = %d, want 2 (cache + waiter)", got)
-	}
-
-	// Corruption rejection drops the cache reference.
-	c.Validate = func(_ string, v int) bool { return v != 5 }
-	if _, ok := c.Get("d"); ok {
-		t.Fatal("corrupt entry served")
-	}
-	if refs[5] != 0 {
-		t.Fatalf("after corrupt reject: refs[5] = %d, want 0", refs[5])
-	}
-	c.Validate = nil
-
-	// Clear drops everything that remains.
-	before := c.Len()
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("Clear left %d entries", c.Len())
-	}
-	if before == 0 {
-		t.Fatal("nothing was cached before Clear")
-	}
-	for v, n := range refs {
-		want := 0
-		if v == 6 {
-			want = 1 // the waiter's reference, never released in this test
-		}
-		if n != want {
-			t.Errorf("after Clear: refs[%d] = %d, want %d", v, n, want)
-		}
 	}
 }

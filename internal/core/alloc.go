@@ -22,10 +22,9 @@ type setAlloc struct {
 	nvars int
 }
 
-// arenaAlloc returns the arena allocator. The arena comes from the
-// process-wide pool so a batch loop that Releases each Result reuses
-// warm slabs instead of growing fresh ones per program.
-func arenaAlloc(nvars int) setAlloc { return setAlloc{ar: arena.Get(), nvars: nvars} }
+// arenaAlloc returns the arena allocator over a fresh arena, which the
+// collector frees with the Result that holds it.
+func arenaAlloc(nvars int) setAlloc { return setAlloc{ar: new(arena.Arena), nvars: nvars} }
 
 // heapAlloc returns the heap allocator.
 func heapAlloc(nvars int) setAlloc { return setAlloc{nvars: nvars} }

@@ -51,43 +51,6 @@ func TestAllocPoliciesAgree(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesArena drives the analyze → consume → Release
-// loop the batch engine runs per worker: each Release parks the arena
-// in the process-wide pool and the next Analyze draws it back warm. If
-// Reset failed to clear a carved prefix, or a stale set aliased a
-// recycled slab, the recycled analyses would diverge from the heap
-// reference — so every iteration is checked set-for-set against a
-// fresh heap run of the same program.
-func TestReleaseRecyclesArena(t *testing.T) {
-	progs := []struct {
-		n    int
-		seed int64
-	}{{60, 21}, {90, 22}, {24, 23}, {60, 21}}
-	for round := 0; round < 3; round++ {
-		for _, pc := range progs {
-			prog := workload.Random(workload.DefaultConfig(pc.n, pc.seed)).Prune()
-			st := core.BuildStructure(prog)
-			for _, kind := range []core.Kind{core.Mod, core.Use} {
-				got := core.Analyze(prog, kind, core.Options{Structure: st})
-				want := core.Analyze(prog, kind, core.Options{Heap: true, Structure: st})
-				for i := range want.GMOD {
-					if !got.GMOD[i].Equal(want.GMOD[i]) {
-						t.Fatalf("round %d N=%d %v: recycled GMOD[%d] = %v, want %v",
-							round, pc.n, kind, i, got.GMOD[i], want.GMOD[i])
-					}
-				}
-				for i := range want.DMOD {
-					if !got.DMOD[i].Equal(want.DMOD[i]) {
-						t.Fatalf("round %d N=%d %v: recycled DMOD[%d] = %v, want %v",
-							round, pc.n, kind, i, got.DMOD[i], want.DMOD[i])
-					}
-				}
-				got.Release()
-			}
-		}
-	}
-}
-
 // TestArenaResultsIndependent: sets carved from the same arena must
 // not alias — mutating one GMOD row cannot disturb another.
 func TestArenaResultsIndependent(t *testing.T) {

@@ -57,7 +57,7 @@ type Options struct {
 	// Result.Prog, not the input.
 	Prune bool
 	// Heap draws every set from the heap, each in its own
-	// representation, instead of from a pooled arena, and pools no
+	// representation, instead of from an arena, and pools no
 	// temporaries. The solution is identical. The public layer's panic
 	// retry sets it, so the retry shares no storage with the attempt
 	// that failed.
@@ -78,9 +78,9 @@ type Options struct {
 	DisableCondensation bool
 	// Faults, when non-nil, injects deterministic faults at every
 	// stage boundary (sites "core.mod.gmod", "core.use.rmod", …) for
-	// chaos testing. Injected panics propagate after the arena is
-	// poisoned; injected errors abort the analysis through the same
-	// path as cancellation. Production runs leave this nil.
+	// chaos testing. Injected panics propagate to the caller; injected
+	// errors abort the analysis through the same path as cancellation.
+	// Production runs leave this nil.
 	Faults *faultinject.Injector
 }
 
@@ -104,32 +104,15 @@ func Analyze(prog *ir.Program, kind Kind, opts Options) *Result {
 	return r
 }
 
-// AnalyzeCtx is Analyze with deadline propagation and fault isolation.
+// AnalyzeCtx is Analyze with deadline propagation and fault injection.
 // The context is consulted at every stage boundary (the stages are the
 // cost units of the paper's complexity argument, so a deadline is
-// honored within one linear sub-pass): a cancelled analysis stops,
-// returns its arena to the process-wide pool — no set has escaped yet,
-// so the slabs are clean — and reports ctx.Err(). Injected faults
-// (Options.Faults) surface the same way, except injected panics, which
-// propagate to the caller after the arena is poisoned so a recovery
-// layer can never recycle slabs whose carve state is unknown.
+// honored within one linear sub-pass): a cancelled analysis stops and
+// reports ctx.Err(). Injected faults (Options.Faults) surface the same
+// way, except injected panics, which propagate to the caller;
+// converting them to errors is the public layer's job.
 func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) (*Result, error) {
 	pl := newPipeline(ctx, kind, opts)
-	// Arena-safe recovery: a panic anywhere in the pipeline (injected
-	// or genuine) poisons the checked-out arena before unwinding. The
-	// panic itself still propagates — converting it to an error is the
-	// public layer's job — but the pool is protected no matter who
-	// recovers above us.
-	defer func() {
-		if rec := recover(); rec != nil {
-			pl.al.ar.Poison()
-			// Route the poisoned arena through Put so the pool's
-			// accounting closes (Gets = Puts + PoisonDropped): Put
-			// refuses poisoned arenas, it only records the drop.
-			arena.Put(pl.al.ar)
-			panic(rec)
-		}
-	}()
 	cr, gmod := pl.solve(prog, true)
 	if pl.err != nil {
 		return nil, pl.abort()
@@ -145,8 +128,7 @@ func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) 
 }
 
 // pipeline is one run of the stage sequence shared by AnalyzeCtx and
-// AnalyzeCondensed. It owns the run's allocator, so the recovery path
-// sees the arena as soon as one is checked out.
+// AnalyzeCondensed. It owns the run's allocator.
 type pipeline struct {
 	ctx  context.Context // nil: not cancellable
 	kind Kind
@@ -217,34 +199,9 @@ func (pl *pipeline) solve(prog *ir.Program, rows bool) (*CondensedResult, []*bit
 	return r, gmod
 }
 
-// abort ends a run that failed at a stage boundary. No set escaped, so
-// the arena's slabs are clean and go straight back to the pool.
+// abort reports a run that failed at a stage boundary.
 func (pl *pipeline) abort() error {
-	arena.Put(pl.al.ar)
 	return fmt.Errorf("core: %s analysis aborted: %w", pl.pfx[:len(pl.pfx)-1], pl.err)
-}
-
-// Release returns the Result's arena to the process-wide pool for
-// reuse by a later Analyze. It is the batch-loop counterpart of simply
-// dropping the Result: callers that analyze many programs in sequence
-// and fully consume each Result before the next can Release instead,
-// which recycles the slab storage without waiting for (or paying) a
-// collection. After Release every set reachable from the Result is
-// dead — the receiver's set fields are nilled to fail fast. Release on
-// a heap-allocated Result (Options.Heap) is a no-op, so callers need
-// not branch on the allocator. Not safe to call concurrently with
-// reads of the same Result.
-func (r *Result) Release() {
-	if r == nil || r.Arena == nil {
-		return
-	}
-	ar := r.Arena
-	r.Arena = nil
-	r.Facts = nil
-	r.IMODPlus = nil
-	r.GMOD = nil
-	r.DMOD = nil
-	arena.Put(ar)
 }
 
 // ComputeDMOD evaluates equation (2) at every call site:

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sideeffect/internal/arena"
 	"sideeffect/internal/binding"
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/callgraph"
@@ -22,9 +21,9 @@ import (
 // updater propagates exactly the new bits backward over the call
 // multi-graph (and the binding multi-graph for formals), touching only
 // procedures whose solution actually changes. Deletions invalidate in
-// the other direction and are handled by full recomputation
-// (Invalidate), which is what production environments of the era did
-// as well.
+// the other direction and are handled by full recomputation (the
+// facade's Session reanalyzes), which is what production environments
+// of the era did as well.
 type Incremental struct {
 	res *Result
 	// callersOf[q] lists the call sites invoking q.
@@ -215,17 +214,6 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 		out = append(out, prog.Procs[pid])
 	}
 	return out, nil
-}
-
-// Invalidate recomputes the full analysis (used after non-additive
-// edits such as deleting statements or call sites). The superseded
-// result's arena is recycled: the updater maintains the result in
-// place, so the old sets are unreachable through it once the fresh
-// solution lands.
-func (inc *Incremental) Invalidate() {
-	old := inc.res.Arena
-	*inc.res = *Analyze(inc.res.Prog, inc.res.Kind, Options{})
-	arena.Put(old)
 }
 
 // Rebase re-points the maintained result at prog, a program model that

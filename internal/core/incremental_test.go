@@ -165,14 +165,3 @@ func TestIncrementalIdempotent(t *testing.T) {
 		t.Errorf("re-adding the same fact changed %d procedures", len(changed))
 	}
 }
-
-func TestInvalidate(t *testing.T) {
-	prog := workload.PaperExample()
-	res := core.Analyze(prog, core.Mod, core.Options{})
-	inc := core.NewIncremental(res)
-	prog.Proc("bot").IMOD.Add(prog.Var("g").ID)
-	inc.Invalidate()
-	if !inc.Result().GMOD[prog.Main.ID].Has(prog.Var("g").ID) {
-		t.Error("Invalidate did not pick up the new fact")
-	}
-}

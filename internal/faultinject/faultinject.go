@@ -4,15 +4,15 @@
 // result cache, and the HTTP server, so chaos tests and `modand
 // -fault-rate` runs can prove that failures surface as structured
 // errors or degraded-but-correct answers — never as a wrong bit
-// vector, a leaked goroutine, or a corrupted pooled arena.
+// vector, a leaked goroutine, or a half-updated session.
 //
 // Every decision is a pure function of (seed, site, per-site draw
 // counter), so a single-threaded request sequence reproduces the exact
 // same faults run after run. Four fault kinds are modeled:
 //
 //   - KindPanic: the fault point panics with *InjectedPanic, standing
-//     in for a worker bug; the recovery path must isolate it and keep
-//     pooled state (arenas, scratch sets) out of circulation.
+//     in for a worker bug; the recovery path must isolate it and turn
+//     it into an error or a degraded retry.
 //   - KindError: the fault point returns *InjectedError, standing in
 //     for an internal failure that is detected and reported.
 //   - KindDelay: the fault point sleeps, standing in for a stalled

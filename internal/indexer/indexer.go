@@ -184,14 +184,14 @@ func (ix *Indexer) Start() {
 
 // Stop shuts the loop down, processing any still-pending batch first
 // so the state exported afterward reflects what is on disk. It then
-// releases every classification session's storage. Idempotent.
+// drops every classification session. Idempotent.
 func (ix *Indexer) Stop() {
 	if ix.stop == nil {
 		return
 	}
 	ix.stopOnce.Do(func() { close(ix.stop) })
 	<-ix.done
-	ix.sessions.closeAll()
+	ix.sessions.clear()
 	ix.mu.Lock()
 	ix.watching = false
 	ix.mu.Unlock()

@@ -117,7 +117,6 @@ func (ix *Indexer) analyzeModule() {
 		return
 	}
 	a := sideeffect.AnalyzeProgramWith(pkg.Prog, ix.cfg.Opts)
-	defer a.Release()
 	snap, err := store.BuildEntry(a, st.key, "go-module", pkg.Notes, pkg.ConfidenceReport())
 	if err != nil {
 		ix.fail(st, err)
@@ -253,7 +252,6 @@ func (ix *Indexer) analyzeGo(path, src, key string, known bool, st *fileState) {
 		ix.fail(st, err)
 		return
 	}
-	defer res.Analysis.Release()
 	snap, err := store.BuildEntry(res.Analysis, key, "go", res.Pkg.Notes, res.Pkg.ConfidenceReport())
 	if err != nil {
 		ix.fail(st, err)
@@ -308,7 +306,7 @@ func (ix *Indexer) bumpAnalysis(mode string) {
 
 // sessionTable is the bounded LRU of per-file MiniPL sessions kept so
 // repeated edits to the same file can take the incremental path. It
-// is only touched from the watch loop (plus closeAll after the loop
+// is only touched from the watch loop (plus clear after the loop
 // exits), so a plain mutex around map+order suffices.
 type sessionTable struct {
 	mu    sync.Mutex
@@ -335,8 +333,7 @@ func (t *sessionTable) get(path string) *sideeffect.Session {
 func (t *sessionTable) put(path string, s *sideeffect.Session) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if old, ok := t.m[path]; ok {
-		old.Close()
+	if _, ok := t.m[path]; ok {
 		t.m[path] = s
 		t.bump(path)
 		return
@@ -346,7 +343,6 @@ func (t *sessionTable) put(path string, s *sideeffect.Session) {
 	for len(t.m) > t.max {
 		victim := t.order[0]
 		t.order = t.order[1:]
-		t.m[victim].Close()
 		delete(t.m, victim)
 	}
 }
@@ -354,19 +350,16 @@ func (t *sessionTable) put(path string, s *sideeffect.Session) {
 func (t *sessionTable) drop(path string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s, ok := t.m[path]; ok {
-		s.Close()
+	if _, ok := t.m[path]; ok {
 		delete(t.m, path)
 		t.remove(path)
 	}
 }
 
-func (t *sessionTable) closeAll() {
+// clear drops every session, so a stopped indexer holds no analyses.
+func (t *sessionTable) clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.m {
-		s.Close()
-	}
 	t.m = make(map[string]*sideeffect.Session)
 	t.order = nil
 }

@@ -149,7 +149,6 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) (int, any, *
 	if apiErr != nil {
 		return 0, nil, apiErr
 	}
-	defer entry.release()
 	if entry.snap != nil {
 		s.met.warmHit()
 	}

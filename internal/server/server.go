@@ -133,14 +133,7 @@ type cached struct {
 	// the cache's validation hook recomputes it on every hit and evicts
 	// entries whose stored analysis no longer matches, so a corrupted
 	// entry costs a recompute instead of serving a wrong answer.
-	sum uint64
-	// refs counts the entry's users: the cache's own reference plus one
-	// per request currently reading the entry. The analysis's pooled
-	// arenas go back to the pool when the last reference releases, so
-	// an entry evicted (or displaced, or rejected as corrupt) while a
-	// request still reads it stays alive exactly until that request
-	// finishes.
-	refs     atomic.Int64
+	sum      uint64
 	jsonOnce sync.Once
 	json     *report.JSONReport
 	textOnce sync.Once
@@ -149,20 +142,6 @@ type cached struct {
 	// notes and the rendered confidence table appended to text reports.
 	notes []gofront.Note
 	conf  string
-}
-
-func (e *cached) acquire() { e.refs.Add(1) }
-
-// release returns one reference; the last one recycles the analysis's
-// arenas (a no-op for snapshot-backed entries, which hold no pooled
-// storage). Nil-safe so error paths can release unconditionally.
-func (e *cached) release() {
-	if e == nil {
-		return
-	}
-	if e.refs.Add(-1) == 0 {
-		e.a.Release()
-	}
 }
 
 // fingerprint folds the analysis's summary-set cardinalities into one
@@ -181,12 +160,9 @@ func fingerprint(a *sideeffect.Analysis) uint64 {
 	return h
 }
 
-// newCached wraps a freshly computed analysis, with the creator holding
-// the first reference.
+// newCached wraps a freshly computed analysis.
 func newCached(a *sideeffect.Analysis) *cached {
-	e := &cached{a: a, lang: "minipl", sum: fingerprint(a)}
-	e.refs.Store(1)
-	return e
+	return &cached{a: a, lang: "minipl", sum: fingerprint(a)}
 }
 
 // newCachedGo wraps a Go-package analysis, keeping the frontend's
@@ -200,8 +176,7 @@ func newCachedGo(r sideeffect.GoResult) *cached {
 }
 
 // newCachedSnap wraps a restored (or indexer-rendered) snapshot as a
-// cache entry, decoding its JSON report once up front. The creator
-// holds the first reference.
+// cache entry, decoding its JSON report once up front.
 func newCachedSnap(snap *store.EntrySnapshot) (*cached, error) {
 	jr := new(report.JSONReport)
 	if err := json.Unmarshal(snap.JSON, jr); err != nil {
@@ -210,10 +185,7 @@ func newCachedSnap(snap *store.EntrySnapshot) (*cached, error) {
 	if snap.Lint == nil {
 		return nil, fmt.Errorf("snapshot entry %s: missing lint report", snap.Key)
 	}
-	e := &cached{snap: snap, lang: snap.Lang, json: jr, notes: snap.Notes, conf: snap.Conf}
-	e.sum = snap.Fingerprint()
-	e.refs.Store(1)
-	return e, nil
+	return &cached{snap: snap, lang: snap.Lang, json: jr, notes: snap.Notes, conf: snap.Conf, sum: snap.Fingerprint()}, nil
 }
 
 // admission is the load-shedding gate in front of every
@@ -411,13 +383,6 @@ func New(cfg Config) *Server {
 		}
 		return fingerprint(e.a) == e.sum
 	}
-	// Reference-count entries through the cache's lifecycle hooks so an
-	// analysis's arenas return to the pool the moment its last user —
-	// the cache on evict/corrupt/replace, or the final in-flight reader
-	// — lets go. Without this, every displaced entry stranded its two
-	// result arenas.
-	s.cache.Acquire = func(e *cached) { e.acquire() }
-	s.cache.Drop = func(e *cached) { e.release() }
 	s.mux = http.NewServeMux()
 	s.routeHeavy("POST /analyze", "/analyze", s.handleAnalyze)
 	s.routeHeavy("POST /batch", "/batch", s.handleBatch)
@@ -634,13 +599,12 @@ func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 // options with the deadline threaded through every pipeline stage;
 // concurrent identical requests share one computation. A miss whose
 // first attempt dies with a captured panic is retried once in degraded
-// mode (sideeffect.AnalyzeContextRetry) before the request fails. The computation runs on the request's own goroutine —
-// a cancelled request stops at the next stage boundary, releases its
-// arena, and frees its admission slot; nothing is left running in the
-// background. Dedup waiters share the leader's outcome, errors
-// included; errors are never cached, so the next request retries.
-// On success the caller owns one reference on the returned entry and
-// must release it when done reading.
+// mode (sideeffect.AnalyzeContextRetry) before the request fails. The
+// computation runs on the request's own goroutine — a cancelled request
+// stops at the next stage boundary and frees its admission slot;
+// nothing is left running in the background. Dedup waiters share the
+// leader's outcome, errors included; errors are never cached, so the
+// next request retries.
 func (s *Server) analyzeCached(ctx context.Context, src string) (*cached, string, cache.Outcome, *apiError) {
 	key := cache.Key(src)
 	entry, outcome, err := s.cache.Do(key, func() (*cached, error) {
@@ -759,7 +723,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (int, any
 	if apiErr != nil {
 		return 0, nil, apiErr
 	}
-	defer entry.release()
 	if entry.snap != nil {
 		s.met.warmHit()
 	}
@@ -827,8 +790,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int, any, 
 // from the cache and fanning the rest out over the hardened batch
 // pipeline on the request's own goroutine. Cancellation propagates:
 // undispatched sources come back with the timeout error, running ones
-// stop at their next stage boundary, arenas drain, and the worker pool
-// is free when this returns — a cancelled batch cannot strand workers.
+// stop at their next stage boundary, and the worker pool is free when
+// this returns — a cancelled batch cannot strand workers.
 func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 	entries := make([]batchEntry, len(sources))
 	var missSrcs []string
@@ -842,7 +805,6 @@ func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 			if e.snap != nil {
 				s.met.warmHit()
 			}
-			e.release()
 			continue
 		}
 		if _, dup := missAt[key]; !dup {
@@ -869,14 +831,6 @@ func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 			}
 		}
 	}
-	// The creator references on fresh entries are released after the
-	// response rows are filled; the cache's own references keep the
-	// entries alive for later requests.
-	defer func() {
-		for _, e := range fresh {
-			e.release()
-		}
-	}()
 	for i := range sources {
 		if entries[i].Report != nil || entries[i].Error != "" {
 			continue

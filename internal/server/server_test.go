@@ -401,6 +401,59 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionHandleOutlivesDelete replays a read racing a DELETE of
+// the same session, in the losing order: the read fetches the handle,
+// the DELETE completes, and only then does the read go through the
+// handle. It must still see the session's full analysis rather than
+// fail with a 500.
+func TestSessionHandleOutlivesDelete(t *testing.T) {
+	srv := New(Config{})
+	ts := newHTTPServer(t, srv)
+	var created sessionState
+	if code := post(t, ts.URL+"/session", sessionCreateRequest{Source: srvSrc}, &created); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	open, ok := srv.sessions.get(created.ID)
+	if !ok {
+		t.Fatal("created session is not in the table")
+	}
+	if code := request(t, http.MethodDelete, ts.URL+"/session/"+created.ID, nil, nil); code != http.StatusOK {
+		t.Fatalf("delete: status %d", code)
+	}
+
+	var (
+		mod []string
+		err error
+		got sessionState
+	)
+	func() {
+		defer func() {
+			if rec := recover(); rec != nil {
+				t.Fatalf("read through a handle fetched before DELETE panicked: %v", rec)
+			}
+		}()
+		open.mu.Lock()
+		defer open.mu.Unlock()
+		mod, err = open.sess.Analysis().MOD("mid")
+		got = open.state("", true)
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sideeffect.Analyze(srvSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantMod, _ := want.MOD("mid"); strings.Join(mod, ",") != strings.Join(wantMod, ",") {
+		t.Errorf("MOD(mid) after DELETE = %v, want %v", mod, wantMod)
+	}
+	gotJSON, _ := json.Marshal(got.Report)
+	wantJSON, _ := json.Marshal(created.Report)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("report read after DELETE differs from the one at creation")
+	}
+}
+
 func TestSessionLimit(t *testing.T) {
 	ts := newTestServer(t, Config{MaxSessions: 2})
 	var first sessionState

@@ -56,22 +56,15 @@ func (st *sessionStore) get(id string) (*session, bool) {
 	return s, ok
 }
 
+// remove unlinks the handle. A request that fetched it before the
+// removal keeps a readable session; the collector frees the analysis
+// once the last such request is done.
 func (st *sessionStore) remove(id string) bool {
 	st.mu.Lock()
-	s, ok := st.sessions[id]
-	if !ok {
-		st.mu.Unlock()
-		return false
-	}
+	defer st.mu.Unlock()
+	_, ok := st.sessions[id]
 	delete(st.sessions, id)
-	st.mu.Unlock()
-	// Recycle the closed session's analysis storage under its own lock,
-	// after it is unreachable through the table, so an in-flight request
-	// that already fetched the handle finishes its read first.
-	s.mu.Lock()
-	s.sess.Close()
-	s.mu.Unlock()
-	return true
+	return ok
 }
 
 func (st *sessionStore) open() int {
@@ -83,7 +76,7 @@ func (st *sessionStore) open() int {
 // export snapshots every open session's source and counters, plus the
 // id counter, for checkpointing. Broken sessions are skipped — their
 // maintained solution is not trustworthy, so restoring them would
-// resurrect a poisoned handle.
+// resurrect a broken handle.
 func (st *sessionStore) export() ([]store.SessionSnapshot, int) {
 	st.mu.Lock()
 	handles := make([]*session, 0, len(st.sessions))

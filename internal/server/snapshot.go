@@ -23,8 +23,7 @@ import (
 // possible under fault injection) are skipped: a checkpoint may be
 // incomplete, never wrong.
 //
-// The exporter holds a reference on each entry while rendering, so a
-// concurrent eviction cannot free storage out from under it, and
+// Rendering runs outside the cache lock on the snapshotted entries, so
 // serving continues unblocked — checkpointing is a background
 // activity, not a stop-the-world one.
 func (s *Server) ExportCheckpoint() *store.Checkpoint {
@@ -36,12 +35,10 @@ func (s *Server) ExportCheckpoint() *store.Checkpoint {
 			var err error
 			snap, err = store.BuildEntry(e.a, kv.Key, e.lang, e.notes, e.conf)
 			if err != nil {
-				e.release()
 				continue
 			}
 		}
 		cp.Entries = append(cp.Entries, snap)
-		e.release()
 	}
 	cp.Sessions, cp.NextSession = s.sessions.export()
 	return cp
@@ -66,7 +63,6 @@ func (s *Server) ImportCheckpoint(cp *store.Checkpoint) (entries, sessions int) 
 			continue
 		}
 		s.cache.Put(snap.Key, e)
-		e.release() // the cache holds its own reference now
 		entries++
 	}
 	s.sessions.advance(cp.NextSession)
@@ -76,7 +72,6 @@ func (s *Server) ImportCheckpoint(cp *store.Checkpoint) (entries, sessions int) 
 			continue
 		}
 		if !s.sessions.restore(ss, sess) {
-			sess.Close()
 			continue
 		}
 		sessions++
@@ -95,7 +90,6 @@ func (s *Server) InstallSnapshot(snap *store.EntrySnapshot) error {
 		return err
 	}
 	s.cache.Put(snap.Key, e)
-	e.release()
 	return nil
 }
 

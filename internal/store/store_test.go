@@ -38,7 +38,6 @@ func testCheckpoint(t *testing.T) *Checkpoint {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	defer a.Release()
 	key := cache.Key(testSrc)
 	snap, err := BuildEntry(a, key, "minipl", nil, "")
 	if err != nil {

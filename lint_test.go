@@ -54,7 +54,7 @@ func lintFixture(t *testing.T, base string, opts Options) (string, *lint.Report)
 // goldens double as the format-stability contract for SARIF consumers.
 func TestLintGolden(t *testing.T) {
 	for _, base := range lintFixtures(t) {
-		for _, opts := range []Options{{Sequential: true}, {Workers: 4}} {
+		for _, opts := range []Options{{Workers: 1}, {Workers: 4}} {
 			_, rep := lintFixture(t, base, opts)
 			files := []lint.FileReport{{File: "testdata/lint/" + base + ".mpl", Report: rep}}
 			renders := map[string]func() (string, error){
@@ -123,7 +123,7 @@ func TestLintDeterministic(t *testing.T) {
 		srcs[base] = string(b)
 	}
 	for name, src := range srcs {
-		a1, err := AnalyzeWith(src, Options{Sequential: true})
+		a1, err := AnalyzeWith(src, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -344,7 +344,7 @@ func FuzzLint(f *testing.F) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		a1, err := AnalyzeWith(src, Options{Sequential: true})
+		a1, err := AnalyzeWith(src, Options{Workers: 1})
 		if err != nil {
 			return // rejected inputs only need to fail cleanly
 		}

@@ -52,16 +52,13 @@ type procSig struct {
 }
 
 // metaSig analyzes src on the arena, or on the heap allocator when heap
-// is set, and extracts the per-procedure
-// signature map. The Analysis is released before returning so the
-// corpus sweep recycles arenas instead of growing the heap.
+// is set, and extracts the per-procedure signature map.
 func metaSig(t *testing.T, src string, heap bool) map[string]procSig {
 	t.Helper()
-	a, err := AnalyzeWith(src, Options{Sequential: true, heap: heap})
+	a, err := AnalyzeWith(src, Options{Workers: 1, heap: heap})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	defer a.Release()
 	out := make(map[string]procSig, len(a.Procedures()))
 	for _, p := range a.Procedures() {
 		mod, _ := a.MOD(p)

@@ -18,10 +18,8 @@ func TestOptionsWorkersClamp(t *testing.T) {
 		{Options{Workers: 0}, maxprocs},
 		{Options{Workers: -1}, maxprocs},
 		{Options{Workers: -1 << 20}, maxprocs},
+		{Options{Workers: 1}, 1},
 		{Options{Workers: 3}, 3},
-		{Options{Sequential: true}, 1},
-		{Options{Sequential: true, Workers: -7}, 1},
-		{Options{Sequential: true, Workers: 8}, 1},
 	}
 	for _, tc := range cases {
 		if got := tc.opts.workers(); got != tc.want {

@@ -43,12 +43,10 @@ import (
 type Options struct {
 	// Workers bounds the number of concurrently executing stages (in
 	// AnalyzeProgramWith) or programs (in AnalyzeAll). Zero or negative
-	// means GOMAXPROCS.
-	Workers int
-	// Sequential forces the classic single-goroutine pipeline: every
-	// stage runs in order on the calling goroutine. The result is
+	// means GOMAXPROCS. One runs the classic single-goroutine pipeline:
+	// every stage in order on the calling goroutine. The result is
 	// identical either way — only the schedule changes.
-	Sequential bool
+	Workers int
 	// Profile, when true, records per-stage wall time (and, on a
 	// sequential run, allocation counts) in Analysis.Stages and tags
 	// each stage's execution with a pprof "stage" label.
@@ -68,9 +66,7 @@ type Options struct {
 	// the pipeline's stage boundaries for chaos testing (see
 	// internal/faultinject). Only the context-aware entry points
 	// (AnalyzeContext and friends) honor it: they convert injected
-	// panics into errors after poisoning any affected arena, so a
-	// faulted run never corrupts pooled storage. Production runs leave
-	// this nil.
+	// panics into errors. Production runs leave this nil.
 	Faults *faultinject.Injector
 
 	// heap puts the core solvers on the heap allocator (see
@@ -80,20 +76,11 @@ type Options struct {
 }
 
 // workers resolves the options to a concrete positive worker count.
-// This is the single normalization point for the whole public API:
-// Sequential forces 1, a positive Workers is taken as-is, and zero or
-// negative Workers fall back to GOMAXPROCS — a negative value is
-// treated as "unset" here and never reaches the pools.
-func (o Options) workers() int {
-	switch {
-	case o.Sequential:
-		return 1
-	case o.Workers > 0:
-		return o.Workers
-	default:
-		return batch.Workers(0)
-	}
-}
+// This is the single normalization point for the whole public API: a
+// positive Workers is taken as-is, and zero or negative Workers fall
+// back to GOMAXPROCS — a negative value is treated as "unset" here and
+// never reaches the pools.
+func (o Options) workers() int { return batch.Workers(o.Workers) }
 
 // Analysis bundles the complete side-effect solution for one program.
 type Analysis struct {
@@ -179,26 +166,6 @@ func AnalyzeProgramWith(prog *ir.Program, opts Options) *Analysis {
 	return a
 }
 
-// Release returns the analysis's arena-backed set storage to a
-// process-wide pool for reuse by a later analysis. It is optional —
-// dropping the Analysis frees everything through the collector — but a
-// loop that analyzes many programs and fully consumes each result
-// before the next (the batch engine's steady state) recycles warm
-// slabs this way instead of growing fresh ones per program. After
-// Release no set previously obtained from the Analysis may be used;
-// the set-valued fields are nilled to fail fast. An analysis from the
-// degraded retry (AnalyzeContextRetry) is heap-allocated, so it holds
-// no pooled storage to recycle.
-func (a *Analysis) Release() {
-	if a == nil {
-		return
-	}
-	a.ModSets, a.UseSets = nil, nil
-	a.SecMod, a.SecUse = nil, nil
-	a.Mod.Release()
-	a.Use.Release()
-}
-
 // BatchResult is one program's outcome from AnalyzeAll: either a
 // completed Analysis or the parse/semantic error that stopped it.
 type BatchResult struct {
@@ -206,7 +173,7 @@ type BatchResult struct {
 	Err      error
 	// Degraded reports that the first attempt failed with a captured
 	// panic and the Analysis came from the fallback retry of
-	// AnalyzeContextRetry (sequential, heap allocation, no arena, no
+	// AnalyzeContextRetry (one worker, heap allocation, no arena, no
 	// pooled sets).
 	Degraded bool
 }
@@ -220,7 +187,7 @@ type BatchResult struct {
 // unaffected.
 func AnalyzeAll(srcs []string, opts Options) []BatchResult {
 	return batch.Map(opts.workers(), srcs, func(_ int, src string) BatchResult {
-		a, err := AnalyzeWith(src, Options{Sequential: true, heap: opts.heap})
+		a, err := AnalyzeWith(src, Options{Workers: 1, heap: opts.heap})
 		return BatchResult{Analysis: a, Err: err}
 	})
 }
@@ -231,7 +198,7 @@ func AnalyzeAll(srcs []string, opts Options) []BatchResult {
 // analyzed as given (prune first if needed).
 func AnalyzeAllPrograms(progs []*ir.Program, opts Options) []*Analysis {
 	return batch.Map(opts.workers(), progs, func(_ int, p *ir.Program) *Analysis {
-		return AnalyzeProgramWith(p, Options{Sequential: true, heap: opts.heap})
+		return AnalyzeProgramWith(p, Options{Workers: 1, heap: opts.heap})
 	})
 }
 

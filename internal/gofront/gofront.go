@@ -51,8 +51,9 @@ import (
 // in every content-addressed cache key derived from Go sources, so a
 // persisted result produced by an older lowering (coarser struct
 // tracking, package-boundary degradation) can never be served for the
-// same bytes after the frontend changed what those bytes mean.
-const LoweringVersion = 2
+// same bytes after the frontend changed what those bytes mean (version
+// 3: build constraints select a directory's files).
+const LoweringVersion = 3
 
 // Confidence grades how faithfully one function was lowered.
 type Confidence int

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // sourceFile is one named Go source text.
@@ -61,8 +63,8 @@ func Load(patterns []string) ([]*Package, error) {
 // Expand resolves package patterns to package directories and
 // single-file targets. "dir/..." walks dir recursively; a directory
 // matches itself when it holds non-test .go files; a path ending in
-// ".go" is a single-file package. Walks skip testdata, hidden, and
-// underscore-prefixed directories, mirroring the go tool.
+// ".go" is a single-file package. Walks skip testdata, vendor, hidden,
+// and underscore-prefixed directories, mirroring the go tool.
 func Expand(patterns []string) (dirs, singles []string, err error) {
 	seen := map[string]bool{}
 	addDir := func(dir string) {
@@ -92,7 +94,7 @@ func Expand(patterns []string) (dirs, singles []string, err error) {
 					return nil
 				}
 				base := filepath.Base(path)
-				if path != root && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+				if path != root && (base == "testdata" || base == "vendor" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
 					return filepath.SkipDir
 				}
 				if hasGoFiles(path) {
@@ -123,16 +125,35 @@ func Expand(patterns []string) (dirs, singles []string, err error) {
 }
 
 func hasGoFiles(dir string) bool {
+	names, err := sourceNames(dir)
+	return err == nil && len(names) > 0
+}
+
+// sourceNames lists the analyzable Go files of dir in name order: the
+// isSourceName files that the default build context selects by their
+// //go:build lines and _GOOS/_GOARCH name suffixes. A directory where
+// no file matches (a package built only under a tag, like
+// runtime/asan) keeps the unfiltered list, so it still loads.
+func sourceNames(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return false
+		return nil, err
 	}
+	var all, match []string
 	for _, e := range ents {
-		if isSourceName(e.Name()) {
-			return true
+		if e.IsDir() || !isSourceName(e.Name()) {
+			continue
+		}
+		all = append(all, e.Name())
+		// An unreadable header is kept, so the parser reports it.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); ok || err != nil {
+			match = append(match, e.Name())
 		}
 	}
-	return false
+	if len(match) == 0 {
+		return all, nil
+	}
+	return match, nil
 }
 
 // isSourceName reports whether name is an analyzable Go source file:
@@ -146,20 +167,17 @@ func isSourceName(name string) bool {
 
 // LoadDir loads and lowers the package in one directory.
 func LoadDir(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
+	names, err := sourceNames(dir)
 	if err != nil {
 		return nil, fmt.Errorf("gofront: %w", err)
 	}
 	var files []sourceFile
-	for _, e := range ents {
-		if e.IsDir() || !isSourceName(e.Name()) {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("gofront: %w", err)
 		}
-		files = append(files, sourceFile{name: e.Name(), src: string(b)})
+		files = append(files, sourceFile{name: name, src: string(b)})
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("gofront: no non-test .go files in %s", dir)
@@ -273,17 +291,18 @@ func majorityPackage(asts []*ast.File) []*ast.File {
 	return out
 }
 
-// lenientImporter resolves imports without failing the load: standard
-// library packages come from the compiler's source importer,
-// module-local packages are type-checked from source on demand, and
-// anything unresolvable becomes an empty, incomplete package whose
-// members the lowering treats as unknown (degrading confidence).
+// lenientImporter resolves imports without failing the load: packages
+// in GOROOT come from the process-wide stdlib importer, module-local
+// packages and the module's dependencies are type-checked from source
+// on demand, and anything unresolvable becomes an empty, incomplete
+// package whose members the lowering treats as unknown (degrading
+// confidence).
 type lenientImporter struct {
 	fset    *token.FileSet
-	dir     string // directory of the package being loaded ("" = none)
-	std     types.ImporterFrom
-	modRoot string // module root directory ("" = none found)
-	modPath string // module path from go.mod
+	ctx     build.Context // build.Default, resolving from the module root
+	dir     string        // absolute directory of the package being loaded ("" = none)
+	modRoot string        // module root directory ("" = none found)
+	modPath string        // module path from go.mod
 	memo    map[string]*types.Package
 	// failed records import paths that fell back to an incomplete
 	// package, sorted on read.
@@ -293,15 +312,55 @@ type lenientImporter struct {
 func newLenientImporter(fset *token.FileSet, dir string) *lenientImporter {
 	li := &lenientImporter{
 		fset:   fset,
+		ctx:    build.Default,
 		dir:    dir,
 		memo:   map[string]*types.Package{},
 		failed: map[string]bool{},
 	}
-	if src, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom); ok {
-		li.std = src
+	if abs, err := filepath.Abs(dir); dir != "" && err == nil {
+		li.dir = abs
 	}
-	li.modRoot, li.modPath = findModule(dir)
+	li.modRoot, li.modPath = findModule(li.dir)
+	// go/build runs `go list` in ctx.Dir for imports outside GOROOT,
+	// so dependencies resolve from the analysed module, not from the
+	// process's working directory.
+	li.ctx.Dir = li.modRoot
 	return li
+}
+
+// stdlib is the process-wide importer behind every load for packages
+// that resolve into GOROOT: each is type-checked at most once per
+// process, with function bodies skipped, and its *types.Package is
+// shared by every later load. GOROOT is assumed immutable for the life
+// of the process. Cached packages record positions in stdlib's own
+// FileSet; the lowering only converts positions of the loaded
+// package's declarations, through the load's FileSet.
+var stdlib = struct {
+	mu  sync.Mutex // go/internal/srcimporter keeps its package map unsynchronised
+	imp types.ImporterFrom
+	// pkgs holds every resolved GOROOT import path, nil for a package
+	// that failed to type-check.
+	pkgs map[string]*types.Package
+}{
+	imp:  importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom),
+	pkgs: map[string]*types.Package{},
+}
+
+// importStd returns the shared package for path as imported from
+// srcDir; gorootPath is its resolved GOROOT import path (vendored
+// packages carry a "vendor/" prefix), the cache key.
+func importStd(path, srcDir, gorootPath string) *types.Package {
+	stdlib.mu.Lock()
+	defer stdlib.mu.Unlock()
+	if p, ok := stdlib.pkgs[gorootPath]; ok {
+		return p
+	}
+	p, err := stdlib.imp.ImportFrom(path, srcDir, 0)
+	if err != nil {
+		p = nil
+	}
+	stdlib.pkgs[gorootPath] = p
+	return p
 }
 
 // findModule walks up from dir to the nearest go.mod and returns its
@@ -341,6 +400,13 @@ func (li *lenientImporter) ImportFrom(path, srcDir string, mode types.ImportMode
 	if p, ok := li.memo[path]; ok {
 		return p, nil
 	}
+	// go/types passes the directory of the importing file's name, and
+	// a package's own files are parsed under their base names: resolve
+	// that "." against the package directory, or GOROOT's vendor tree
+	// and the module's dependencies are never searched.
+	if !filepath.IsAbs(srcDir) && li.dir != "" {
+		srcDir = filepath.Join(li.dir, srcDir)
+	}
 	if p := li.resolve(path, srcDir); p != nil {
 		li.memo[path] = p
 		return p, nil
@@ -365,38 +431,43 @@ func (li *lenientImporter) resolve(path, srcDir string) *types.Package {
 		dir := filepath.Join(li.modRoot, filepath.FromSlash(sub))
 		return li.checkDir(path, dir)
 	}
-	if li.std == nil {
+	bp, err := li.ctx.Import(path, srcDir, build.FindOnly)
+	if err != nil {
 		return nil
 	}
-	p, err := li.std.ImportFrom(path, srcDir, 0)
-	if err != nil || p == nil {
+	if bp.Goroot {
+		return importStd(path, srcDir, bp.ImportPath)
+	}
+	// Vendored or from the module cache: checked here, so it sees the
+	// same shared stdlib packages as the code that imports it.
+	if bp, err = li.ctx.ImportDir(bp.Dir, 0); err != nil {
 		return nil
 	}
-	return p
+	return li.check(path, bp.Dir, bp.GoFiles)
 }
 
 // checkDir type-checks a module-local dependency just enough to hand
 // back its exported type information.
 func (li *lenientImporter) checkDir(path, dir string) *types.Package {
-	ents, err := os.ReadDir(dir)
+	names, err := sourceNames(dir)
 	if err != nil {
 		return nil
 	}
+	return li.check(path, dir, names)
+}
+
+// check type-checks an imported package from the named files of dir,
+// skipping function bodies and dropping diagnostics: only its
+// exported API is needed.
+func (li *lenientImporter) check(path, dir string, names []string) *types.Package {
 	var asts []*ast.File
-	names := []string{}
-	for _, e := range ents {
-		if e.IsDir() || !isSourceName(e.Name()) {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
 	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(dir, name))
+		full := filepath.Join(dir, name)
+		b, err := os.ReadFile(full)
 		if err != nil {
 			continue
 		}
-		af, err := parser.ParseFile(li.fset, filepath.Join(dir, name), string(b), parser.SkipObjectResolution)
+		af, err := parser.ParseFile(li.fset, full, b, parser.SkipObjectResolution)
 		if err != nil {
 			continue
 		}
@@ -405,7 +476,7 @@ func (li *lenientImporter) checkDir(path, dir string) *types.Package {
 	if len(asts) == 0 {
 		return nil
 	}
-	conf := types.Config{Importer: li, FakeImportC: true, Error: func(error) {}}
+	conf := types.Config{Importer: li, FakeImportC: true, IgnoreFuncBodies: true, Error: func(error) {}}
 	pkg, _ := conf.Check(path, li.fset, asts, nil)
 	if pkg == nil {
 		return nil

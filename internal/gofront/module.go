@@ -212,8 +212,8 @@ func dirOfImport(modRoot, modPath, impPath string) string {
 // directory has no sources — the lenient importer will degrade
 // references to it instead.
 func readModUnit(modRoot, modPath, impPath, dir string) (*modUnit, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
+	names, err := sourceNames(dir)
+	if err != nil || len(names) == 0 {
 		return nil, nil
 	}
 	u := &modUnit{impPath: impPath, dir: dir}
@@ -222,20 +222,13 @@ func readModUnit(modRoot, modPath, impPath, dir string) (*modUnit, error) {
 	} else {
 		u.label = strings.TrimPrefix(impPath, modPath+"/")
 	}
-	for _, e := range ents {
-		if e.IsDir() || !isSourceName(e.Name()) {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("gofront: %w", err)
 		}
-		u.files = append(u.files, sourceFile{name: e.Name(), src: string(b)})
+		u.files = append(u.files, sourceFile{name: name, src: string(b)})
 	}
-	if len(u.files) == 0 {
-		return nil, nil
-	}
-	sort.Slice(u.files, func(i, j int) bool { return u.files[i].name < u.files[j].name })
 	seen := map[string]bool{}
 	for _, f := range u.files {
 		for _, ip := range scanImports(f) {

@@ -52,12 +52,12 @@ func writeBenchIndex(records []indexBenchRecord) error {
 // expE19 measures what watch-mode persistence buys: the first query a
 // freshly started daemon answers. A cold daemon pays a full analysis;
 // a daemon restored from a checkpoint answers from the persisted store
-// and pays only HTTP plus response encoding. The experiment populates
-// a server over N generated programs, checkpoints it through the real
-// on-disk store (write-temp + fsync + rename), restores a second
-// server from disk, and compares client-observed first-query latency
-// per source — plus the save and load+import throughput that bounds
-// how often a daemon can afford to checkpoint.
+// and pays only HTTP plus writing the bytes its import rendered. The
+// experiment populates a server over N generated programs, checkpoints
+// it through the real on-disk store (write-temp + fsync + rename),
+// restores a second server from disk, and compares client-observed
+// first-query latency per source — plus the save and load+import
+// throughput that bounds how often a daemon can afford to checkpoint.
 func expE19(quick bool) {
 	sizes := []struct{ sources, procs int }{{16, 16}, {32, 32}}
 	if quick {

@@ -9,6 +9,7 @@ import (
 	"sideeffect/internal/batch"
 	"sideeffect/internal/cache"
 	"sideeffect/internal/lint"
+	"sideeffect/internal/prof"
 )
 
 // lintRequest is the /lint body. Source is required; the remaining
@@ -49,6 +50,12 @@ type lintResponse struct {
 	Rendered    string           `json:"rendered,omitempty"`
 }
 
+// isDefault reports whether the request asks for the default
+// configuration in the default format, the form each entry stores.
+func (req *lintRequest) isDefault() bool {
+	return len(req.Rules) == 0 && len(req.Disable) == 0 && req.MinSeverity == "" && req.Format == ""
+}
+
 // lintConfig translates the request's selection fields.
 func (req *lintRequest) lintConfig() (lint.Config, *apiError) {
 	cfg := lint.Config{Enable: req.Rules, Disable: req.Disable}
@@ -67,39 +74,32 @@ func (req *lintRequest) lintConfig() (lint.Config, *apiError) {
 	return cfg, nil
 }
 
-// lintReport produces a configured lint report from either backing:
-// live entries run the engine over the analysis; snapshot-backed
-// entries filter the persisted full-rules run down to the requested
-// configuration (byte-identical to a fresh run — see lint.Filter),
-// so a warm /lint never recomputes anything.
-func (e *cached) lintReport(ctx context.Context, cfg lint.Config) (*lint.Report, error) {
-	if e.a != nil {
-		return e.a.LintContext(ctx, cfg)
-	}
-	return e.snap.Lint.Filter(cfg)
-}
-
-// buildLintResponse runs the engine over a completed analysis and
-// assembles the wire form, recording per-rule finding counts in the
-// metrics. file names the artifact in rendered output. A panic in a
-// lint rule comes back as a structured internal error, never across
-// the HTTP boundary.
+// buildLintResponse runs the engine over a session's analysis and
+// assembles the wire form, recording the run in the metrics. file
+// names the artifact in rendered output. A panic in a lint rule comes
+// back as a structured internal error, never across the HTTP boundary.
 func (s *Server) buildLintResponse(ctx context.Context, a *sideeffect.Analysis, file string, cfg lint.Config, format string) (*lintResponse, *apiError) {
 	rep, err := a.LintContext(ctx, cfg)
 	if err != nil {
-		var pe *batch.PanicError
-		if errors.As(err, &pe) || ctx.Err() != nil {
-			return nil, errFrom(err)
-		}
-		return nil, errBadRequest("%v", err)
+		return nil, lintError(ctx, err)
 	}
-	return s.renderLintResponse(rep, file, format)
+	s.met.lintRun(rep.Counts)
+	return renderLintResponse(rep, file, format)
 }
 
-// renderLintResponse assembles the wire form from a completed report,
-// recording per-rule finding counts in the metrics.
-func (s *Server) renderLintResponse(rep *lint.Report, file string, format string) (*lintResponse, *apiError) {
-	s.met.lintFindings(rep.Counts)
+// lintError classifies a failed engine run: cancellation and captured
+// panics through errFrom, anything else (a configuration the engine
+// rejects) as the request's fault.
+func lintError(ctx context.Context, err error) *apiError {
+	var pe *batch.PanicError
+	if errors.As(err, &pe) || ctx.Err() != nil {
+		return errFrom(err)
+	}
+	return errBadRequest("%v", err)
+}
+
+// renderLintResponse assembles the wire form from a completed report.
+func renderLintResponse(rep *lint.Report, file string, format string) (*lintResponse, *apiError) {
 	resp := &lintResponse{
 		Findings:    len(rep.Diags),
 		Counts:      rep.Counts,
@@ -126,10 +126,35 @@ func (s *Server) renderLintResponse(rep *lint.Report, file string, format string
 	return resp, nil
 }
 
+// entryLint returns a cache entry's full-rules lint forms. The first
+// /lint for a live entry runs the engine once, with every rule at its
+// default severity; concurrent first requests wait for that one run,
+// and a run that fails (a cancelled request, a captured panic) is not
+// kept, so the next request runs it again. Snapshot entries are built
+// with their forms and never reach the engine. The run times itself
+// into a throwaway profile: the shared analysis is never written.
+func (s *Server) entryLint(ctx context.Context, e *cached) (*lintForms, *apiError) {
+	lf, err := e.lint.get(ctx, func() (*lintForms, error) {
+		rep, err := e.a.LintContext(ctx, lint.Config{Prof: prof.New()})
+		if err != nil {
+			return nil, err
+		}
+		s.met.lintRun(rep.Counts)
+		return newLintForms(rep)
+	})
+	if err != nil {
+		return nil, lintError(ctx, err)
+	}
+	return lf, nil
+}
+
 // handleLint is POST /lint: one-shot diagnostics over a source text.
 // The analysis is resolved through the content-addressed cache exactly
-// like /analyze (the engine itself is cheap next to the pipeline), so
-// linting a program the server has already analyzed costs no recompute.
+// like /analyze, and every configuration is derived from the entry's
+// one full-rules run with lint.Report.Filter (byte-identical to a fresh
+// run of that configuration), so linting a program the server has
+// already linted runs nothing; the default configuration is written
+// from the entry's stored body.
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) (int, any, *apiError) {
 	var req lintRequest
 	if apiErr := s.decodeJSON(r, &req); apiErr != nil {
@@ -152,24 +177,28 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) (int, any, *
 	if entry.snap != nil {
 		s.met.warmHit()
 	}
+	lf, apiErr := s.entryLint(r.Context(), entry)
+	if apiErr != nil {
+		return 0, nil, apiErr
+	}
+	hit := outcome == cache.Hit
+	if req.isDefault() {
+		return http.StatusOK, storedBody{head: lintHead(key, hit), tail: lf.body}, nil
+	}
+	rep, err := lf.rep.Filter(cfg)
+	if err != nil {
+		return 0, nil, errBadRequest("%v", err)
+	}
 	file := "source.mpl"
 	if req.Lang == "go" {
 		file = "source.go"
 	}
-	rep, err := entry.lintReport(r.Context(), cfg)
-	if err != nil {
-		var pe *batch.PanicError
-		if errors.As(err, &pe) || r.Context().Err() != nil {
-			return 0, nil, errFrom(err)
-		}
-		return 0, nil, errBadRequest("%v", err)
-	}
-	resp, apiErr := s.renderLintResponse(rep, file, req.Format)
+	resp, apiErr := renderLintResponse(rep, file, req.Format)
 	if apiErr != nil {
 		return 0, nil, apiErr
 	}
 	resp.Hash = key
-	resp.Cached = outcome == cache.Hit
+	resp.Cached = hit
 	return http.StatusOK, resp, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -146,5 +147,39 @@ func TestSessionLintAndMetrics(t *testing.T) {
 		if !strings.Contains(text, needle) {
 			t.Errorf("metrics missing %q", needle)
 		}
+	}
+}
+
+// TestLintRunsCountEngineRuns pins modand_lint_runs_total to engine
+// runs: two identical /lint requests and a filtered third run the
+// engine once, and a restored entry answers /lint without running it.
+func TestLintRunsCountEngineRuns(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	rawPost(t, ts.URL+"/lint", lintRequest{Source: lintSrc})
+	rawPost(t, ts.URL+"/lint", lintRequest{Source: lintSrc})
+	if n := metricValue(t, ts.URL, "modand_lint_runs_total"); n != 1 {
+		t.Errorf("after two identical /lint: modand_lint_runs_total = %v, want 1", n)
+	}
+	if n := metricValue(t, ts.URL, `modand_lint_findings_total{rule="SE004"}`); n != 1 {
+		t.Errorf("after two identical /lint: SE004 findings = %v, want 1 (one run)", n)
+	}
+	rawPost(t, ts.URL+"/lint", lintRequest{Source: lintSrc, Rules: []string{"SE004"}, Format: "sarif"})
+	if n := metricValue(t, ts.URL, "modand_lint_runs_total"); n != 1 {
+		t.Errorf("after a filtered /lint: modand_lint_runs_total = %v, want 1", n)
+	}
+
+	warm := New(Config{})
+	if n, _ := warm.ImportCheckpoint(roundTripCheckpoint(t, srv)); n != 1 {
+		t.Fatalf("restored %d entries, want 1", n)
+	}
+	tsWarm := httptest.NewServer(warm.Handler())
+	defer tsWarm.Close()
+	if code, body := rawPost(t, tsWarm.URL+"/lint", lintRequest{Source: lintSrc}); code != http.StatusOK {
+		t.Fatalf("restored /lint: status %d: %s", code, body)
+	}
+	if n := metricValue(t, tsWarm.URL, "modand_lint_runs_total"); n != 0 {
+		t.Errorf("restored /lint: modand_lint_runs_total = %v, want 0", n)
 	}
 }

@@ -75,8 +75,8 @@ type metrics struct {
 	mu       sync.Mutex
 	requests map[string]int64 // key: endpoint + "\x00" + status
 	edits    map[string]int64 // key: "incremental" or "full"
-	lintRuns int64            // lint engine executions (any endpoint)
-	lintHits map[string]int64 // findings per rule ID
+	lintRuns int64            // lint engine runs (cached entries' first /lint, session lint)
+	lintHits map[string]int64 // findings per rule ID, summed over those runs
 	latency  *histogram
 	// stageSecs accumulates profiled pipeline wall time per stage
 	// name, across every cache-miss analysis.
@@ -188,10 +188,10 @@ func (m *metrics) edit(mode string) {
 	m.mu.Unlock()
 }
 
-// lintFindings accumulates one engine run's per-rule finding counts.
-// Zero counts still register the rule so the exposition lists every
-// selected rule from the first run onward.
-func (m *metrics) lintFindings(counts map[string]int) {
+// lintRun records one diagnostics engine run and accumulates its
+// per-rule finding counts. Zero counts still register the rule so the
+// exposition lists every selected rule from the first run onward.
+func (m *metrics) lintRun(counts map[string]int) {
 	m.mu.Lock()
 	m.lintRuns++
 	for rule, n := range counts {
@@ -269,10 +269,10 @@ func (m *metrics) render(cs cache.Stats, sessionsOpen int, rs robustnessStats) s
 		fmt.Fprintf(&b, "modand_session_edits_total{mode=%q} %d\n", mode, m.edits[mode])
 	}
 
-	b.WriteString("# HELP modand_lint_runs_total Diagnostics engine executions across /lint and session lint.\n")
+	b.WriteString("# HELP modand_lint_runs_total Diagnostics engine runs: one full-rules run per cached entry on its first /lint, one per session lint. Responses derived from an earlier run count nothing.\n")
 	b.WriteString("# TYPE modand_lint_runs_total counter\n")
 	fmt.Fprintf(&b, "modand_lint_runs_total %d\n", m.lintRuns)
-	b.WriteString("# HELP modand_lint_findings_total Lint findings by rule ID.\n")
+	b.WriteString("# HELP modand_lint_findings_total Lint findings by rule ID, summed over the engine runs modand_lint_runs_total counts (not over responses).\n")
 	b.WriteString("# TYPE modand_lint_findings_total counter\n")
 	rules := make([]string, 0, len(m.lintHits))
 	for rule := range m.lintHits {

@@ -28,12 +28,12 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +43,6 @@ import (
 	"sideeffect/internal/faultinject"
 	"sideeffect/internal/gofront"
 	"sideeffect/internal/report"
-	"sideeffect/internal/store"
 )
 
 // Config tunes the server. The zero value gets sensible production
@@ -110,84 +109,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// cached is one memoized analysis with lazily rendered report forms.
-// The Analysis inside is shared by every request for the same source
-// hash and must be treated as immutable (sessions, which mutate their
-// analyses, never go through the cache).
-//
-// An entry has one of two backings: a live Analysis (a is non-nil —
-// the normal computed case), or a restored snapshot (snap is non-nil —
-// the entry was loaded from a persisted checkpoint and serves purely
-// rendered data, with no analysis behind it). Both answer every
-// /analyze, /lint, and query request byte-identically; the snapshot
-// backing is what makes a warm restart possible.
-type cached struct {
-	a *sideeffect.Analysis
-	// snap backs restored entries; json is pre-decoded from it at
-	// install time (see newCachedSnap).
-	snap *store.EntrySnapshot
-	// lang is "minipl" or "go", tracked so the checkpoint exporter can
-	// round-trip the entry's namespace.
-	lang string
-	// sum is the integrity fingerprint taken when the entry was built;
-	// the cache's validation hook recomputes it on every hit and evicts
-	// entries whose stored analysis no longer matches, so a corrupted
-	// entry costs a recompute instead of serving a wrong answer.
-	sum      uint64
-	jsonOnce sync.Once
-	json     *report.JSONReport
-	textOnce sync.Once
-	text     string
-	// Go-frontend entries carry the per-function lowering-confidence
-	// notes and the rendered confidence table appended to text reports.
-	notes []gofront.Note
-	conf  string
-}
-
-// fingerprint folds the analysis's summary-set cardinalities into one
-// word. It is deliberately cheap — O(procedures) — because it runs on
-// every cache hit: enough to catch a flipped or truncated bit vector,
-// not a cryptographic commitment.
-func fingerprint(a *sideeffect.Analysis) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(x uint64) { h ^= x; h *= 1099511628211 }
-	for _, p := range a.Prog.Procs {
-		mix(uint64(a.Mod.GMOD[p.ID].Len()))
-		mix(uint64(a.Use.GMOD[p.ID].Len()))
-	}
-	mix(uint64(len(a.ModSets)))
-	mix(uint64(len(a.UseSets)))
-	return h
-}
-
-// newCached wraps a freshly computed analysis.
-func newCached(a *sideeffect.Analysis) *cached {
-	return &cached{a: a, lang: "minipl", sum: fingerprint(a)}
-}
-
-// newCachedGo wraps a Go-package analysis, keeping the frontend's
-// confidence notes alongside the analysis.
-func newCachedGo(r sideeffect.GoResult) *cached {
-	e := newCached(r.Analysis)
-	e.lang = "go"
-	e.notes = r.Pkg.Notes
-	e.conf = r.Pkg.ConfidenceReport()
-	return e
-}
-
-// newCachedSnap wraps a restored (or indexer-rendered) snapshot as a
-// cache entry, decoding its JSON report once up front.
-func newCachedSnap(snap *store.EntrySnapshot) (*cached, error) {
-	jr := new(report.JSONReport)
-	if err := json.Unmarshal(snap.JSON, jr); err != nil {
-		return nil, fmt.Errorf("snapshot entry %s: %w", snap.Key, err)
-	}
-	if snap.Lint == nil {
-		return nil, fmt.Errorf("snapshot entry %s: missing lint report", snap.Key)
-	}
-	return &cached{snap: snap, lang: snap.Lang, json: jr, notes: snap.Notes, conf: snap.Conf, sum: snap.Fingerprint()}, nil
-}
-
 // admission is the load-shedding gate in front of every
 // analysis-bearing endpoint: at most maxInFlight requests compute at
 // once, at most maxQueue more wait for a slot, and the rest are shed
@@ -247,100 +168,6 @@ func (ad *admission) inFlight() int {
 	return len(ad.sem)
 }
 
-func (e *cached) jsonReport() *report.JSONReport {
-	e.jsonOnce.Do(func() {
-		if e.json == nil {
-			e.json = report.BuildJSON(e.a.Mod, e.a.Use, e.a.Aliases, e.a.SecMod)
-		}
-	})
-	return e.json
-}
-
-func (e *cached) textReport() string {
-	e.textOnce.Do(func() {
-		if e.snap != nil {
-			e.text = e.snap.Text
-		} else {
-			e.text = e.a.Report()
-		}
-		if e.conf != "" {
-			e.text += "\n" + e.conf
-		}
-	})
-	return e.text
-}
-
-// findProc locates a procedure's summary in the decoded JSON report
-// (snapshot-backed entries only). The error text matches the live
-// path's, so warm and cold answers stay byte-identical down to error
-// bodies.
-func (e *cached) findProc(proc string) (*report.JSONProcedure, error) {
-	for i := range e.json.Procedures {
-		if e.json.Procedures[i].Name == proc {
-			return &e.json.Procedures[i], nil
-		}
-	}
-	return nil, fmt.Errorf("sideeffect: no procedure %q", proc)
-}
-
-// modNames answers the "gmod" query from either backing.
-func (e *cached) modNames(proc string) ([]string, error) {
-	if e.a != nil {
-		return e.a.MOD(proc)
-	}
-	p, err := e.findProc(proc)
-	if err != nil {
-		return nil, err
-	}
-	return p.GMOD, nil
-}
-
-// useNames answers the "guse" query from either backing.
-func (e *cached) useNames(proc string) ([]string, error) {
-	if e.a != nil {
-		return e.a.USE(proc)
-	}
-	p, err := e.findProc(proc)
-	if err != nil {
-		return nil, err
-	}
-	return p.GUSE, nil
-}
-
-// rmodNames answers the "rmod" query from either backing.
-func (e *cached) rmodNames(proc string) ([]string, error) {
-	if e.a != nil {
-		return e.a.RMOD(proc)
-	}
-	p, err := e.findProc(proc)
-	if err != nil {
-		return nil, err
-	}
-	return p.RMOD, nil
-}
-
-// callSites answers the "callsites" query from either backing. The
-// snapshot path reconstructs the wire shape from the decoded JSON
-// report, whose per-site MOD/USE/section strings were rendered by the
-// same code the live path renders with.
-func (e *cached) callSites() []sideeffect.CallSite {
-	if e.a != nil {
-		return e.a.CallSites()
-	}
-	out := make([]sideeffect.CallSite, 0, len(e.json.CallSites))
-	for _, cs := range e.json.CallSites {
-		out = append(out, sideeffect.CallSite{
-			Caller:   cs.Caller,
-			Callee:   cs.Callee,
-			Pos:      cs.Pos,
-			MOD:      cs.MOD,
-			USE:      cs.USE,
-			Sections: cs.Sections,
-		})
-	}
-	return out
-}
-
 // Server is the analysis service. Create with New, expose with
 // Handler.
 type Server struct {
@@ -370,18 +197,12 @@ func New(cfg Config) *Server {
 		sessions: newSessionStore(cfg.MaxSessions),
 		met:      newMetrics(),
 	}
-	// The validation hook guards every cache hit; the "cache.entry"
-	// fault point simulates corruption so chaos runs exercise the
-	// evict-and-recompute path. Snapshot-backed entries validate
-	// against their own content fold — same contract, no analysis.
+	// The validation hook guards every cache hit, covering the backing
+	// and every stored body a hit writes; the "cache.entry" fault point
+	// simulates corruption so chaos runs exercise the evict-and-recompute
+	// path.
 	s.cache.Validate = func(_ string, e *cached) bool {
-		if s.faults.Corrupt("cache.entry") {
-			return false
-		}
-		if e.a == nil {
-			return e.snap.Fingerprint() == e.sum
-		}
-		return fingerprint(e.a) == e.sum
+		return !s.faults.Corrupt("cache.entry") && e.intact()
 	}
 	s.mux = http.NewServeMux()
 	s.routeHeavy("POST /analyze", "/analyze", s.handleAnalyze)
@@ -571,27 +392,45 @@ func (s *Server) serve(ctx context.Context, label string, heavy bool, fn handler
 // assert determinism.
 func (s *Server) FaultCounts() map[string]uint64 { return s.faults.Counts() }
 
+// writeJSON writes v as the response: a storedBody as its bytes, with
+// no encoder, and anything else through the indenting encoder.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	if sb, ok := v.(storedBody); ok {
+		w.Header().Set("Content-Length", strconv.Itoa(len(sb.head)+len(sb.tail)))
+		w.WriteHeader(status)
+		_, _ = io.WriteString(w, sb.head)
+		_, _ = w.Write(sb.tail)
+		return
+	}
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
 
-// decodeJSON reads the request body into v, translating the
+// decodeJSON reads the request body, which must hold one JSON value and
+// nothing after it but whitespace, into v, translating the
 // MaxBytesReader overflow into the structured 413.
 func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return errTooLarge(tooLarge.Limit)
+	err := dec.Decode(v)
+	trailing := false
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return errBadRequest("invalid JSON body: %v", err)
+		trailing = true
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return errTooLarge(tooLarge.Limit)
+	}
+	if trailing {
+		return errBadRequest("invalid JSON body: data after the top-level value")
+	}
+	return errBadRequest("invalid JSON body: %v", err)
 }
 
 // analyzeCached resolves src through the cache under the request
@@ -623,7 +462,7 @@ func (s *Server) analyzeCached(ctx context.Context, src string) (*cached, string
 		s.met.observeAnalysis(time.Since(start).Seconds())
 		s.met.observeStages(a.Stages.Snapshot())
 		s.met.observeGMODWork(a.GMODWork())
-		return newCached(a), nil
+		return newCached(a, "minipl", nil, "")
 	})
 	if err != nil {
 		return nil, key, outcome, errFrom(err)
@@ -667,7 +506,7 @@ func (s *Server) analyzeCachedLang(ctx context.Context, lang, src string) (*cach
 		s.met.observeAnalysis(time.Since(start).Seconds())
 		s.met.observeStages(res.Analysis.Stages.Snapshot())
 		s.met.observeGMODWork(res.Analysis.GMODWork())
-		return newCachedGo(res), nil
+		return newCachedGo(res)
 	})
 	if err != nil {
 		return nil, key, outcome, errFrom(err)
@@ -695,7 +534,9 @@ type analyzeQuery struct {
 }
 
 // analyzeResponse is the /analyze answer. Exactly one of Report, Text,
-// Names, or CallSites is populated, depending on the query.
+// Names, or CallSites is populated, depending on the query. The
+// full-report form is served from the entry's stored body, which holds
+// the bytes the encoder writes for this struct.
 type analyzeResponse struct {
 	Hash      string                `json:"hash"`
 	Cached    bool                  `json:"cached"`
@@ -726,28 +567,34 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (int, any
 	if entry.snap != nil {
 		s.met.warmHit()
 	}
-	resp := analyzeResponse{Hash: key, Cached: outcome == cache.Hit, Notes: entry.notes}
+	hit := outcome == cache.Hit
 	if req.Query == nil || req.Query.Kind == "" {
-		resp.Report = entry.jsonReport()
-		return http.StatusOK, resp, nil
+		return http.StatusOK, storedBody{head: analyzeHead(key, hit), tail: entry.full}, nil
 	}
+	resp := analyzeResponse{Hash: key, Cached: hit, Notes: entry.notes}
 	q := req.Query
 	var err error
 	switch q.Kind {
 	case "report":
 		resp.Text = entry.textReport()
 	case "gmod":
-		resp.Names, err = entry.modNames(q.Proc)
+		resp.Names, err = entry.modNames(r.Context(), q.Proc)
 	case "guse":
-		resp.Names, err = entry.useNames(q.Proc)
+		resp.Names, err = entry.useNames(r.Context(), q.Proc)
 	case "rmod":
-		resp.Names, err = entry.rmodNames(q.Proc)
+		resp.Names, err = entry.rmodNames(r.Context(), q.Proc)
 	case "callsites":
-		resp.CallSites = entry.callSites()
+		resp.CallSites, err = entry.callSites(r.Context())
 	default:
 		return 0, nil, errBadRequest("unknown query kind %q (want gmod, guse, rmod, callsites, or report)", q.Kind)
 	}
-	if err != nil {
+	switch {
+	case err == nil:
+	case errors.As(err, &apiErr):
+		return 0, nil, apiErr
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return 0, nil, errTimeout()
+	default:
 		return 0, nil, errBadRequest("%v", err)
 	}
 	if resp.Names == nil {
@@ -761,12 +608,15 @@ type batchRequest struct {
 	Sources []string `json:"sources"`
 }
 
-// batchEntry is one source's outcome, in input order.
+// batchEntry is one source's outcome, in input order. Report is the
+// report object inside the entry's stored body; the encoder compacts
+// and re-indents it at this depth, which reproduces the bytes of
+// encoding the report itself.
 type batchEntry struct {
-	Hash   string             `json:"hash"`
-	Cached bool               `json:"cached"`
-	Report *report.JSONReport `json:"report,omitempty"`
-	Error  string             `json:"error,omitempty"`
+	Hash   string          `json:"hash"`
+	Cached bool            `json:"cached"`
+	Report json.RawMessage `json:"report,omitempty"`
+	Error  string          `json:"error,omitempty"`
 	// Degraded marks an entry served by the sequential fallback after
 	// its first attempt died with a captured panic.
 	Degraded bool `json:"degraded,omitempty"`
@@ -801,7 +651,7 @@ func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 		entries[i].Hash = key
 		if e, ok := s.cache.Get(key); ok {
 			entries[i].Cached = true
-			entries[i].Report = e.jsonReport()
+			entries[i].Report = e.report
 			if e.snap != nil {
 				s.met.warmHit()
 			}
@@ -819,20 +669,26 @@ func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 	results := sideeffect.AnalyzeAllContext(ctx, missSrcs, s.opts)
 	s.met.observeAnalysis(time.Since(start).Seconds())
 	fresh := make(map[string]*cached, len(results))
-	for j, res := range results {
+	for j := range results {
+		res := &results[j]
+		if res.Err != nil {
+			continue
+		}
+		e, err := newCached(res.Analysis, "minipl", nil, "")
+		if err != nil {
+			res.Err = err
+			continue
+		}
 		key := cache.Key(missSrcs[j])
-		if res.Err == nil {
-			e := newCached(res.Analysis)
-			fresh[key] = e
-			s.cache.Put(key, e)
-			s.met.observeGMODWork(res.Analysis.GMODWork())
-			if res.Degraded {
-				s.met.degradedRetry()
-			}
+		fresh[key] = e
+		s.cache.Put(key, e)
+		s.met.observeGMODWork(res.Analysis.GMODWork())
+		if res.Degraded {
+			s.met.degradedRetry()
 		}
 	}
 	for i := range sources {
-		if entries[i].Report != nil || entries[i].Error != "" {
+		if entries[i].Cached {
 			continue
 		}
 		key := entries[i].Hash
@@ -844,7 +700,7 @@ func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 		case results[j].Err != nil:
 			entries[i].Error = results[j].Err.Error()
 		default:
-			entries[i].Report = fresh[key].jsonReport()
+			entries[i].Report = fresh[key].report
 			entries[i].Degraded = results[j].Degraded
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -597,6 +598,59 @@ func TestHealthAndDebugEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestRequestTrailingDataRejected pins that a body holds one JSON value
+// and nothing after it but whitespace: trailing garbage or a second
+// value is a 400, and a body over the size limit is still a 413 when
+// the excess comes after a complete value.
+func TestRequestTrailingDataRejected(t *testing.T) {
+	const limit = 4096
+	ts := newTestServer(t, Config{MaxRequestBytes: limit})
+	src, err := json.Marshal(srvSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct {
+		path, value string
+		ok          int
+	}{
+		{"/analyze", `{"source": ` + string(src) + `}`, http.StatusOK},
+		{"/lint", `{"source": ` + string(src) + `}`, http.StatusOK},
+		{"/batch", `{"sources": [` + string(src) + `]}`, http.StatusOK},
+		{"/session", `{"source": ` + string(src) + `}`, http.StatusCreated},
+	} {
+		for _, tc := range []struct {
+			name, body string
+			code       int
+			errCode    string
+		}{
+			{"value", ep.value, ep.ok, ""},
+			{"trailing whitespace", ep.value + " \n\t\r\n", ep.ok, ""},
+			{"trailing garbage", ep.value + " trailing garbage", http.StatusBadRequest, "bad_request"},
+			{"second value", ep.value + `{"source": "x"}`, http.StatusBadRequest, "bad_request"},
+			{"second scalar", ep.value + " 1", http.StatusBadRequest, "bad_request"},
+			{"oversized after the value", ep.value + strings.Repeat(" ", limit), http.StatusRequestEntityTooLarge, "too_large"},
+		} {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				t.Errorf("%s %s: status %d, want %d: %.200s", ep.path, tc.name, resp.StatusCode, tc.code, data)
+				continue
+			}
+			if tc.errCode == "" {
+				continue
+			}
+			if err := json.Unmarshal(data, &eb); err != nil || eb.Error.Code != tc.errCode {
+				t.Errorf("%s %s: error code %q (decode err %v), want %q", ep.path, tc.name, eb.Error.Code, err, tc.errCode)
+			}
 		}
 	}
 }

@@ -27,9 +27,9 @@ type EntrySnapshot struct {
 	// Lang is "minipl" or "go".
 	Lang string
 	// JSON is the marshaled report.JSONReport. It is persisted as
-	// JSON bytes (not as the struct) so the decode→re-marshal round
-	// trip on the warm path preserves nil-vs-empty slice distinctions
-	// byte for byte.
+	// JSON bytes (not as the struct): the serving layer indents them
+	// into its full-report body without decoding, which preserves
+	// nil-vs-empty slice distinctions byte for byte.
 	JSON []byte
 	// Text is the rendered text report (Analysis.Report, without the
 	// confidence table — the serving layer appends Conf like it does

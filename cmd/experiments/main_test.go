@@ -65,16 +65,6 @@ func TestE15LintOverhead(t *testing.T) {
 	}
 }
 
-func TestE16AllocAblation(t *testing.T) {
-	t.Chdir(t.TempDir()) // expE16 writes BENCH_core.json to the cwd
-	out := capture(t, func() { expE16(true) })
-	for _, want := range []string{"core N=", "heap", "arena", "speedup", "BENCH_core.json"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E16 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestHelpers(t *testing.T) {
 	if f2(1.5) != "1.50" {
 		t.Errorf("f2 = %q", f2(1.5))
@@ -99,7 +89,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 	want := map[string]bool{
 		"E1": true, "E2": true, "E3": true, "E4": true, "E5": true,
 		"E6": true, "E7": true, "E8": true, "E9": true, "E10": true,
-		"E13": true, "E14": true, "E15": true, "E16": true,
+		"E13": true, "E14": true, "E15": true,
 	}
 	for _, e := range experiments {
 		delete(want, e.id)

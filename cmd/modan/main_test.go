@@ -243,3 +243,15 @@ func TestFaultsFlagZeroIsIdentity(t *testing.T) {
 		t.Fatalf("-faults 0 changed the report:\n%s\nvs\n%s", out, base)
 	}
 }
+
+// TestGoProfilePrintsStages: -profile on a Go package prints the stage
+// table, as it does for MiniPL inputs.
+func TestGoProfilePrintsStages(t *testing.T) {
+	code, out, errOut := runCmd(t, []string{"-lang=go", "-profile", "../../internal/arena"}, "")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	if !strings.Contains("\n"+out, "\ntotal ") {
+		t.Errorf("no stage table total row:\n%s", out)
+	}
+}

@@ -13,53 +13,49 @@ import (
 )
 
 // TestCondensedPerNodeIdentical is the differential gate of the
-// SCC-condensed solver: over the full differential corpus, on the arena
-// and on the heap allocator, sequentially and with a 4-worker schedule, the
-// condensed storage layer and the per-node Figure-2 search must render
-// byte-identical reports and bit-identical per-call-site sets.
+// SCC-condensed solver: over the full differential corpus, sequentially
+// and with a 4-worker schedule, the condensed storage layer and the
+// per-node Figure-2 search must render byte-identical reports and
+// bit-identical per-call-site sets.
 func TestCondensedPerNodeIdentical(t *testing.T) {
 	schedules := []Options{{Workers: 1}, {Workers: 4}}
 	for _, cfg := range differentialConfigs() {
 		src := workload.Emit(workload.Random(cfg))
-		for _, heap := range []bool{false, true} {
-			for _, sched := range schedules {
-				tag := fmt.Sprintf("size=%d seed=%d depth=%d heap=%v workers=%d",
-					cfg.Procs, cfg.Seed, cfg.MaxDepth, heap, sched.Workers)
-				con := sched
-				con.heap = heap
-				base := con
-				base.DisableCondensation = true
-				ca, err := AnalyzeWith(src, con)
-				if err != nil {
-					t.Fatalf("%s: condensed: %v", tag, err)
+		for _, sched := range schedules {
+			tag := fmt.Sprintf("size=%d seed=%d depth=%d workers=%d",
+				cfg.Procs, cfg.Seed, cfg.MaxDepth, sched.Workers)
+			base := sched
+			base.DisableCondensation = true
+			ca, err := AnalyzeWith(src, sched)
+			if err != nil {
+				t.Fatalf("%s: condensed: %v", tag, err)
+			}
+			ba, err := AnalyzeWith(src, base)
+			if err != nil {
+				t.Fatalf("%s: baseline: %v", tag, err)
+			}
+			if c, b := ca.Report(), ba.Report(); c != b {
+				t.Fatalf("%s: reports differ:\n--- condensed\n%s\n--- per-node\n%s", tag, c, b)
+			}
+			cj, err := report.JSON(ca.Mod, ca.Use, ca.Aliases, ca.SecMod)
+			if err != nil {
+				t.Fatalf("%s: json: %v", tag, err)
+			}
+			bj, err := report.JSON(ba.Mod, ba.Use, ba.Aliases, ba.SecMod)
+			if err != nil {
+				t.Fatalf("%s: json: %v", tag, err)
+			}
+			if cj != bj {
+				t.Fatalf("%s: JSON reports differ", tag)
+			}
+			for _, p := range ca.Prog.Procs {
+				if !ca.Mod.GMOD[p.ID].Equal(ba.Mod.GMOD[p.ID]) || !ca.Use.GMOD[p.ID].Equal(ba.Use.GMOD[p.ID]) {
+					t.Fatalf("%s: GMOD/GUSE(%s) differ between solvers", tag, p.Name)
 				}
-				ba, err := AnalyzeWith(src, base)
-				if err != nil {
-					t.Fatalf("%s: baseline: %v", tag, err)
-				}
-				if c, b := ca.Report(), ba.Report(); c != b {
-					t.Fatalf("%s: reports differ:\n--- condensed\n%s\n--- per-node\n%s", tag, c, b)
-				}
-				cj, err := report.JSON(ca.Mod, ca.Use, ca.Aliases, ca.SecMod)
-				if err != nil {
-					t.Fatalf("%s: json: %v", tag, err)
-				}
-				bj, err := report.JSON(ba.Mod, ba.Use, ba.Aliases, ba.SecMod)
-				if err != nil {
-					t.Fatalf("%s: json: %v", tag, err)
-				}
-				if cj != bj {
-					t.Fatalf("%s: JSON reports differ", tag)
-				}
-				for _, p := range ca.Prog.Procs {
-					if !ca.Mod.GMOD[p.ID].Equal(ba.Mod.GMOD[p.ID]) || !ca.Use.GMOD[p.ID].Equal(ba.Use.GMOD[p.ID]) {
-						t.Fatalf("%s: GMOD/GUSE(%s) differ between solvers", tag, p.Name)
-					}
-				}
-				for i := range ca.ModSets {
-					if !ca.ModSets[i].Equal(ba.ModSets[i]) || !ca.UseSets[i].Equal(ba.UseSets[i]) {
-						t.Fatalf("%s: call site %d sets differ between solvers", tag, i)
-					}
+			}
+			for i := range ca.ModSets {
+				if !ca.ModSets[i].Equal(ba.ModSets[i]) || !ca.UseSets[i].Equal(ba.UseSets[i]) {
+					t.Fatalf("%s: call site %d sets differ between solvers", tag, i)
 				}
 			}
 		}

@@ -33,6 +33,14 @@ func (o Options) withoutFaults() Options {
 	return o
 }
 
+// sequential returns o on one worker: the per-program options of the
+// batch entry points, whose parallelism is across programs, and of the
+// panic retry.
+func (o Options) sequential() Options {
+	o.Workers = 1
+	return o
+}
+
 // repanic re-raises a panic that the pipeline captured as an error
 // wrapping *batch.PanicError, as batch.Run does; any other error is
 // returned unchanged.
@@ -106,7 +114,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	// the Structure is read-only) share the skeleton.
 	var st *core.Structure
 	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
-	co := core.Options{Heap: opts.heap, Prof: a.Stages, Structure: st, Faults: opts.Faults, DisableCondensation: opts.DisableCondensation}
+	co := core.Options{Prof: a.Stages, Structure: st, Faults: opts.Faults, DisableCondensation: opts.DisableCondensation}
 	var modErr, useErr error
 	err = batch.RunCtx(ctx, w, []func(){
 		func() { a.Mod, modErr = core.AnalyzeCtx(ctx, prog, core.Mod, co) },
@@ -148,20 +156,19 @@ func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 
 // AnalyzeContextRetry is AnalyzeContext with graceful degradation: an
 // analysis whose first attempt dies with a captured panic, while ctx is
-// still live, is retried once in degraded mode — one worker, heap
-// allocation, no arena and no pooled sets — so a worker-pool or
-// allocator bug degrades throughput instead of failing the request.
-// degraded reports that the returned Analysis came from the retry. When
-// both attempts fail, err joins their errors.
+// still live, is retried once in degraded mode — the caller's options
+// on one worker — so a worker-pool bug degrades throughput instead of
+// failing the request. The retry carves its rows from a fresh arena, so
+// it shares no storage with the attempt that failed. degraded reports
+// that the returned Analysis came from the retry. When both attempts
+// fail, err joins their errors.
 func AnalyzeContextRetry(ctx context.Context, src string, opts Options) (a *Analysis, degraded bool, err error) {
 	a, err = AnalyzeContext(ctx, src, opts)
 	var pe *batch.PanicError
 	if err == nil || !errors.As(err, &pe) || (ctx != nil && ctx.Err() != nil) {
 		return a, false, err
 	}
-	a, rerr := AnalyzeContext(ctx, src, Options{
-		Workers: 1, Profile: opts.Profile, Faults: opts.Faults, heap: true,
-	})
+	a, rerr := AnalyzeContext(ctx, src, opts.sequential())
 	if rerr != nil {
 		return nil, false, errors.Join(err, rerr)
 	}
@@ -178,7 +185,7 @@ func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []Batch
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inner := Options{Workers: 1, Faults: opts.Faults}
+	inner := opts.sequential()
 	out, err := batch.MapCtx(ctx, opts.workers(), srcs, func(_ int, src string) BatchResult {
 		a, degraded, aerr := AnalyzeContextRetry(ctx, src, inner)
 		return BatchResult{Analysis: a, Err: aerr, Degraded: degraded}

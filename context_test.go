@@ -159,11 +159,6 @@ func TestAnalyzeAllContextDegradedRetry(t *testing.T) {
 		default:
 			if r.Degraded {
 				degraded++
-				// The retry shares no storage with the attempt that
-				// failed: heap allocation, no arena.
-				if r.Analysis.Mod.Arena != nil || r.Analysis.Use.Arena != nil {
-					t.Fatalf("degraded result %d is arena-backed", i)
-				}
 			}
 			// Chaos invariant: a response that is not an error is
 			// byte-identical to the faultless answer.

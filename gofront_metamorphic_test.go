@@ -202,9 +202,8 @@ func TestGoFrontMetamorphic(t *testing.T) {
 
 // TestGoFrontDeterminism pins byte-identical full reports — analysis
 // plus confidence table, across every fixture package — for the
-// sequential schedule, a four-worker pool, and the heap allocator.
-// The Go path must be as schedule- and allocator-independent
-// as the MiniPL path.
+// sequential schedule and a four-worker pool. The Go path must be as
+// schedule-independent as the MiniPL path.
 func TestGoFrontDeterminism(t *testing.T) {
 	dirs := corpusDirs(t)
 	render := func(opts Options) string {
@@ -224,8 +223,6 @@ func TestGoFrontDeterminism(t *testing.T) {
 		opts Options
 	}{
 		{"parallel-j4", Options{Workers: 4}},
-		{"sequential-heap", Options{Workers: 1, heap: true}},
-		{"parallel-j4-heap", Options{Workers: 4, heap: true}},
 		{"sequential-again", Options{Workers: 1}},
 	}
 	for _, run := range runs {

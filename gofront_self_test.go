@@ -70,7 +70,7 @@ func TestGoFrontSelfAnalysis(t *testing.T) {
 		{bs, "Set.Add", "s", true},
 		{bs, "Set.Remove", "s", true},
 		{bs, "Set.Clear", "s", true},
-		{bs, "Set.Densify", "s", true},
+		{bs, "Set.CopyFrom", "s", true},
 		{bs, "Set.IsSparse", "s", false},
 		{ar, "Arena.Dense", "a", true},
 	}
@@ -167,14 +167,12 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 	}
 
 	// Determinism: the full report (summaries, sections, confidence
-	// table) is byte-identical under the sequential pipeline, a
-	// parallel schedule, and the heap allocator.
+	// table) is byte-identical under the sequential pipeline and a
+	// parallel schedule.
 	want := base.GoReport()
 	variants := []Options{
 		{Workers: 1},
 		{Workers: 4},
-		{heap: true},
-		{Workers: 1, heap: true},
 	}
 	for _, opts := range variants {
 		r, err := AnalyzeGoModule(".", patterns, opts)

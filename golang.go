@@ -18,9 +18,9 @@ type GoResult struct {
 // AnalyzeGoPackages loads real Go packages (patterns: "./..."-style
 // walks, directories, or single .go files), lowers each onto the ir
 // with the conservative Banning-compatible cut (see internal/gofront),
-// and analyzes them as a batch with the same worker-pool and
-// allocation options as MiniPL batches. Results are sorted by package
-// path and deterministic for a fixed file tree.
+// and analyzes them as a batch with the same options as MiniPL
+// batches. Results are sorted by package path and deterministic for a
+// fixed file tree.
 func AnalyzeGoPackages(patterns []string, opts Options) ([]GoResult, error) {
 	if opts.GoModule {
 		r, err := AnalyzeGoModule(moduleRootHint(patterns), patterns, opts)

@@ -201,16 +201,15 @@ func (a *Analysis) Factor(dmod []*bitset.Set) []*bitset.Set {
 	return a.FactorArena(dmod, nil)
 }
 
-// FactorArena is Factor with the output rows drawn from ar, so the
+// FactorArena is Factor with the output rows carved from ar, so the
 // factored sets share the lifetime of the Result whose arena backs
-// them (core.Result.Arena, unless the Result is heap-allocated). A nil
-// arena falls back to heap clones; the arena must not be used from
-// another goroutine while this runs.
+// them (core.Result.Arena). A nil arena means the heap; the arena must
+// not be used from another goroutine while this runs.
 func (a *Analysis) FactorArena(dmod []*bitset.Set, ar *arena.Arena) []*bitset.Set {
 	out := make([]*bitset.Set, len(dmod))
 	for _, cs := range a.Prog.Sites {
 		d := dmod[cs.ID]
-		m := ar.Clone(d)
+		m := ar.Row(a.Prog.NumVars(), d)
 		// Iterate the (typically tiny) alias adjacency, not the DMOD
 		// elements: per aliased variable one membership test replaces a
 		// map lookup per DMOD element. Membership is tested against the

@@ -1,15 +1,16 @@
 // Package arena provides a slab allocator for analysis-lifetime bit
-// vectors. One core.Analyze produces O(N + S) result sets (GMOD,
-// IMOD+, LOCAL, and per-site DMOD vectors); an Arena carves the word
-// storage for all of a Result's sets out of a handful of large slabs:
+// vectors and the one rule for how a result row is stored. One
+// core.Analyze produces O(N + S) result sets (GMOD, IMOD+, LOCAL, and
+// per-site DMOD vectors); an Arena carves the storage for all of a
+// Result's sets out of a handful of large slabs:
 //
 //   - allocation is a bump-pointer slice, not a malloc;
-//   - the word slabs are []uint64 — pointer-free memory the garbage
-//     collector never scans, which removes the result vectors from
-//     every GC mark phase;
+//   - the word and element slabs are pointer-free memory the garbage
+//     collector never scans, and the set headers share a few large
+//     slabs, so each GC cycle marks a handful of slabs per result
+//     instead of one object per set;
 //   - the whole analysis is freed as one object when the owning
-//     Result becomes unreachable, instead of as tens of thousands of
-//     individual sets.
+//     Result becomes unreachable.
 //
 // Each analysis carves from its own fresh Arena and nothing is
 // recycled: the collector frees the slabs with the Result, so no
@@ -18,6 +19,10 @@
 // bitset.Sets — if one grows past its block it falls back to the heap
 // transparently — so arena ownership never changes set semantics, only
 // where the initial words live.
+//
+// A nil *Arena is valid everywhere and means the heap: Dense, Sparse
+// and Row then allocate each set on its own, so callers thread an
+// optional arena without branching.
 package arena
 
 import "sideeffect/internal/bitset"
@@ -32,6 +37,12 @@ const (
 	maxHdrChunk    = 4096
 	elemChunkSets  = 64 // sparse element buffers per elems slab
 )
+
+// DenseRowBits is the universe size, in bits, up to which every result
+// row is dense at universe width: 32·SparseMax bits is the 128 bytes of
+// one sparse element block, so there a dense row costs no more memory
+// than a sparse one and keeps every union word-parallel.
+const DenseRowBits = 32 * bitset.SparseMax
 
 // Arena is a bump allocator for bitset storage. The zero value is
 // ready to use.
@@ -76,21 +87,26 @@ func (a *Arena) wordBlock(w int) []uint64 {
 }
 
 // Dense returns an empty dense set with capacity for elements in
-// [0, nbits), its words carved from the arena.
+// [0, nbits), its words carved from the arena (from the heap on a nil
+// receiver).
 func (a *Arena) Dense(nbits int) *bitset.Set {
-	if nbits < 0 {
-		nbits = 0
+	if a == nil {
+		return bitset.New(nbits)
 	}
-	w := (nbits + 63) / 64
+	w := (max(nbits, 0) + 63) / 64
 	s := a.hdr()
 	*s = bitset.MakeDense(a.wordBlock(w))
 	return s
 }
 
 // Sparse returns an empty sparse set whose element buffer (capacity
-// bitset.SparseMax) is carved from the arena. It promotes to a
-// heap-allocated dense vector if it outgrows the buffer.
+// bitset.SparseMax) is carved from the arena; on a nil receiver it is
+// bitset.NewSparse. It promotes to a heap-allocated dense vector if it
+// outgrows the buffer.
 func (a *Arena) Sparse() *bitset.Set {
+	if a == nil {
+		return bitset.NewSparse()
+	}
 	if len(a.elems) < bitset.SparseMax {
 		a.elems = make([]uint32, elemChunkSets*bitset.SparseMax)
 	}
@@ -101,25 +117,23 @@ func (a *Arena) Sparse() *bitset.Set {
 	return s
 }
 
-// Clone returns an arena-backed copy of t, preserving t's
-// representation. Clone(nil) returns an empty sparse set. A nil
-// receiver degrades to plain heap clones, so callers can thread an
-// optional arena without branching.
-func (a *Arena) Clone(t *bitset.Set) *bitset.Set {
-	if a == nil {
-		if t == nil {
-			return bitset.NewSparse()
-		}
-		return t.Clone()
+// Row returns a result row over a universe of nbits that holds a copy
+// of t (an empty row when t is nil). It is the one storage rule for
+// result rows:
+//
+//   - nbits ≤ DenseRowBits: dense at universe width, which costs no
+//     more than a sparse block;
+//   - otherwise t's representation: a sparse t (nil included) gets a
+//     sparse block, a dense t a dense row as wide as t. Small rows stay
+//     small and promote only if the solution grows past SparseMax.
+func (a *Arena) Row(nbits int, t *bitset.Set) *bitset.Set {
+	if nbits <= DenseRowBits {
+		s := a.Dense(nbits)
+		s.UnionWith(t)
+		return s
 	}
-	if t == nil {
-		return a.Sparse()
+	if t == nil || t.IsSparse() {
+		return a.Sparse().CopyFrom(t)
 	}
-	var s *bitset.Set
-	if t.IsSparse() && t.Len() <= bitset.SparseMax {
-		s = a.Sparse()
-	} else {
-		s = a.Dense(t.Words() * 64)
-	}
-	return s.CopyFrom(t)
+	return a.Dense(t.Words() * 64).CopyFrom(t)
 }

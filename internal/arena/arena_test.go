@@ -47,23 +47,55 @@ func TestSparseAndClone(t *testing.T) {
 	if sp.IsSparse() {
 		t.Fatal("arena sparse set did not promote past its buffer")
 	}
+	const wide = DenseRowBits + 1
 	orig := bitset.FromSlice([]int{1, 99, 700})
-	c := a.Clone(orig)
+	c := a.Row(wide, orig)
 	if !c.Equal(orig) {
-		t.Fatalf("Clone = %v, want %v", c, orig)
+		t.Fatalf("Row = %v, want %v", c, orig)
 	}
 	c.Add(4)
 	if orig.Has(4) {
-		t.Fatal("Clone aliases its source")
+		t.Fatal("Row aliases its source")
 	}
 	spOrig := bitset.NewSparse()
 	spOrig.Add(7)
-	c2 := a.Clone(spOrig)
+	c2 := a.Row(wide, spOrig)
 	if !c2.IsSparse() || !c2.Equal(spOrig) {
-		t.Fatal("Clone did not preserve sparse representation")
+		t.Fatal("Row did not preserve sparse representation")
 	}
-	if !a.Clone(nil).Empty() {
-		t.Fatal("Clone(nil) not empty")
+	if e := a.Row(wide, nil); !e.Empty() || !e.IsSparse() {
+		t.Fatal("Row(nil) not an empty sparse row")
+	}
+}
+
+// TestRowRule pins the storage rule on the arena and on the heap (a
+// nil arena): up to DenseRowBits every row is dense at universe width,
+// above it every row keeps its source's representation.
+func TestRowRule(t *testing.T) {
+	sparse := bitset.NewSparse()
+	sparse.Add(3)
+	dense := bitset.FromSlice([]int{3, 900})
+	for _, ar := range []*Arena{new(Arena), nil} {
+		for _, src := range []*bitset.Set{nil, sparse, dense} {
+			narrow := ar.Row(DenseRowBits, src)
+			if narrow.IsSparse() || narrow.Words() != DenseRowBits/64 {
+				t.Errorf("arena=%v src=%v: small-universe row sparse=%v words=%d, want dense at %d words",
+					ar != nil, src, narrow.IsSparse(), narrow.Words(), DenseRowBits/64)
+			}
+			wide := ar.Row(DenseRowBits+1, src)
+			if want := src == nil || src.IsSparse(); wide.IsSparse() != want {
+				t.Errorf("arena=%v src=%v: large-universe row sparse=%v, want %v", ar != nil, src, wide.IsSparse(), want)
+			}
+			if src != nil && (!narrow.Equal(src) || !wide.Equal(src)) {
+				t.Errorf("arena=%v: Row(%v) lost elements", ar != nil, src)
+			}
+		}
+		if d := ar.Dense(130); d.IsSparse() || d.Words() != 3 || !d.Empty() {
+			t.Errorf("arena=%v: Dense(130) = %v with %d words", ar != nil, d, d.Words())
+		}
+		if s := ar.Sparse(); !s.IsSparse() || !s.Empty() {
+			t.Errorf("arena=%v: Sparse() not an empty sparse set", ar != nil)
+		}
 	}
 }
 

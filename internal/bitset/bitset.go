@@ -32,11 +32,13 @@ import (
 const wordBits = 64
 
 // SparseMax is the element count beyond which a sparse set promotes to
-// the dense representation. 32 sorted uint32s are half a cache line of
+// the dense representation. 32 sorted uint32s are two cache lines of
 // payload — binary search plus insertion memmove at this size is
-// cheaper than touching a universe-sized word vector, and the arena
-// carves sparse element blocks of exactly this capacity so promotion
-// is the only way a sparse set can outgrow its block.
+// cheaper than touching a universe-sized word vector. internal/arena
+// carves sparse element blocks of exactly this capacity, so promotion
+// is the only way a sparse set can outgrow its block, and a block's
+// 32·SparseMax bits are the universe size up to which its result rows
+// are dense instead.
 const SparseMax = 32
 
 // Set is a hybrid bit-vector set. Trailing zero words are permitted in
@@ -73,18 +75,18 @@ func FromSlice(elems []int) *Set {
 }
 
 // MakeDense returns a dense Set value whose storage is the caller's
-// word slice. The caller promises the slice is zeroed (or holds the
-// intended initial contents) and not shared with another Set. This is
-// the arena hook: internal/arena carves word blocks out of a slab and
-// wraps them here without a per-set heap allocation.
+// word slice. The caller promises the slice is zeroed and not shared
+// with another Set. internal/arena wraps the word blocks it carves out
+// of a slab with it, so a carved set costs no heap allocation of its
+// own; the set moves to the heap if it grows past the slice.
 func MakeDense(words []uint64) Set {
 	return Set{words: words}
 }
 
 // MakeSparse returns an empty sparse Set value whose element buffer is
-// the caller's slice (capacity SparseMax, typically an arena block).
-// The set promotes to a heap-allocated dense vector if it outgrows the
-// buffer.
+// the caller's slice, not shared with another Set. internal/arena
+// passes blocks of capacity SparseMax, so only promotion — to a
+// heap-allocated dense vector — takes the set off its block.
 func MakeSparse(buf []uint32) Set {
 	return Set{elems: buf[:0], sparse: true}
 }
@@ -93,15 +95,11 @@ func MakeSparse(buf []uint32) Set {
 // representation. Exposed for tests and allocation accounting.
 func (s *Set) IsSparse() bool { return s.sparse }
 
-// Densify forces the dense representation in place. It is a no-op on
-// dense sets; the dense-only baseline of the E16 ablation uses it to
-// strip the hybrid discipline from a workload.
-func (s *Set) Densify() { s.promote() }
-
 // promote converts a sparse set to the dense representation in place.
-// Any retained dense capacity (e.g. on a recycled scratch set) is
-// cleared before the elements are re-inserted; the element buffer is
-// kept for a potential later CopyFrom of a sparse source.
+// Any retained dense capacity (left by a CopyFrom of a sparse source
+// into a set that was dense) is cleared before the elements are
+// re-inserted; the element buffer is kept for a potential later
+// CopyFrom of a sparse source.
 func (s *Set) promote() {
 	if !s.sparse {
 		return
@@ -250,6 +248,39 @@ func (s *Set) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
+}
+
+// CopyFrom makes s an exact copy of t — same elements, same
+// representation, capacity at least t's — reusing s's backing storage
+// when it is large enough, so one temporary can serve a whole loop. It
+// returns s. CopyFrom(nil) clears s.
+func (s *Set) CopyFrom(t *Set) *Set {
+	if t == nil {
+		s.Clear()
+		return s
+	}
+	if t == s {
+		return s
+	}
+	if t.sparse {
+		s.elems = append(s.elems[:0], t.elems...)
+		s.sparse = true
+		return s
+	}
+	if s.sparse {
+		s.sparse = false
+		s.elems = s.elems[:0]
+		// Stale dense words are fully overwritten by the copy and the
+		// zero-tail loop below.
+	}
+	if len(t.words) > len(s.words) {
+		s.grow(len(t.words)*wordBits - 1)
+	}
+	n := copy(s.words, t.words)
+	for i := n; i < len(s.words); i++ {
+		s.words[i] = 0
+	}
+	return s
 }
 
 // Clone returns an independent copy of the set in the same

@@ -37,10 +37,9 @@ type Result struct {
 	// the call statement, before alias factoring.
 	DMOD []*bitset.Set
 
-	// Arena backs the result's bit vectors (nil under Options.Heap). It
-	// lives and dies with the Result; downstream passes whose output
-	// shares the Result's lifetime (alias factoring) may draw from it
-	// too.
+	// Arena backs the result's bit vectors. It lives and dies with the
+	// Result; downstream passes whose output shares the Result's
+	// lifetime (alias factoring) draw from it too.
 	Arena *arena.Arena
 
 	// GMODStats holds the findgmod work counters, one entry per
@@ -56,12 +55,6 @@ type Options struct {
 	// procedures. Pruning re-indexes the program, so results refer to
 	// Result.Prog, not the input.
 	Prune bool
-	// Heap draws every set from the heap, each in its own
-	// representation, instead of from an arena, and pools no
-	// temporaries. The solution is identical. The public layer's panic
-	// retry sets it, so the retry shares no storage with the attempt
-	// that failed.
-	Heap bool
 	// Prof, when non-nil, accumulates per-stage wall time (and
 	// optionally allocation counters) under names like "mod.gmod".
 	Prof *prof.Profile
@@ -119,23 +112,23 @@ func AnalyzeCtx(ctx context.Context, prog *ir.Program, kind Kind, opts Options) 
 	}
 	r := &Result{
 		Prog: cr.Prog, Kind: kind, Facts: cr.Facts, Beta: cr.Beta, CG: cr.CG,
-		RMOD: cr.RMOD, IMODPlus: cr.IMODPlus, GMOD: gmod, Arena: pl.al.ar, GMODStats: cr.GMODStats,
+		RMOD: cr.RMOD, IMODPlus: cr.IMODPlus, GMOD: gmod, Arena: pl.ar, GMODStats: cr.GMODStats,
 	}
-	if !pl.step("dmod", func() { r.DMOD = computeDMOD(r.Prog, r.RMOD, r.GMOD, r.Facts, pl.al) }) {
+	if !pl.step("dmod", func() { r.DMOD = computeDMOD(r.Prog, r.RMOD, r.GMOD, r.Facts, pl.ar) }) {
 		return nil, pl.abort()
 	}
 	return r, nil
 }
 
 // pipeline is one run of the stage sequence shared by AnalyzeCtx and
-// AnalyzeCondensed. It owns the run's allocator.
+// AnalyzeCondensed.
 type pipeline struct {
 	ctx  context.Context // nil: not cancellable
 	kind Kind
 	opts Options
-	pfx  string // stage-name prefix, "mod." or "use."
-	al   setAlloc
-	err  error // the first failed step's error
+	pfx  string       // stage-name prefix, "mod." or "use."
+	ar   *arena.Arena // the rows' storage; nil: the heap
+	err  error        // the first failed step's error
 }
 
 func newPipeline(ctx context.Context, kind Kind, opts Options) *pipeline {
@@ -165,18 +158,17 @@ func (pl *pipeline) step(stage string, f func()) bool {
 //
 // GMOD is solved as per-level escape layers. With rows set (Analyze),
 // the gmod stage materializes every procedure's row from the layers and
-// returns the rows, and sets come from an arena unless Options.Heap;
+// returns the rows, and every result row is carved from a fresh arena;
 // without it (AnalyzeCondensed), the layers stay on the returned
-// CondensedResult and sets come from the heap. After a failed step
-// pl.err is set and the results are incomplete.
+// CondensedResult and rows come from the heap. Either way a row follows
+// arena.Row's storage rule. After a failed step pl.err is set and the
+// results are incomplete.
 func (pl *pipeline) solve(prog *ir.Program, rows bool) (*CondensedResult, []*bitset.Set) {
 	if pl.opts.Prune && !pl.step("prune", func() { prog = prog.Prune() }) {
 		return nil, nil
 	}
-	if rows && !pl.opts.Heap {
-		pl.al = arenaAlloc(prog.NumVars())
-	} else {
-		pl.al = heapAlloc(prog.NumVars())
+	if rows {
+		pl.ar = new(arena.Arena)
 	}
 	r := &CondensedResult{Prog: prog, Kind: pl.kind}
 	st := pl.opts.Structure
@@ -186,14 +178,14 @@ func (pl *pipeline) solve(prog *ir.Program, rows bool) (*CondensedResult, []*bit
 		pl.step("callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
 	}
 	r.Beta, r.CG = st.Beta, st.CG
-	pl.step("facts", func() { r.Facts = computeFacts(prog, pl.kind, pl.al) })
+	pl.step("facts", func() { r.Facts = computeFacts(prog, pl.kind, pl.ar) })
 	pl.step("rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.BetaSCC) })
-	pl.step("imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, pl.al) })
+	pl.step("imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, pl.ar) })
 	var gmod []*bitset.Set
 	pl.step("gmod", func() {
-		r.levels, r.GMODStats = solveLevels(st, r.Facts, r.IMODPlus, pl.al, pl.opts.DisableCondensation)
+		r.levels, r.GMODStats = solveLevels(st, r.Facts, r.IMODPlus, pl.opts.DisableCondensation)
 		if rows {
-			gmod, r.levels = gmodRows(r.levels, r.IMODPlus, pl.al), nil
+			gmod, r.levels = gmodRows(r.levels, r.IMODPlus, pl.ar, prog.NumVars()), nil
 		}
 	})
 	return r, gmod
@@ -216,14 +208,16 @@ func (pl *pipeline) abort() error {
 // under its own name (globals and variables of enclosing scopes) and
 // maps formals in RMOD(q) to the actual variables bound to them.
 func ComputeDMOD(prog *ir.Program, rmod *RMOD, gmod []*bitset.Set, facts *Facts) []*bitset.Set {
-	return computeDMOD(prog, rmod, gmod, facts, heapAlloc(prog.NumVars()))
+	return computeDMOD(prog, rmod, gmod, facts, nil)
 }
 
-// computeDMOD is ComputeDMOD with the per-site rows drawn from al.
-func computeDMOD(prog *ir.Program, rmod *RMOD, gmod []*bitset.Set, facts *Facts, al setAlloc) []*bitset.Set {
+// computeDMOD is ComputeDMOD with the per-site rows carved from ar (nil:
+// the heap). A DMOD row accumulates a whole callee's projection, so it
+// is dense at universe width from the start.
+func computeDMOD(prog *ir.Program, rmod *RMOD, gmod []*bitset.Set, facts *Facts, ar *arena.Arena) []*bitset.Set {
 	out := make([]*bitset.Set, prog.NumSites())
 	for _, cs := range prog.Sites {
-		d := al.resultDense()
+		d := ar.Dense(prog.NumVars())
 		q := cs.Callee
 		// b_e over non-locals: GMOD(q) ∖ LOCAL(q).
 		d.UnionDiffWith(gmod[q.ID], facts.Local[q.ID])

@@ -46,11 +46,12 @@ type CondensedResult struct {
 // the GMOD solution in condensed form; it is the giant-graph entry
 // point. Of the options, Prune, Prof, Structure, Faults, and
 // DisableCondensation are honored (the latter forces the per-node
-// fallback layer, for differential tests). Sets come from the heap
-// allocator: the condensed store is itself the memory optimization,
-// and tying it to an arena would pin slabs for the result's lifetime.
-// Callers needing cancellation use AnalyzeCtx, whose Result this
-// matches row for row.
+// fallback layer, for differential tests). Rows follow arena.Row's
+// rule on the heap, not an arena: the condensed store is itself the
+// memory optimization, and carving its rows from an arena made the
+// 100k-procedure sweep of EXPERIMENTS.md E20 a fifth slower. Callers
+// needing cancellation use AnalyzeCtx, whose Result this matches row
+// for row.
 func AnalyzeCondensed(prog *ir.Program, kind Kind, opts Options) *CondensedResult {
 	pl := newPipeline(nil, kind, opts)
 	r, _ := pl.solve(prog, false)
@@ -79,11 +80,8 @@ func (r *CondensedResult) GMODSize(pid int) int {
 	for i := range r.levels {
 		if r.levels[i].esc == nil {
 			// A fallback layer breaks the disjoint-count argument
-			// (its rows include the seeds); count through scratch.
-			sc := bitset.GetScratch(r.Prog.NumVars())
-			n := r.GMODInto(pid, sc).Len()
-			bitset.PutScratch(sc)
-			return n
+			// (its rows include the seeds); count a materialized row.
+			return r.GMODInto(pid, bitset.New(r.Prog.NumVars())).Len()
 		}
 	}
 	n := 0

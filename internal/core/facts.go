@@ -19,6 +19,7 @@
 package core
 
 import (
+	"sideeffect/internal/arena"
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/ir"
 )
@@ -66,12 +67,15 @@ type Facts struct {
 // The computation is bottom-up over the nesting forest and linear in
 // the size of the program.
 func ComputeFacts(prog *ir.Program, kind Kind) *Facts {
-	return computeFacts(prog, kind, heapAlloc(prog.NumVars()))
+	return computeFacts(prog, kind, nil)
 }
 
-// computeFacts is ComputeFacts with the sets drawn from al.
-func computeFacts(prog *ir.Program, kind Kind, al setAlloc) *Facts {
-	n := prog.NumProcs()
+// computeFacts is ComputeFacts with the rows carved from ar (nil: the
+// heap). LOCAL(q) — q's declared locals and formals, the equation (4)
+// filter — is built as ir.Program.LocalSet builds it, but as a result
+// row.
+func computeFacts(prog *ir.Program, kind Kind, ar *arena.Arena) *Facts {
+	n, nvars := prog.NumProcs(), prog.NumVars()
 	f := &Facts{
 		Prog:  prog,
 		Kind:  kind,
@@ -83,8 +87,15 @@ func computeFacts(prog *ir.Program, kind Kind, al setAlloc) *Facts {
 		if kind == Use {
 			seed = p.IUSE
 		}
-		f.I[p.ID] = al.resultClone(seed)
-		f.Local[p.ID] = al.localSet(p)
+		f.I[p.ID] = ar.Row(nvars, seed)
+		local := ar.Row(nvars, nil)
+		for _, v := range p.Locals {
+			local.Add(v.ID)
+		}
+		for _, v := range p.Formals {
+			local.Add(v.ID)
+		}
+		f.Local[p.ID] = local
 	}
 	// Deepest procedures first.
 	order := make([]*ir.Procedure, len(prog.Procs))

@@ -107,8 +107,8 @@ func (st *gmodState) ensure(n int) {
 // The search is iterative (explicit frame stack) so call chains of
 // hundreds of thousands of procedures cannot overflow the goroutine
 // stack; the structure otherwise mirrors Figure 2 line by line. Every
-// returned set is freshly cloned from IMOD+, so the caller may keep the
-// rows after releasing the seeds.
+// returned set is a fresh clone of its IMOD+ seed, so the rows never
+// alias the seeds.
 func FindGMOD(g *graph.Graph, imodPlus []*bitset.Set, local []*bitset.Set, roots ...int) ([]*bitset.Set, GMODStats) {
 	n := g.NumNodes()
 	out := make([]*bitset.Set, n)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sideeffect/internal/arena"
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/ir"
 )
@@ -22,15 +23,16 @@ import (
 // over the call sites plus one bottom-up pass over the nesting forest,
 // linear in program size for bounded parameter lists.
 func ComputeIMODPlus(facts *Facts, rmod *RMOD) []*bitset.Set {
-	return computeIMODPlus(facts, rmod, heapAlloc(facts.Prog.NumVars()))
+	return computeIMODPlus(facts, rmod, nil)
 }
 
-// computeIMODPlus is ComputeIMODPlus with the sets drawn from al.
-func computeIMODPlus(facts *Facts, rmod *RMOD, al setAlloc) []*bitset.Set {
+// computeIMODPlus is ComputeIMODPlus with the rows carved from ar (nil:
+// the heap).
+func computeIMODPlus(facts *Facts, rmod *RMOD, ar *arena.Arena) []*bitset.Set {
 	prog := facts.Prog
 	out := make([]*bitset.Set, prog.NumProcs())
 	for _, p := range prog.Procs {
-		out[p.ID] = al.resultClone(facts.I[p.ID])
+		out[p.ID] = ar.Row(prog.NumVars(), facts.I[p.ID])
 	}
 	for _, cs := range prog.Sites {
 		for i, a := range cs.Args {

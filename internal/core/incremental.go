@@ -162,6 +162,7 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 	// level shallower than i (the call would create a fresh
 	// activation).
 	inQ := make([]bool, prog.NumProcs())
+	add := new(bitset.Set) // reused by every edge below
 	wl := append([]int(nil), queue...)
 	for _, pid := range wl {
 		inQ[pid] = true
@@ -176,14 +177,12 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 		for _, cs := range inc.callersOf[qid] {
 			pid := cs.Caller.ID
 			// new = GMOD(q) ∖ LOCAL(q), class-filtered, minus what the
-			// caller already has. The temporary is pooled scratch —
-			// this loop runs once per affected call edge and used to
-			// be the updater's dominant allocation site.
-			add := bitset.GetScratch(0).CopyFrom(res.GMOD[qid])
+			// caller already has. This loop runs once per affected call
+			// edge, so it reuses one temporary instead of allocating.
+			add.CopyFrom(res.GMOD[qid])
 			add.DifferenceWith(res.Facts.Local[qid])
 			add.DifferenceWith(res.GMOD[pid])
 			if add.Empty() {
-				bitset.PutScratch(add)
 				continue
 			}
 			changed := false
@@ -193,7 +192,6 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 					changed = true
 				}
 			})
-			bitset.PutScratch(add)
 			if changed {
 				changedSet[pid] = true
 				if !inQ[pid] {

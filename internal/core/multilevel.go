@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sideeffect/internal/arena"
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/callgraph"
 )
@@ -36,9 +37,8 @@ import (
 // is identical either way; only the storage and the work counters
 // differ.
 func SolveGMODMultiLevel(cg *callgraph.CallGraph, facts *Facts, imodPlus []*bitset.Set) ([]*bitset.Set, []GMODStats) {
-	al := heapAlloc(cg.Prog.NumVars())
-	levels, stats := solveLevels(structureForGMOD(cg), facts, imodPlus, al, false)
-	return gmodRows(levels, imodPlus, al), stats
+	levels, stats := solveLevels(structureForGMOD(cg), facts, imodPlus, false)
+	return gmodRows(levels, imodPlus, nil, cg.Prog.NumVars()), stats
 }
 
 // escLevel is one level's solved escape layer: the condensed table
@@ -68,7 +68,7 @@ func (l escLevel) into(pid int, dst *bitset.Set) {
 // precomputed on st — they are kind-independent, so a MOD+USE pair
 // shares one copy. noCondense forces the per-node solver (the
 // differential baseline).
-func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, al setAlloc, noCondense bool) ([]escLevel, []GMODStats) {
+func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, noCondense bool) ([]escLevel, []GMODStats) {
 	prog := st.Prog
 	dP := prog.MaxLevel()
 	levels := make([]escLevel, dP+1)
@@ -87,7 +87,7 @@ func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, al setAllo
 		if dP > 0 {
 			seeds = make([]*bitset.Set, prog.NumProcs())
 			for _, p := range prog.Procs {
-				s := al.tempCopy(imodPlus[p.ID])
+				s := imodPlus[p.ID].Clone()
 				s.IntersectWith(st.ClassVars[lvl])
 				seeds[p.ID] = s
 			}
@@ -97,14 +97,7 @@ func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, al setAllo
 			levels[lvl].esc, stats[lvl], ok = solveCondensed(st.Levels[lvl], st.levelSCC(lvl), seeds, facts.Local, prog.Vars, dP == 0)
 		}
 		if !ok {
-			// FindGMOD's rows are fresh clones, so they outlive the
-			// seeds released below.
 			levels[lvl].perNode, stats[lvl] = FindGMOD(st.Levels[lvl], seeds, facts.Local, prog.Main.ID)
-		}
-		if dP > 0 {
-			for _, s := range seeds {
-				al.tempDone(s)
-			}
 		}
 	}
 	return levels, stats
@@ -112,12 +105,12 @@ func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, al setAllo
 
 // gmodRows materializes every procedure's GMOD row from the escape
 // layers, the reconstruction of CondensedResult.GMODInto: the row
-// starts as an allocator-owned copy of IMOD+ and each layer is unioned
-// in.
-func gmodRows(levels []escLevel, imodPlus []*bitset.Set, al setAlloc) []*bitset.Set {
+// starts as a copy of IMOD+ carved from ar (nil: the heap) and each
+// layer is unioned in.
+func gmodRows(levels []escLevel, imodPlus []*bitset.Set, ar *arena.Arena, nvars int) []*bitset.Set {
 	rows := make([]*bitset.Set, len(imodPlus))
 	for pid := range rows {
-		rows[pid] = al.resultClone(imodPlus[pid])
+		rows[pid] = ar.Row(nvars, imodPlus[pid])
 		for _, l := range levels {
 			l.into(pid, rows[pid])
 		}

@@ -41,21 +41,16 @@ func metaSrc(i int) string {
 	return workload.Emit(workload.Random(cfg))
 }
 
-// metaHeap alternates the core allocator across the corpus so every
-// transform is exercised on both the arena and the heap.
-func metaHeap(i int) bool { return i%2 == 1 }
-
 // procSig is one procedure's summary signature: the qualified GMOD and
 // GUSE member names plus the RMOD formal names, each sorted.
 type procSig struct {
 	MOD, USE, RMOD []string
 }
 
-// metaSig analyzes src on the arena, or on the heap allocator when heap
-// is set, and extracts the per-procedure signature map.
-func metaSig(t *testing.T, src string, heap bool) map[string]procSig {
+// metaSig analyzes src and extracts the per-procedure signature map.
+func metaSig(t *testing.T, src string) map[string]procSig {
 	t.Helper()
-	a, err := AnalyzeWith(src, Options{Workers: 1, heap: heap})
+	a, err := AnalyzeWith(src, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -151,9 +146,8 @@ func TestMetamorphicRename(t *testing.T) {
 			}
 			return strings.Join(parts, ".")
 		}
-		heap := metaHeap(i)
-		base := metaSig(t, src, heap)
-		got := metaSig(t, renamed, heap)
+		base := metaSig(t, src)
+		got := metaSig(t, renamed)
 		want := make(map[string]procSig, len(base))
 		for p, s := range base {
 			want[rn(p)] = s.mapNames(rn)
@@ -161,7 +155,7 @@ func TestMetamorphicRename(t *testing.T) {
 		if len(want) != len(got) {
 			t.Fatalf("program %d: procedure count changed: %d -> %d", i, len(want), len(got))
 		}
-		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), want, got)
+		diffSigs(t, fmt.Sprintf("program %d", i), want, got)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -186,16 +180,15 @@ func TestMetamorphicDeadProc(t *testing.T) {
 	n := metaCorpusSize(t)
 	for i := 0; i < n; i++ {
 		src := metaSrc(i)
-		heap := metaHeap(i)
-		base := metaSig(t, src, heap)
-		got := metaSig(t, addDeadProc(src), heap)
+		base := metaSig(t, src)
+		got := metaSig(t, addDeadProc(src))
 		if len(got) != len(base) {
 			t.Fatalf("program %d: procedure count changed: %d -> %d", i, len(base), len(got))
 		}
 		if _, ok := got["dead_p"]; ok {
 			t.Fatalf("program %d: unreachable dead_p survived pruning", i)
 		}
-		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), base, got)
+		diffSigs(t, fmt.Sprintf("program %d", i), base, got)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -224,13 +217,12 @@ func TestMetamorphicCallDup(t *testing.T) {
 	n := metaCorpusSize(t)
 	for i := 0; i < n; i++ {
 		src := metaSrc(i)
-		heap := metaHeap(i)
-		base := metaSig(t, src, heap)
-		got := metaSig(t, duplicateCalls(src), heap)
+		base := metaSig(t, src)
+		got := metaSig(t, duplicateCalls(src))
 		if len(got) != len(base) {
 			t.Fatalf("program %d: procedure count changed", i)
 		}
-		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), base, got)
+		diffSigs(t, fmt.Sprintf("program %d", i), base, got)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -297,41 +289,14 @@ func TestMetamorphicParamPermute(t *testing.T) {
 	n := metaCorpusSize(t)
 	for i := 0; i < n; i++ {
 		src := metaSrc(i)
-		heap := metaHeap(i)
-		base := metaSig(t, src, heap)
-		got := metaSig(t, permuteFormals(src), heap)
+		base := metaSig(t, src)
+		got := metaSig(t, permuteFormals(src))
 		if len(got) != len(base) {
 			t.Fatalf("program %d: procedure count changed", i)
 		}
-		diffSigs(t, fmt.Sprintf("program %d (heap=%v)", i, heap), base, got)
+		diffSigs(t, fmt.Sprintf("program %d", i), base, got)
 		if t.Failed() {
 			t.FailNow()
-		}
-	}
-}
-
-// TestMetamorphicPoliciesAgree pins a corpus subset under both core
-// allocators at once: the transform invariants above alternate them,
-// and this closes the loop by checking the arena against the heap
-// reference on the transformed sources too.
-func TestMetamorphicPoliciesAgree(t *testing.T) {
-	n := 6
-	if testing.Short() {
-		n = 2
-	}
-	transforms := map[string]func(string) string{
-		"identity": func(s string) string { return s },
-		"dup":      duplicateCalls,
-		"permute":  permuteFormals,
-	}
-	for i := 0; i < n; i++ {
-		src := metaSrc(i)
-		for name, tr := range transforms {
-			tsrc := tr(src)
-			diffSigs(t, fmt.Sprintf("program %d %s (arena vs heap)", i, name), metaSig(t, tsrc, true), metaSig(t, tsrc, false))
-			if t.Failed() {
-				t.FailNow()
-			}
 		}
 	}
 }

@@ -1,8 +1,14 @@
 package sideeffect
 
 import (
+	"context"
 	"runtime"
 	"testing"
+
+	"sideeffect/internal/faultinject"
+	"sideeffect/internal/ir"
+	"sideeffect/internal/lang/sem"
+	"sideeffect/internal/workload"
 )
 
 // The satellite regression for Options normalization: workers() is the
@@ -57,5 +63,69 @@ func TestNegativeWorkersAnalyze(t *testing.T) {
 		} else if r.Err == nil {
 			t.Error("bad entry unexpectedly analyzed")
 		}
+	}
+}
+
+// TestBatchEntryPointsKeepOptions: the batch entry points and the panic
+// retry run each program with the caller's options on one worker. They
+// must not drop Profile (the stage table) or DisableCondensation (the
+// per-node solver, whose work counters differ from the condensed one).
+func TestBatchEntryPointsKeepOptions(t *testing.T) {
+	src := workload.Emit(workload.Random(workload.DefaultConfig(20, 7)))
+	prog, err := sem.AnalyzeSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog = prog.Prune()
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		run  func(t *testing.T, o Options) *Analysis
+	}{
+		{"AnalyzeAll", func(t *testing.T, o Options) *Analysis {
+			r := AnalyzeAll([]string{src}, o)[0]
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			return r.Analysis
+		}},
+		{"AnalyzeAllPrograms", func(t *testing.T, o Options) *Analysis {
+			return AnalyzeAllPrograms([]*ir.Program{prog}, o)[0]
+		}},
+		{"AnalyzeAllContext", func(t *testing.T, o Options) *Analysis {
+			r := AnalyzeAllContext(ctx, []string{src}, o)[0]
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			return r.Analysis
+		}},
+		{"AnalyzeContextRetry", func(t *testing.T, o Options) *Analysis {
+			// Find an injector seed whose first attempt panics and
+			// whose retry succeeds, so the answer is the retry's.
+			for seed := int64(0); seed < 200; seed++ {
+				o.Faults = faultinject.New(faultinject.Config{
+					Rate: 0.03, Seed: seed, Kinds: []faultinject.Kind{faultinject.KindPanic},
+				})
+				if a, degraded, err := AnalyzeContextRetry(ctx, src, o); err == nil && degraded {
+					return a
+				}
+			}
+			t.Fatal("no injector seed produced a successful retry")
+			return nil
+		}},
+	}
+	want, err := AnalyzeWith(src, Options{Workers: 1, DisableCondensation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			if a := e.run(t, Options{Workers: 2, Profile: true}); a.Stages == nil {
+				t.Error("Profile dropped: Stages is nil")
+			}
+			if got := e.run(t, Options{Workers: 2, DisableCondensation: true}).GMODWork(); got != want.GMODWork() {
+				t.Errorf("DisableCondensation dropped: GMODWork = %+v, want %+v", got, want.GMODWork())
+			}
+		})
 	}
 }

@@ -68,11 +68,6 @@ type Options struct {
 	// (AnalyzeContext and friends) honor it: they convert injected
 	// panics into errors. Production runs leave this nil.
 	Faults *faultinject.Injector
-
-	// heap puts the core solvers on the heap allocator (see
-	// core.Options.Heap). Outside this package's tests, only the panic
-	// retry of AnalyzeContextRetry sets it.
-	heap bool
 }
 
 // workers resolves the options to a concrete positive worker count.
@@ -173,8 +168,7 @@ type BatchResult struct {
 	Err      error
 	// Degraded reports that the first attempt failed with a captured
 	// panic and the Analysis came from the fallback retry of
-	// AnalyzeContextRetry (one worker, heap allocation, no arena, no
-	// pooled sets).
+	// AnalyzeContextRetry (the same options on one worker).
 	Degraded bool
 }
 
@@ -187,7 +181,7 @@ type BatchResult struct {
 // unaffected.
 func AnalyzeAll(srcs []string, opts Options) []BatchResult {
 	return batch.Map(opts.workers(), srcs, func(_ int, src string) BatchResult {
-		a, err := AnalyzeWith(src, Options{Workers: 1, heap: opts.heap})
+		a, err := AnalyzeWith(src, opts.sequential())
 		return BatchResult{Analysis: a, Err: err}
 	})
 }
@@ -198,7 +192,7 @@ func AnalyzeAll(srcs []string, opts Options) []BatchResult {
 // analyzed as given (prune first if needed).
 func AnalyzeAllPrograms(progs []*ir.Program, opts Options) []*Analysis {
 	return batch.Map(opts.workers(), progs, func(_ int, p *ir.Program) *Analysis {
-		return AnalyzeProgramWith(p, Options{Workers: 1, heap: opts.heap})
+		return AnalyzeProgramWith(p, opts.sequential())
 	})
 }
 

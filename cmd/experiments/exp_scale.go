@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"sideeffect/internal/baseline"
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
@@ -31,7 +32,7 @@ var scaleBaseline = flag.String("scale-baseline", "",
 // scaleBenchRecord is one row of BENCH_scale.json: a full condensed
 // MOD+USE analysis of one random program, with the paper's work
 // counters and the memory cost alongside the wall time. Verified marks
-// rows double-checked row-for-row against the uncondensed solver.
+// rows double-checked row for row against the per-node Figure-2 search.
 type scaleBenchRecord struct {
 	Procs     int     `json:"procs"`
 	Sites     int     `json:"sites"`
@@ -50,8 +51,9 @@ type scaleBenchRecord struct {
 	CondensedRows  int    `json:"condensed_rows"`
 	SharedRowHits  int    `json:"shared_row_hits"`
 	// Verified is "identical" when the row was re-solved with the
-	// per-node solver and matched, "skipped" above the verification
-	// cap; a mismatch aborts the run instead of writing a record.
+	// per-node Figure-2 search and matched, "skipped" above the
+	// verification cap; a mismatch aborts the run instead of writing a
+	// record.
 	Verified string `json:"verified"`
 }
 
@@ -94,9 +96,9 @@ func fitExponent(xs []float64, ys []float64) float64 {
 // 100k procedures in one process: generate (streaming generator), run
 // the condensed MOD+USE analysis, record wall time, allocation, and
 // the Theorem-2 work counters, and fit the growth exponents. Sizes
-// where the per-node solver is still affordable are re-solved
-// uncondensed and compared row for row — the scaled runs inherit the
-// byte-identity the differential tests establish at small N.
+// where the per-node search is still affordable are re-solved with
+// baseline.PerNodeGMOD and compared row for row — the scaled runs
+// inherit the byte-identity the differential tests establish at small N.
 func expE20(quick bool) {
 	sizes := []int{256, 1024, 4096, 16384, 65536, 100000}
 	verifyMax := 16384
@@ -122,7 +124,7 @@ func expE20(quick bool) {
 			use = core.AnalyzeCondensed(prog, core.Use, core.Options{Structure: st})
 			return mod, use
 		}
-		run() // warm pools
+		run() // warm-up, untimed
 		var best time.Duration
 		var mod, use *core.CondensedResult
 		var before, after runtime.MemStats
@@ -154,7 +156,7 @@ func expE20(quick bool) {
 		rec.Verified = "skipped"
 		if n <= verifyMax {
 			if !verifyCondensed(prog, mod, use) {
-				fmt.Fprintf(os.Stderr, "experiments: E20: condensed result diverges from the per-node solver at N=%d\n", n)
+				fmt.Fprintf(os.Stderr, "experiments: E20: condensed result diverges from the per-node Figure-2 search at N=%d\n", n)
 				os.Exit(1)
 			}
 			rec.Verified = "identical"
@@ -202,28 +204,26 @@ func expE20(quick bool) {
 	}
 }
 
-// verifyCondensed re-solves prog with the per-node (uncondensed)
-// solver and compares every GMOD/GUSE row, size, and DMOD/DUSE row
-// against the condensed accessors.
+// verifyCondensed re-solves prog with the paper's per-node findgmod
+// (Figure 2), one search per nesting level, and compares every
+// GMOD/GUSE row, size, and DMOD/DUSE row against the condensed
+// accessors.
 func verifyCondensed(prog *ir.Program, mod, use *core.CondensedResult) bool {
 	sc := bitset.New(prog.NumVars())
-	for _, kindPair := range []struct {
-		kind core.Kind
-		cr   *core.CondensedResult
-	}{{core.Mod, mod}, {core.Use, use}} {
-		r := core.Analyze(prog, kindPair.kind, core.Options{DisableCondensation: true})
+	for _, cr := range []*core.CondensedResult{mod, use} {
+		gmod, dmod := baseline.PerNodeGMOD(prog, cr.Kind)
 		for _, p := range prog.Procs {
 			sc.Clear()
-			if !kindPair.cr.GMODInto(p.ID, sc).Equal(r.GMOD[p.ID]) {
+			if !cr.GMODInto(p.ID, sc).Equal(gmod[p.ID]) {
 				return false
 			}
-			if kindPair.cr.GMODSize(p.ID) != r.GMOD[p.ID].Len() {
+			if cr.GMODSize(p.ID) != gmod[p.ID].Len() {
 				return false
 			}
 		}
 		for _, cs := range prog.Sites {
 			sc.Clear()
-			if !kindPair.cr.DMODInto(cs.ID, sc).Equal(r.DMOD[cs.ID]) {
+			if !cr.DMODInto(cs.ID, sc).Equal(dmod[cs.ID]) {
 				return false
 			}
 		}

@@ -242,10 +242,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if a.Stages != nil {
 			jr.Stages = a.Stages.Snapshot()
 		}
-		if err := report.WriteJSON(stdout, jr); err != nil {
+		out, err := jr.Render()
+		if err != nil {
 			fmt.Fprintf(stderr, "modan: %v\n", err)
 			return 1
 		}
+		fmt.Fprint(stdout, out)
 		return 0
 	}
 

@@ -1,64 +1,90 @@
 package sideeffect
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"sideeffect/internal/baseline"
+	"sideeffect/internal/batch"
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
-	"sideeffect/internal/report"
+	"sideeffect/internal/lang/token"
 	"sideeffect/internal/workload"
 )
 
 // TestCondensedPerNodeIdentical is the differential gate of the
-// SCC-condensed solver: over the full differential corpus, sequentially
-// and with a 4-worker schedule, the condensed storage layer and the
-// per-node Figure-2 search must render byte-identical reports and
-// bit-identical per-call-site sets.
+// SCC-condensed GMOD store: over the full differential corpus,
+// sequentially and with a 4-worker schedule, every GMOD/GUSE row and
+// every DMOD/DUSE row of the analysis must equal the paper's per-node
+// Figure-2 search, solved level by level (baseline.PerNodeGMOD).
 func TestCondensedPerNodeIdentical(t *testing.T) {
-	schedules := []Options{{Workers: 1}, {Workers: 4}}
 	for _, cfg := range differentialConfigs() {
 		src := workload.Emit(workload.Random(cfg))
-		for _, sched := range schedules {
-			tag := fmt.Sprintf("size=%d seed=%d depth=%d workers=%d",
-				cfg.Procs, cfg.Seed, cfg.MaxDepth, sched.Workers)
-			base := sched
-			base.DisableCondensation = true
-			ca, err := AnalyzeWith(src, sched)
+		for _, workers := range []int{1, 4} {
+			a, err := AnalyzeWith(src, Options{Workers: workers})
 			if err != nil {
-				t.Fatalf("%s: condensed: %v", tag, err)
+				t.Fatalf("size=%d seed=%d: %v", cfg.Procs, cfg.Seed, err)
 			}
-			ba, err := AnalyzeWith(src, base)
-			if err != nil {
-				t.Fatalf("%s: baseline: %v", tag, err)
-			}
-			if c, b := ca.Report(), ba.Report(); c != b {
-				t.Fatalf("%s: reports differ:\n--- condensed\n%s\n--- per-node\n%s", tag, c, b)
-			}
-			cj, err := report.JSON(ca.Mod, ca.Use, ca.Aliases, ca.SecMod)
-			if err != nil {
-				t.Fatalf("%s: json: %v", tag, err)
-			}
-			bj, err := report.JSON(ba.Mod, ba.Use, ba.Aliases, ba.SecMod)
-			if err != nil {
-				t.Fatalf("%s: json: %v", tag, err)
-			}
-			if cj != bj {
-				t.Fatalf("%s: JSON reports differ", tag)
-			}
-			for _, p := range ca.Prog.Procs {
-				if !ca.Mod.GMOD[p.ID].Equal(ba.Mod.GMOD[p.ID]) || !ca.Use.GMOD[p.ID].Equal(ba.Use.GMOD[p.ID]) {
-					t.Fatalf("%s: GMOD/GUSE(%s) differ between solvers", tag, p.Name)
+			for _, r := range []*core.Result{a.Mod, a.Use} {
+				tag := fmt.Sprintf("size=%d seed=%d depth=%d workers=%d kind=%v",
+					cfg.Procs, cfg.Seed, cfg.MaxDepth, workers, r.Kind)
+				gmod, dmod := baseline.PerNodeGMOD(r.Prog, r.Kind)
+				for _, p := range r.Prog.Procs {
+					if !r.GMOD[p.ID].Equal(gmod[p.ID]) {
+						t.Fatalf("%s: GMOD(%s) = %v, per-node %v", tag, p.Name, r.GMOD[p.ID], gmod[p.ID])
+					}
 				}
-			}
-			for i := range ca.ModSets {
-				if !ca.ModSets[i].Equal(ba.ModSets[i]) || !ca.UseSets[i].Equal(ba.UseSets[i]) {
-					t.Fatalf("%s: call site %d sets differ between solvers", tag, i)
+				for _, cs := range r.Prog.Sites {
+					if !r.DMOD[cs.ID].Equal(dmod[cs.ID]) {
+						t.Fatalf("%s: DMOD(site %d) = %v, per-node %v", tag, cs.ID, r.DMOD[cs.ID], dmod[cs.ID])
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestCondensedScopePremisePanics: the flat GMOD pass drops LOCAL masks
+// on cross-component edges because a validated flat program's IMOD+
+// escapes only globals. IR that breaks that premise (here IMOD of p
+// holds a local of q, which ir.Program.Validate rejects) must stop the
+// analysis with a panic naming the variable, never solve it silently
+// by another route; the hardened entry point returns the panic as an
+// error.
+func TestCondensedScopePremisePanics(t *testing.T) {
+	b := ir.NewBuilder("premise")
+	g := b.Global("g")
+	p := b.Proc("p", nil)
+	q := b.Proc("q", nil)
+	x := b.Local(q, "x")
+	b.Mod(p, g)
+	b.Mod(q, x)
+	b.Call(b.Main(), p, nil, token.Pos{})
+	b.Call(p, q, nil, token.Pos{})
+	prog := b.MustFinish()
+	p.IMOD.Add(x.ID)
+
+	func() {
+		defer func() {
+			rec := recover()
+			if msg := fmt.Sprint(rec); rec == nil || !strings.Contains(msg, x.String()) {
+				t.Errorf("core.Analyze recovered %v, want a panic naming %s", rec, x)
+			}
+		}()
+		core.Analyze(prog, core.Mod, core.Options{})
+	}()
+
+	_, err := AnalyzeProgramContext(context.Background(), prog, Options{Workers: 1})
+	var pe *batch.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("AnalyzeProgramContext error %v, want one wrapping *batch.PanicError", err)
+	}
+	if !strings.Contains(fmt.Sprint(pe.Value), x.String()) {
+		t.Errorf("panic value %v does not name %s", pe.Value, x)
 	}
 }
 
@@ -145,57 +171,6 @@ func TestAnalyzeCondensedMatchesAnalyze(t *testing.T) {
 					t.Fatalf("%s: level %d edge unions %d exceed %d call sites", tag, lvl, s.EdgeUnions, prog.NumSites())
 				}
 			}
-		}
-	}
-}
-
-// TestWriteJSONMatchesRender pins the streaming JSON writer to the
-// monolithic encoder byte for byte, including the envelope edge cases
-// (empty vs absent arrays, stages present and absent).
-func TestWriteJSONMatchesRender(t *testing.T) {
-	progs := []string{
-		workload.Emit(workload.PaperExample()),
-		workload.Emit(workload.Random(workload.DefaultConfig(25, 4))),
-	}
-	for i, src := range progs {
-		for _, profile := range []bool{false, true} {
-			a, err := AnalyzeWith(src, Options{Workers: 1, Profile: profile})
-			if err != nil {
-				t.Fatalf("prog %d: %v", i, err)
-			}
-			jr := report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod)
-			if profile && a.Stages != nil {
-				jr.Stages = a.Stages.Snapshot()
-			}
-			want, err := jr.Render()
-			if err != nil {
-				t.Fatalf("prog %d: render: %v", i, err)
-			}
-			var b strings.Builder
-			if err := report.WriteJSON(&b, jr); err != nil {
-				t.Fatalf("prog %d: write: %v", i, err)
-			}
-			if b.String() != want {
-				t.Fatalf("prog %d profile=%v: WriteJSON differs from Render:\n--- stream\n%s\n--- render\n%s",
-					i, profile, b.String(), want)
-			}
-		}
-	}
-	// Envelope edge cases without a full analysis.
-	for _, jr := range []*report.JSONReport{
-		{Program: "empty"},
-		{Program: "empty-nonnil", Procedures: []report.JSONProcedure{}, CallSites: []report.JSONCallSite{}},
-	} {
-		want, err := jr.Render()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := report.WriteJSON(&b, jr); err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != want {
-			t.Fatalf("%s: WriteJSON differs from Render:\n--- stream\n%q\n--- render\n%q", jr.Program, b.String(), want)
 		}
 	}
 }

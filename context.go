@@ -114,7 +114,7 @@ func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) 
 	// the Structure is read-only) share the skeleton.
 	var st *core.Structure
 	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
-	co := core.Options{Prof: a.Stages, Structure: st, Faults: opts.Faults, DisableCondensation: opts.DisableCondensation}
+	co := core.Options{Prof: a.Stages, Structure: st, Faults: opts.Faults}
 	var modErr, useErr error
 	err = batch.RunCtx(ctx, w, []func(){
 		func() { a.Mod, modErr = core.AnalyzeCtx(ctx, prog, core.Mod, co) },

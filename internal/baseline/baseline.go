@@ -11,6 +11,10 @@
 //     reproduce the paper's claimed asymptotic and constant-factor
 //     wins.
 //
+// It also holds the per-node reference for the SCC-condensed GMOD
+// store: the paper's own Figure-2 search, run level by level
+// (PerNodeGMOD).
+//
 // Substitution note (see DESIGN.md §4): the swift algorithm's Tarjan
 // path-expression machinery is replaced by an iterative bit-vector
 // solver over the same decomposition; it shares the property that the
@@ -114,6 +118,41 @@ func GMODReachability(prog *ir.Program, imodPlus []*bitset.Set, facts *core.Fact
 		}
 	}
 	return out
+}
+
+// PerNodeGMOD solves prog's kind problem with the paper's per-node
+// findgmod (core.FindGMOD, Figure 2) and returns the GMOD rows and the
+// DMOD rows of equation (2). It is the reference the SCC-condensed
+// driver behind core.Analyze and core.AnalyzeCondensed is checked
+// against. Facts, RMOD and IMOD+ come from the exported step helpers;
+// the level-l search runs on core.Structure's level-l subgraph with
+// IMOD+ restricted to scope class l, the problem family of
+// core.SolveGMODMultiLevel, and GMOD(p) is IMOD+(p) joined with every
+// level's row.
+func PerNodeGMOD(prog *ir.Program, kind core.Kind) (gmod, dmod []*bitset.Set) {
+	st := core.BuildStructure(prog)
+	facts := core.ComputeFacts(prog, kind)
+	rmod := core.SolveRMOD(st.Beta, facts)
+	imodPlus := core.ComputeIMODPlus(facts, rmod)
+	gmod = make([]*bitset.Set, prog.NumProcs())
+	for pid := range gmod {
+		gmod[pid] = imodPlus[pid].Clone()
+	}
+	for lvl, g := range st.Levels {
+		seeds := imodPlus
+		if st.ClassVars != nil {
+			seeds = make([]*bitset.Set, len(imodPlus))
+			for pid, s := range imodPlus {
+				seeds[pid] = s.Clone()
+				seeds[pid].IntersectWith(st.ClassVars[lvl])
+			}
+		}
+		rows, _ := core.FindGMOD(g, seeds, facts.Local, prog.Main.ID)
+		for pid, row := range rows {
+			gmod[pid].UnionWith(row)
+		}
+	}
+	return gmod, core.ComputeDMOD(prog, rmod, gmod, facts)
 }
 
 // Stats counts the work of the iterative solvers in the same currency

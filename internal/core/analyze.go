@@ -64,11 +64,6 @@ type Options struct {
 	// or mismatched Structure is ignored and the skeleton is built
 	// internally.
 	Structure *Structure
-	// DisableCondensation forces the per-node Figure-2 GMOD search
-	// instead of the SCC-condensed storage layer. The solution is
-	// identical; this exists as the differential baseline for tests
-	// and experiments.
-	DisableCondensation bool
 	// Faults, when non-nil, injects deterministic faults at every
 	// stage boundary (sites "core.mod.gmod", "core.use.rmod", …) for
 	// chaos testing. Injected panics propagate to the caller; injected
@@ -156,10 +151,10 @@ func (pl *pipeline) step(stage string, f func()) bool {
 //
 //	prune → β → call graph → facts → RMOD → IMOD+ → GMOD
 //
-// GMOD is solved as per-level escape layers. With rows set (Analyze),
-// the gmod stage materializes every procedure's row from the layers and
+// GMOD is solved as per-level escape tables. With rows set (Analyze),
+// the gmod stage materializes every procedure's row from the tables and
 // returns the rows, and every result row is carved from a fresh arena;
-// without it (AnalyzeCondensed), the layers stay on the returned
+// without it (AnalyzeCondensed), the tables stay on the returned
 // CondensedResult and rows come from the heap. Either way a row follows
 // arena.Row's storage rule. After a failed step pl.err is set and the
 // results are incomplete.
@@ -183,7 +178,7 @@ func (pl *pipeline) solve(prog *ir.Program, rows bool) (*CondensedResult, []*bit
 	pl.step("imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, pl.ar) })
 	var gmod []*bitset.Set
 	pl.step("gmod", func() {
-		r.levels, r.GMODStats = solveLevels(st, r.Facts, r.IMODPlus, pl.opts.DisableCondensation)
+		r.levels, r.GMODStats = solveLevels(st, r.Facts, r.IMODPlus)
 		if rows {
 			gmod, r.levels = gmodRows(r.levels, r.IMODPlus, pl.ar, prog.NumVars()), nil
 		}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"fmt"
 
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/graph"
@@ -30,8 +30,8 @@ import (
 // scope-class-l variables while every callee on a level-l edge declares
 // its names at class ≥ l+1, and a flat full-seed pass escapes only
 // globals (guaranteed by ir.Program.Validate's visibility check; the
-// solver still verifies it element-by-element while folding seeds and
-// reports failure so the caller can fall back to the per-node search).
+// solver still verifies it element by element while folding seeds, and
+// panics naming the variable when it fails).
 //
 // Storage is the point. Esc(C) always contains Esc(C') for every
 // successor C', so a component aliases its richest successor as a base
@@ -138,39 +138,15 @@ func (t *escTable) addElem(c int, e int) {
 	t.count[c]++
 }
 
-// condensedState is the pooled scratch of one condensed pass.
-type condensedState struct {
-	mark      []int32 // successor dedup stamps, indexed by component
-	chainMark []int32 // base-chain stamps for shared-suffix skipping
-	succs     []int32 // distinct cross-successor components of one comp
-}
-
-var condensedStates = sync.Pool{New: func() any { return new(condensedState) }}
-
-func (cs *condensedState) ensure(nc int) {
-	if cap(cs.mark) < nc {
-		cs.mark = make([]int32, nc)
-		cs.chainMark = make([]int32, nc)
-	}
-	cs.mark = cs.mark[:nc]
-	cs.chainMark = cs.chainMark[:nc]
-	for i := range cs.mark {
-		cs.mark[i] = -1
-		cs.chainMark[i] = -1
-	}
-	cs.succs = cs.succs[:0]
-}
-
 // solveCondensed runs one condensed findgmod pass over g. seeds and
-// locals are indexed by node; vars is consulted only when checkScope is
-// set (the flat full-seed pass), to verify that every escaping seed
-// element is a global — the premise that lets cross-edge flows skip
-// their LOCAL masks. The boolean result is false when the premise
-// fails, in which case the table is meaningless and the caller must
-// fall back to the per-node solver.
-func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.Set, vars []*ir.Variable, checkScope bool) (*escTable, GMODStats, bool) {
+// locals are indexed by node. With checkScope set (the flat full-seed
+// pass) it verifies that every escaping seed element is a global — the
+// premise that lets cross-edge flows skip their LOCAL masks — and
+// panics naming the first one that is not: only IR that fails
+// ir.Program.Validate's visibility check can get there.
+func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.Set, prog *ir.Program, checkScope bool) (*escTable, GMODStats) {
 	nc := scc.NumComponents()
-	nvars := len(vars)
+	nvars := prog.NumVars()
 	t := &escTable{
 		scc:   scc,
 		base:  make([]int32, nc),
@@ -179,8 +155,16 @@ func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.
 		count: make([]int32, nc),
 		depth: make([]int32, nc),
 	}
-	st := condensedStates.Get().(*condensedState)
-	st.ensure(nc)
+	// mark dedups cross-successor components and chainMark stamps base
+	// chains for shared-suffix skipping, both with the current
+	// component's number; succs holds one component's distinct
+	// cross-successors.
+	mark := make([]int32, nc)
+	chainMark := make([]int32, nc)
+	for i := range mark {
+		mark[i], chainMark[i] = -1, -1
+	}
+	var succs []int32
 	var stats GMODStats
 	stats.Components = nc
 
@@ -189,29 +173,28 @@ func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.
 	// with word-parallel unions instead.
 	budget := nvars/8 + 128
 
-	ok := true
-	for c := 0; c < nc && ok; c++ {
+	for c := 0; c < nc; c++ {
 		t.base[c] = -1
 		members := scc.Members[c]
 
 		// Distinct cross-successor components (deduped with mark).
-		st.succs = st.succs[:0]
+		succs = succs[:0]
 		for _, w := range members {
 			for _, e := range g.Succs(w) {
 				cq := scc.Comp[e.To]
-				if cq == c || st.mark[cq] == int32(c) {
+				if cq == c || mark[cq] == int32(c) {
 					continue
 				}
-				st.mark[cq] = int32(c)
-				st.succs = append(st.succs, int32(cq))
+				mark[cq] = int32(c)
+				succs = append(succs, int32(cq))
 				stats.EdgeUnions++
 			}
 		}
 
 		// Base: the successor with the largest escape set.
-		if len(st.succs) > 0 {
-			b := int(st.succs[0])
-			for _, s := range st.succs[1:] {
+		if len(succs) > 0 {
+			b := int(succs[0])
+			for _, s := range succs[1:] {
 				if t.count[s] > t.count[b] {
 					b = int(s)
 				}
@@ -227,20 +210,20 @@ func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.
 		// Stamp c's chain so shared suffixes of other successors'
 		// chains are skipped instead of re-probed.
 		for x := c; x >= 0; x = int(t.base[x]) {
-			st.chainMark[x] = int32(c)
+			chainMark[x] = int32(c)
 		}
 
 		// Fold the remaining successors: walk each chain down to the
 		// first stamped component (everything below is already in the
 		// base) and probe only the unshared deltas.
 		work := 0
-		for _, s32 := range st.succs {
+		for _, s32 := range succs {
 			s := int(s32)
 			if s == int(t.base[c]) || t.row[c] != nil {
 				continue
 			}
-			for x := s; x >= 0 && st.chainMark[x] != int32(c); x = int(t.base[x]) {
-				st.chainMark[x] = int32(c)
+			for x := s; x >= 0 && chainMark[x] != int32(c); x = int(t.base[x]) {
+				chainMark[x] = int32(c)
 				probe := func(e int) {
 					if work++; !t.has(c, e) {
 						t.addElem(c, e)
@@ -261,7 +244,7 @@ func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.
 				// materialize c and absorb the rest word-parallel.
 				t.materialize(c, nvars, &stats)
 				row := t.row[c]
-				for _, rest := range st.succs {
+				for _, rest := range succs {
 					if int(rest) != c {
 						t.count[c] += int32(t.escInto(int(rest), row))
 					}
@@ -282,12 +265,12 @@ func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.
 				continue
 			}
 			seed.ForEach(func(e int) {
-				if !ok || (local != nil && local.Has(e)) {
+				if local != nil && local.Has(e) {
 					return
 				}
-				if checkScope && !vars[e].IsGlobal() {
-					ok = false
-					return
+				if checkScope && !prog.Vars[e].IsGlobal() {
+					panic(fmt.Sprintf("core: %s in IMOD+(%s) is neither global nor local to it; the flat GMOD pass needs IR that passes ir.Program.Validate",
+						prog.Vars[e], prog.Procs[w].Name))
 				}
 				if !t.has(c, e) {
 					t.addElem(c, e)
@@ -299,9 +282,5 @@ func solveCondensed(g *graph.Graph, scc *graph.SCCInfo, seeds, locals []*bitset.
 			stats.SharedRowHits++
 		}
 	}
-	condensedStates.Put(st)
-	if !ok {
-		return nil, stats, false
-	}
-	return t, stats, true
+	return t, stats
 }

@@ -35,23 +35,21 @@ type CondensedResult struct {
 	// GMODStats holds the per-level work counters, as on Result.
 	GMODStats []GMODStats
 
-	// levels holds one escape layer per findgmod pass (one for flat
+	// levels holds one escape table per findgmod pass (one for flat
 	// programs, MaxLevel()+1 for nested ones). Per-level escape sets
 	// are disjoint — a level-l pass escapes only scope-class-l
-	// variables — so a row is the union of IMOD+ and every layer.
-	levels []escLevel
+	// variables — so a row is the union of IMOD+ and every level's set.
+	levels []*escTable
 }
 
 // AnalyzeCondensed runs the same stage sequence as Analyze but keeps
 // the GMOD solution in condensed form; it is the giant-graph entry
-// point. Of the options, Prune, Prof, Structure, Faults, and
-// DisableCondensation are honored (the latter forces the per-node
-// fallback layer, for differential tests). Rows follow arena.Row's
-// rule on the heap, not an arena: the condensed store is itself the
-// memory optimization, and carving its rows from an arena made the
-// 100k-procedure sweep of EXPERIMENTS.md E20 a fifth slower. Callers
-// needing cancellation use AnalyzeCtx, whose Result this matches row
-// for row.
+// point. Of the options, Prune, Prof, Structure and Faults are honored.
+// Rows follow arena.Row's rule on the heap, not an arena: the condensed
+// store is itself the memory optimization, and carving its rows from an
+// arena made the 100k-procedure sweep of EXPERIMENTS.md E20 a fifth
+// slower. Callers needing cancellation use AnalyzeCtx, whose Result
+// this matches row for row.
 func AnalyzeCondensed(prog *ir.Program, kind Kind, opts Options) *CondensedResult {
 	pl := newPipeline(nil, kind, opts)
 	r, _ := pl.solve(prog, false)
@@ -67,8 +65,8 @@ func AnalyzeCondensed(prog *ir.Program, kind Kind, opts Options) *CondensedResul
 // GMOD(p) = IMOD+(p) ∪ ∪_lvl Esc_lvl(comp(p)).
 func (r *CondensedResult) GMODInto(pid int, dst *bitset.Set) *bitset.Set {
 	dst.UnionWith(r.IMODPlus[pid])
-	for _, l := range r.levels {
-		l.into(pid, dst)
+	for _, t := range r.levels {
+		t.escInto(t.scc.Comp[pid], dst)
 	}
 	return dst
 }
@@ -77,22 +75,13 @@ func (r *CondensedResult) GMODInto(pid int, dst *bitset.Set) *bitset.Set {
 // level escape counts are disjoint by scope class, so only the IMOD+
 // elements need membership probes against the chains.
 func (r *CondensedResult) GMODSize(pid int) int {
-	for i := range r.levels {
-		if r.levels[i].esc == nil {
-			// A fallback layer breaks the disjoint-count argument
-			// (its rows include the seeds); count a materialized row.
-			return r.GMODInto(pid, bitset.New(r.Prog.NumVars())).Len()
-		}
-	}
 	n := 0
-	for i := range r.levels {
-		et := r.levels[i].esc
-		n += int(et.count[et.scc.Comp[pid]])
+	for _, t := range r.levels {
+		n += int(t.count[t.scc.Comp[pid]])
 	}
 	r.IMODPlus[pid].ForEach(func(e int) {
-		for i := range r.levels {
-			et := r.levels[i].esc
-			if et.has(et.scc.Comp[pid], e) {
+		for _, t := range r.levels {
+			if t.has(t.scc.Comp[pid], e) {
 				return
 			}
 		}
@@ -102,20 +91,16 @@ func (r *CondensedResult) GMODSize(pid int) int {
 }
 
 // DMODInto unions DMOD(siteID) — equation (2) — into dst and returns
-// dst, evaluating the projection b_e directly on the condensed layers:
-// GMOD(q) ∖ LOCAL(q) distributes over the union, so each layer flows
+// dst, evaluating the projection b_e directly on the escape tables:
+// GMOD(q) ∖ LOCAL(q) distributes over the union, so each level flows
 // through escIntoMasked and never materializes.
 func (r *CondensedResult) DMODInto(siteID int, dst *bitset.Set) *bitset.Set {
 	cs := r.Prog.Sites[siteID]
 	q := cs.Callee
 	local := r.Facts.Local[q.ID]
 	dst.UnionDiffWith(r.IMODPlus[q.ID], local)
-	for i := range r.levels {
-		if et := r.levels[i].esc; et != nil {
-			et.escIntoMasked(et.scc.Comp[q.ID], dst, local)
-		} else {
-			dst.UnionDiffWith(r.levels[i].perNode[q.ID], local)
-		}
+	for _, t := range r.levels {
+		t.escIntoMasked(t.scc.Comp[q.ID], dst, local)
 	}
 	for i, a := range cs.Args {
 		if r.Kind == Use {

@@ -9,6 +9,7 @@ import (
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 	"sideeffect/internal/lang/sem"
+	"sideeffect/internal/lang/token"
 	"sideeffect/internal/workload"
 )
 
@@ -194,6 +195,28 @@ func TestGMODNestedTower(t *testing.T) {
 	if len(res.GMODStats) != 4 {
 		t.Errorf("level runs = %d, want 4", len(res.GMODStats))
 	}
+}
+
+// TestGMODSiblingCallAtDeepestLevel: a call between two procedures at
+// the deepest nesting level carries their parent's local only through
+// the last level's pass, a shape the random corpora never build. q
+// touches nothing itself, so p.v reaches GMOD(q) only through r.
+func TestGMODSiblingCallAtDeepestLevel(t *testing.T) {
+	b := ir.NewBuilder("siblings")
+	p := b.Proc("p", nil)
+	v := b.Local(p, "v")
+	q := b.Proc("q", p)
+	r := b.Proc("r", p)
+	b.Mod(r, v)
+	b.Call(b.Main(), p, nil, token.Pos{})
+	b.Call(p, q, nil, token.Pos{})
+	b.Call(q, r, nil, token.Pos{})
+	prog := b.MustFinish()
+	res := core.Analyze(prog, core.Mod, core.Options{})
+	wantSet(t, prog, res.GMOD[prog.Main.ID])
+	wantSet(t, prog, res.GMOD[p.ID], "p.v")
+	wantSet(t, prog, res.GMOD[q.ID], "p.v")
+	wantSet(t, prog, res.GMOD[r.ID], "p.v")
 }
 
 // TestGMODTheorem2Counts checks the operation-count bound of Theorem

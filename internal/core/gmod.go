@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/graph"
 )
@@ -46,36 +44,13 @@ func (s *GMODStats) Accumulate(o GMODStats) {
 type gmodFrame struct{ v, ei int }
 
 // gmodState is the findgmod search state: the Tarjan index arrays and
-// the explicit frame stack, recycled through a process-wide pool.
+// the explicit frame stack.
 type gmodState struct {
 	dfn, lowlink []int
 	onStack      []bool
 	stack        []int
 	frames       []gmodFrame
 	nextdfn      int
-}
-
-var gmodStates = sync.Pool{New: func() any { return new(gmodState) }}
-
-// ensure sizes the search state for an n-node graph and resets it.
-func (st *gmodState) ensure(n int) {
-	if cap(st.dfn) < n {
-		st.dfn = make([]int, n)
-		st.lowlink = make([]int, n)
-		st.onStack = make([]bool, n)
-		st.stack = make([]int, 0, n)
-		st.frames = make([]gmodFrame, 0, n)
-	}
-	st.dfn = st.dfn[:n]
-	st.lowlink = st.lowlink[:n]
-	st.onStack = st.onStack[:n]
-	st.stack = st.stack[:0]
-	st.frames = st.frames[:0]
-	for i := range st.dfn {
-		st.dfn[i] = 0
-		st.onStack[i] = false
-	}
-	st.nextdfn = 1
 }
 
 // FindGMOD is the paper's findgmod (Figure 2): a one-pass adaptation
@@ -101,8 +76,9 @@ func (st *gmodState) ensure(n int) {
 // For programs whose procedures all sit at nesting level 0 (two-level
 // languages like C or Fortran — equation (8)'s premise), the result is
 // the exact least solution of equation (4). For nested programs use
-// SolveGMODMultiLevel, which runs one pass per nesting level; it falls
-// back to this search on a level whose condensed pass does not apply.
+// SolveGMODMultiLevel, which runs one pass per nesting level on the
+// SCC-condensed storage layer; FindGMOD, run once per level on the same
+// subgraphs and seeds, is the reference that layer is tested against.
 //
 // The search is iterative (explicit frame stack) so call chains of
 // hundreds of thousands of procedures cannot overflow the goroutine
@@ -112,8 +88,14 @@ func (st *gmodState) ensure(n int) {
 func FindGMOD(g *graph.Graph, imodPlus []*bitset.Set, local []*bitset.Set, roots ...int) ([]*bitset.Set, GMODStats) {
 	n := g.NumNodes()
 	out := make([]*bitset.Set, n)
-	st := gmodStates.Get().(*gmodState)
-	st.ensure(n)
+	st := &gmodState{
+		dfn:     make([]int, n),
+		lowlink: make([]int, n),
+		onStack: make([]bool, n),
+		stack:   make([]int, 0, n),
+		frames:  make([]gmodFrame, 0, n),
+		nextdfn: 1,
+	}
 	var stats GMODStats
 	for _, r := range roots {
 		st.search(g, imodPlus, local, out, r, &stats)
@@ -121,7 +103,6 @@ func FindGMOD(g *graph.Graph, imodPlus []*bitset.Set, local []*bitset.Set, roots
 	for v := 0; v < n; v++ {
 		st.search(g, imodPlus, local, out, v, &stats)
 	}
-	gmodStates.Put(st)
 	return out, stats
 }
 

@@ -30,48 +30,28 @@ import (
 //
 // For d_P = 0 the result coincides with a single FindGMOD run.
 //
-// The pass over each level runs on the SCC-condensed storage layer
-// (internal/core/condensed.go) whenever the level's scoping premise
-// holds — always, for programs that pass ir.Program.Validate — and
-// falls back to the per-node Figure-2 search otherwise. The solution
-// is identical either way; only the storage and the work counters
-// differ.
+// Each level's pass runs on the SCC-condensed storage layer
+// (internal/core/condensed.go). FindGMOD, the per-node Figure-2 search,
+// solves the same levels as the reference the condensed passes are
+// tested against; the solution is identical, only the storage and the
+// work counters differ.
 func SolveGMODMultiLevel(cg *callgraph.CallGraph, facts *Facts, imodPlus []*bitset.Set) ([]*bitset.Set, []GMODStats) {
-	levels, stats := solveLevels(structureForGMOD(cg), facts, imodPlus, false)
+	levels, stats := solveLevels(structureForGMOD(cg), facts, imodPlus)
 	return gmodRows(levels, imodPlus, nil, cg.Prog.NumVars()), stats
 }
 
-// escLevel is one level's solved escape layer: the condensed table
-// when the pass ran condensed, or the per-node rows of the Figure-2
-// fallback (DisableCondensation, or hand-built IR whose flat pass fails
-// the scope premise).
-type escLevel struct {
-	esc     *escTable
-	perNode []*bitset.Set
-}
-
-// into unions procedure pid's escape set at this level into dst.
-func (l escLevel) into(pid int, dst *bitset.Set) {
-	if l.esc != nil {
-		l.esc.escInto(l.esc.scc.Comp[pid], dst)
-	} else {
-		dst.UnionWith(l.perNode[pid])
-	}
-}
-
-// solveLevels is the multi-level findgmod driver: one pass per nesting
-// level, each returned as an escape layer. Per-level escape sets are
-// disjoint — a level-l pass escapes only scope-class-l variables — so
-// a procedure's row is GMOD(p) = IMOD+(p) ∪ ∪_l Esc_l(p). Analyze
-// materializes the rows from the layers (gmodRows); AnalyzeCondensed
-// keeps them. The per-level subgraphs and scope classes come
-// precomputed on st — they are kind-independent, so a MOD+USE pair
-// shares one copy. noCondense forces the per-node solver (the
-// differential baseline).
-func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, noCondense bool) ([]escLevel, []GMODStats) {
+// solveLevels is the multi-level findgmod driver: one condensed pass
+// per nesting level, each returned as an escape table. Per-level escape
+// sets are disjoint — a level-l pass escapes only scope-class-l
+// variables — so a procedure's row is GMOD(p) = IMOD+(p) ∪ ∪_l Esc_l(p).
+// Analyze materializes the rows from the tables (gmodRows);
+// AnalyzeCondensed keeps them. The per-level subgraphs and scope
+// classes come precomputed on st — they are kind-independent, so a
+// MOD+USE pair shares one copy.
+func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set) ([]*escTable, []GMODStats) {
 	prog := st.Prog
 	dP := prog.MaxLevel()
-	levels := make([]escLevel, dP+1)
+	levels := make([]*escTable, dP+1)
 	stats := make([]GMODStats, dP+1)
 	for lvl := range levels {
 		// Problem lvl: st.Levels[lvl] has dropped the edges that invoke
@@ -81,8 +61,7 @@ func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, noCondense
 		// condensed pass's premise structural: every callee on a
 		// surviving edge declares its names at class ≥ lvl+1. A flat
 		// program's single pass takes IMOD+ whole; there the premise
-		// rests on IR validation, so the pass checks it (checkScope)
-		// and a violation falls through to the per-node search.
+		// rests on IR validation, so the pass checks it (checkScope).
 		seeds := imodPlus
 		if dP > 0 {
 			seeds = make([]*bitset.Set, prog.NumProcs())
@@ -92,27 +71,21 @@ func solveLevels(st *Structure, facts *Facts, imodPlus []*bitset.Set, noCondense
 				seeds[p.ID] = s
 			}
 		}
-		ok := false
-		if !noCondense {
-			levels[lvl].esc, stats[lvl], ok = solveCondensed(st.Levels[lvl], st.levelSCC(lvl), seeds, facts.Local, prog.Vars, dP == 0)
-		}
-		if !ok {
-			levels[lvl].perNode, stats[lvl] = FindGMOD(st.Levels[lvl], seeds, facts.Local, prog.Main.ID)
-		}
+		levels[lvl], stats[lvl] = solveCondensed(st.Levels[lvl], st.levelSCC(lvl), seeds, facts.Local, prog, dP == 0)
 	}
 	return levels, stats
 }
 
 // gmodRows materializes every procedure's GMOD row from the escape
-// layers, the reconstruction of CondensedResult.GMODInto: the row
+// tables, the reconstruction of CondensedResult.GMODInto: the row
 // starts as a copy of IMOD+ carved from ar (nil: the heap) and each
-// layer is unioned in.
-func gmodRows(levels []escLevel, imodPlus []*bitset.Set, ar *arena.Arena, nvars int) []*bitset.Set {
+// level's escape set is unioned in.
+func gmodRows(levels []*escTable, imodPlus []*bitset.Set, ar *arena.Arena, nvars int) []*bitset.Set {
 	rows := make([]*bitset.Set, len(imodPlus))
 	for pid := range rows {
 		rows[pid] = ar.Row(nvars, imodPlus[pid])
-		for _, l := range levels {
-			l.into(pid, rows[pid])
+		for _, t := range levels {
+			t.escInto(t.scc.Comp[pid], rows[pid])
 		}
 	}
 	return rows

@@ -33,7 +33,7 @@ type Structure struct {
 	// 0); the slice has length MaxLevel()+1.
 	Levels []*graph.Graph
 	// ClassVars[l] is the set of variables of scope class l. Nil for
-	// flat programs, whose single FindGMOD pass needs no class split.
+	// flat programs, whose single GMOD pass needs no class split.
 	ClassVars []*bitset.Set
 
 	// sccs caches the strongly-connected components of each level's

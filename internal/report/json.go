@@ -3,6 +3,7 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"sideeffect/internal/alias"
 	"sideeffect/internal/core"
@@ -108,7 +109,7 @@ func BuildJSON(mod, use *core.Result, aliases *alias.Analysis, secMod *section.R
 			for id := range at {
 				ids = append(ids, id)
 			}
-			sortInts(ids)
+			sort.Ints(ids)
 			for _, id := range ids {
 				jc.Sections = append(jc.Sections, at[id].Format(prog.Vars[id].Name, prog.Vars))
 			}
@@ -116,14 +117,6 @@ func BuildJSON(mod, use *core.Result, aliases *alias.Analysis, secMod *section.R
 		r.CallSites = append(r.CallSites, jc)
 	}
 	return r
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // JSON renders the report as indented JSON.

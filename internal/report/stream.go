@@ -2,7 +2,6 @@ package report
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -15,78 +14,10 @@ import (
 
 // This file holds the streaming counterparts of the string renderers:
 // every Write* function produces bytes identical to its string twin
-// but emits them through a buffered writer in bounded memory — one
-// table row or one JSON record at a time — so a 100k-procedure report
-// flows to disk without ever existing as a whole. The string versions
-// are retained as thin wrappers for callers that want a value.
-
-// WriteJSON streams the report as indented JSON, byte-identical to
-// Render: the envelope is written by hand and each procedure,
-// call-site, and stage record is marshaled individually, so the
-// largest allocation is one record, not the whole document.
-func WriteJSON(w io.Writer, r *JSONReport) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	name, err := json.Marshal(r.Program)
-	if err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	bw.WriteString("{\n  \"program\": ")
-	bw.Write(name)
-	bw.WriteString(",\n  \"procedures\": ")
-	if err := writeJSONArray(bw, len(r.Procedures), r.Procedures == nil,
-		func(i int) any { return &r.Procedures[i] }); err != nil {
-		return err
-	}
-	bw.WriteString(",\n  \"callSites\": ")
-	if err := writeJSONArray(bw, len(r.CallSites), r.CallSites == nil,
-		func(i int) any { return &r.CallSites[i] }); err != nil {
-		return err
-	}
-	// Stages carries omitempty: both nil and empty slices vanish.
-	if len(r.Stages) > 0 {
-		bw.WriteString(",\n  \"stages\": ")
-		if err := writeJSONArray(bw, len(r.Stages), false,
-			func(i int) any { return &r.Stages[i] }); err != nil {
-			return err
-		}
-	}
-	bw.WriteString("\n}\n")
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	return nil
-}
-
-// writeJSONArray emits one top-level array of the envelope. Each
-// element is marshaled with the indentation MarshalIndent would have
-// given it inside the full document ("    " prefix, "  " indent), so
-// concatenation reproduces the monolithic encoding exactly — including
-// the nil/empty distinction (null vs []).
-func writeJSONArray(bw *bufio.Writer, n int, isNil bool, item func(i int) any) error {
-	if isNil {
-		bw.WriteString("null")
-		return nil
-	}
-	if n == 0 {
-		bw.WriteString("[]")
-		return nil
-	}
-	bw.WriteString("[\n")
-	for i := 0; i < n; i++ {
-		b, err := json.MarshalIndent(item(i), "    ", "  ")
-		if err != nil {
-			return fmt.Errorf("report: %w", err)
-		}
-		bw.WriteString("    ")
-		bw.Write(b)
-		if i < n-1 {
-			bw.WriteByte(',')
-		}
-		bw.WriteByte('\n')
-	}
-	bw.WriteString("  ]")
-	return nil
-}
+// but emits them through a buffered writer one table row at a time, so
+// a 100k-procedure report flows to disk without ever existing as a
+// whole. The string versions are retained as thin wrappers for callers
+// that want a value.
 
 // rowSeq yields table rows in order; writeTable iterates it twice
 // (widths, then emission), so a sequence must be replayable.
@@ -300,25 +231,5 @@ func WriteFull(w io.Writer, mod, use *core.Result, aliases *alias.Analysis, secM
 		bw.WriteString("\n== Regular sections (MOD) ==\n")
 		WriteSections(bw, secMod)
 	}
-	return bw.Flush()
-}
-
-// WriteGMODSummary streams the per-procedure summary-set cardinalities
-// of a condensed MOD/USE pair: one line per procedure, sizes computed
-// through CondensedResult.GMODSize, so neither a row nor a name list
-// is ever materialized. This is the giant-graph report — at 100k
-// procedures the full set listing would dwarf the analysis itself.
-func WriteGMODSummary(w io.Writer, mod, use *core.CondensedResult) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	prog := mod.Prog
-	fmt.Fprintf(bw, "program %s: %d procedures, %d call sites, %d variables (%d global)\n",
-		prog.Name, prog.NumProcs(), prog.NumSites(), prog.NumVars(), len(prog.Globals()))
-	fmt.Fprintf(bw, "procedure |GMOD| |GUSE|\n")
-	for _, p := range prog.Procs {
-		fmt.Fprintf(bw, "%s %d %d\n", p.Name, mod.GMODSize(p.ID), use.GMODSize(p.ID))
-	}
-	ms, us := mod.Stats(), use.Stats()
-	fmt.Fprintf(bw, "condensation: %d+%d components, %d+%d condensed rows, %d+%d shared-row hits (mod+use)\n",
-		ms.Components, us.Components, ms.CondensedRows, us.CondensedRows, ms.SharedRowHits, us.SharedRowHits)
 	return bw.Flush()
 }

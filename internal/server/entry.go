@@ -188,7 +188,7 @@ func (lf *lintForms) fingerprint() uint64 {
 	h := newFold()
 	h.word(uint64(len(lf.rep.Diags)))
 	h.word(uint64(len(lf.rep.Counts)))
-	h.bytes(lf.body)
+	sample(&h, lf.body)
 	return uint64(h)
 }
 
@@ -275,9 +275,8 @@ func newFold() fold { return 1469598103934665603 }
 
 func (h *fold) word(x uint64) { *h = (*h ^ fold(x)) * 1099511628211 }
 
-// bytes folds b's length and every 64th byte, the sampling
-// store.EntrySnapshot.Fingerprint uses.
-func (h *fold) bytes(b []byte) {
+// sample folds b's length and every 64th byte into h.
+func sample[T string | []byte](h *fold, b T) {
 	h.word(uint64(len(b)))
 	for i := 0; i < len(b); i += 64 {
 		h.word(uint64(b[i]))
@@ -285,8 +284,8 @@ func (h *fold) bytes(b []byte) {
 }
 
 // fingerprint folds what a hit serves into one word: the backing (the
-// analysis's summary-set cardinalities, O(procedures), or the
-// snapshot's own fingerprint) and the full-report body.
+// analysis's summary-set cardinalities, O(procedures), or a sample of
+// every field of the snapshot) and the full-report body.
 func (e *cached) fingerprint() uint64 {
 	h := newFold()
 	if e.a != nil {
@@ -297,9 +296,19 @@ func (e *cached) fingerprint() uint64 {
 		h.word(uint64(len(e.a.ModSets)))
 		h.word(uint64(len(e.a.UseSets)))
 	} else {
-		h.word(e.snap.Fingerprint())
+		s := e.snap
+		sample(&h, s.Key)
+		sample(&h, s.Lang)
+		sample(&h, s.JSON)
+		sample(&h, s.Text)
+		if s.Lint != nil {
+			h.word(uint64(len(s.Lint.Diags)))
+			h.word(uint64(len(s.Lint.Counts)))
+		}
+		h.word(uint64(len(s.Notes)))
+		sample(&h, s.Conf)
 	}
-	h.bytes(e.full)
+	sample(&h, e.full)
 	return uint64(h)
 }
 

@@ -357,7 +357,7 @@ func (m *metrics) render(cs cache.Stats, sessionsOpen int, rs robustnessStats) s
 	b.WriteString("# TYPE modand_shared_row_hits_total counter\n")
 	fmt.Fprintf(&b, "modand_shared_row_hits_total %d\n", m.sharedRowHits)
 
-	b.WriteString("# HELP modand_analysis_seconds Wall time of analysis computations (cache misses, session work).\n")
+	b.WriteString("# HELP modand_analysis_seconds Wall time of analysis computations: one sample per /analyze or /lint cache miss, and one per /batch request for all its misses; session work is not observed.\n")
 	b.WriteString("# TYPE modand_analysis_seconds histogram\n")
 	var cum int64
 	for i, bound := range latencyBounds {

@@ -230,33 +230,44 @@ func rawGet(t *testing.T, url string) (int, []byte) {
 }
 
 // TestWarmEntryCorruptionRecomputes pins the never-a-wrong-answer
-// contract on the serving side: a restored entry damaged in memory is
-// rejected by the cache validator and recomputed, not served.
+// contract on the serving side: a restored entry damaged in memory —
+// its text report or one byte of its JSON report — is rejected by the
+// cache validator and recomputed, not served.
 func TestWarmEntryCorruptionRecomputes(t *testing.T) {
 	cold := New(Config{})
 	tsA := httptest.NewServer(cold.Handler())
 	rawPost(t, tsA.URL+"/analyze", analyzeRequest{Source: srvSrc})
-	cp := roundTripCheckpoint(t, cold)
-	tsA.Close()
+	defer tsA.Close()
 
-	warm := New(Config{})
-	if n, _ := warm.ImportCheckpoint(cp); n != 1 {
-		t.Fatalf("restored %d entries, want 1", n)
-	}
-	// Damage the restored snapshot behind the cache's back.
-	cp.Entries[0].Text += " TAMPERED"
-	ts := httptest.NewServer(warm.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name   string
+		damage func(snap *store.EntrySnapshot)
+	}{
+		{"text", func(snap *store.EntrySnapshot) { snap.Text += " TAMPERED" }},
+		{"json-byte", func(snap *store.EntrySnapshot) { snap.JSON[0] ^= 0x01 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := roundTripCheckpoint(t, cold)
+			warm := New(Config{})
+			if n, _ := warm.ImportCheckpoint(cp); n != 1 {
+				t.Fatalf("restored %d entries, want 1", n)
+			}
+			// Damage the restored snapshot behind the cache's back.
+			tc.damage(cp.Entries[0])
+			ts := httptest.NewServer(warm.Handler())
+			defer ts.Close()
 
-	var resp analyzeResponse
-	if code := post(t, ts.URL+"/analyze", analyzeRequest{Source: srvSrc}, &resp); code != http.StatusOK {
-		t.Fatalf("analyze after corruption: status %d", code)
-	}
-	if resp.Cached {
-		t.Error("corrupted warm entry served as a cache hit")
-	}
-	if got := metricValue(t, ts.URL, "modand_cache_corruptions_total"); got != 1 {
-		t.Errorf("modand_cache_corruptions_total = %v, want 1", got)
+			var resp analyzeResponse
+			if code := post(t, ts.URL+"/analyze", analyzeRequest{Source: srvSrc}, &resp); code != http.StatusOK {
+				t.Fatalf("analyze after corruption: status %d", code)
+			}
+			if resp.Cached {
+				t.Error("corrupted warm entry served as a cache hit")
+			}
+			if got := metricValue(t, ts.URL, "modand_cache_corruptions_total"); got != 1 {
+				t.Errorf("modand_cache_corruptions_total = %v, want 1", got)
+			}
+		})
 	}
 }
 

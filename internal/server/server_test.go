@@ -334,11 +334,18 @@ func TestSessionLifecycle(t *testing.T) {
 	if edited.Edits != 1 || edited.IncrementalEdits != 1 {
 		t.Errorf("edit counters %+v", edited)
 	}
+	// Session work is not an analysis sample; a cache miss is one.
+	if got := metricValue(t, ts.URL, "modand_analysis_seconds_count"); got != 0 {
+		t.Errorf("modand_analysis_seconds_count = %g after a session create and edit, want 0", got)
+	}
 
 	// The session's report matches /analyze of the same source.
 	var fresh analyzeResponse
 	if code := post(t, ts.URL+"/analyze", analyzeRequest{Source: add}, &fresh); code != http.StatusOK {
 		t.Fatalf("analyze: status %d", code)
+	}
+	if got := metricValue(t, ts.URL, "modand_analysis_seconds_count"); got != 1 {
+		t.Errorf("modand_analysis_seconds_count = %g after one /analyze miss, want 1", got)
 	}
 	sessJSON, err := json.Marshal(edited.Report)
 	if err != nil {

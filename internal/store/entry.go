@@ -70,34 +70,3 @@ func BuildEntry(a *sideeffect.Analysis, key, lang string, notes []gofront.Note, 
 		Conf:  conf,
 	}, nil
 }
-
-// Fingerprint folds the snapshot's content into one word. Like the
-// serving layer's live-entry fingerprint it is deliberately cheap —
-// it runs on every cache hit — and exists to catch in-memory
-// corruption of a restored entry (a flipped length, a truncated
-// report), not to be a cryptographic commitment; on-disk integrity is
-// the checksum's job.
-func (e *EntrySnapshot) Fingerprint() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(x uint64) { h ^= x; h *= 1099511628211 }
-	mixStr := func(s string) {
-		mix(uint64(len(s)))
-		for i := 0; i < len(s); i += 64 {
-			mix(uint64(s[i]))
-		}
-	}
-	mixStr(e.Key)
-	mixStr(e.Lang)
-	mix(uint64(len(e.JSON)))
-	for i := 0; i < len(e.JSON); i += 64 {
-		mix(uint64(e.JSON[i]))
-	}
-	mixStr(e.Text)
-	if e.Lint != nil {
-		mix(uint64(len(e.Lint.Diags)))
-		mix(uint64(len(e.Lint.Counts)))
-	}
-	mix(uint64(len(e.Notes)))
-	mixStr(e.Conf)
-	return h
-}

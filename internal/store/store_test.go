@@ -187,24 +187,3 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 		t.Fatalf("Open(\"\") succeeded, want error")
 	}
 }
-
-// TestEntryFingerprintDetectsDamage pins the in-memory integrity hook
-// the server's cache validator relies on: mutating any persisted field
-// changes the fingerprint.
-func TestEntryFingerprintDetectsDamage(t *testing.T) {
-	cp := testCheckpoint(t)
-	snap := cp.Entries[0]
-	orig := snap.Fingerprint()
-	snap.JSON[0] ^= 0x01
-	if snap.Fingerprint() == orig {
-		t.Fatalf("fingerprint unchanged after JSON mutation")
-	}
-	snap.JSON[0] ^= 0x01
-	if snap.Fingerprint() != orig {
-		t.Fatalf("fingerprint not restored after undoing mutation")
-	}
-	snap.Text += "x"
-	if snap.Fingerprint() == orig {
-		t.Fatalf("fingerprint unchanged after text mutation")
-	}
-}

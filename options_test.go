@@ -68,8 +68,8 @@ func TestNegativeWorkersAnalyze(t *testing.T) {
 
 // TestBatchEntryPointsKeepOptions: the batch entry points and the panic
 // retry run each program with the caller's options on one worker. They
-// must not drop Profile (the stage table) or DisableCondensation (the
-// per-node solver, whose work counters differ from the condensed one).
+// must not drop Profile (the stage table), and each answer must carry
+// the same GMOD work counters as a direct sequential analysis.
 func TestBatchEntryPointsKeepOptions(t *testing.T) {
 	src := workload.Emit(workload.Random(workload.DefaultConfig(20, 7)))
 	prog, err := sem.AnalyzeSource(src)
@@ -114,17 +114,18 @@ func TestBatchEntryPointsKeepOptions(t *testing.T) {
 			return nil
 		}},
 	}
-	want, err := AnalyzeWith(src, Options{Workers: 1, DisableCondensation: true})
+	want, err := AnalyzeWith(src, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		t.Run(e.name, func(t *testing.T) {
-			if a := e.run(t, Options{Workers: 2, Profile: true}); a.Stages == nil {
+			a := e.run(t, Options{Workers: 2, Profile: true})
+			if a.Stages == nil {
 				t.Error("Profile dropped: Stages is nil")
 			}
-			if got := e.run(t, Options{Workers: 2, DisableCondensation: true}).GMODWork(); got != want.GMODWork() {
-				t.Errorf("DisableCondensation dropped: GMODWork = %+v, want %+v", got, want.GMODWork())
+			if got := a.GMODWork(); got != want.GMODWork() {
+				t.Errorf("GMODWork = %+v, want %+v", got, want.GMODWork())
 			}
 		})
 	}

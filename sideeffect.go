@@ -51,11 +51,6 @@ type Options struct {
 	// sequential run, allocation counts) in Analysis.Stages and tags
 	// each stage's execution with a pprof "stage" label.
 	Profile bool
-	// DisableCondensation forces the per-node Figure-2 GMOD search
-	// instead of the SCC-condensed storage layer (see
-	// core.Options.DisableCondensation). Results are identical; this is
-	// the differential baseline for tests and experiments.
-	DisableCondensation bool
 	// GoModule, when true, makes AnalyzeGoPackages treat its patterns
 	// as one whole Go module: every matched package plus its
 	// module-local import closure lowers into a single shared program

@@ -7,6 +7,7 @@ import (
 	"runtime"
 
 	"sideeffect"
+	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -104,7 +105,7 @@ func expE13(quick bool) {
 		Speedup: float64(seq) / float64(par),
 	})
 
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	if err := writeBenchBatch(records); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return

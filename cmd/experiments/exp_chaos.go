@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"sideeffect/internal/report"
 	"sideeffect/internal/server"
 	"sideeffect/internal/workload"
 )
@@ -230,7 +231,7 @@ func expE17(quick bool) {
 		ErrorRate: 1 - float64(shedCnt["ok"])/float64(burst), P50Ms: p50, P99Ms: p99,
 	})
 
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	if err := writeBenchChaos(records); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return

@@ -8,6 +8,7 @@ import (
 	"sideeffect/internal/callgraph"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
+	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func expE1(quick bool) {
 			dur(t),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: the steps/(Nβ+Eβ) column is a constant (≤ 2) across a 128× size sweep.")
 }
 
@@ -78,7 +79,7 @@ func expE2(quick bool) {
 			dur(t),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: edge unions ≤ E_C and node unions ≤ N_C (Theorem 2); with globals ∝ N,")
 	fmt.Println("total work is O(N²+NE) machine operations but O(N+E) bit-vector steps.")
 }
@@ -107,7 +108,7 @@ func expE4(quick bool) {
 			})
 		}
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: the ratio columns grow with N on the chain family (iterative pays")
 	fmt.Println("O(chain depth) passes of bit-vector work; Figure 1 pays O(Nβ+Eβ) boolean steps),")
 	fmt.Println("and stay ≥ 1 on random programs. (Swift-style here includes its GMOD phase; see DESIGN.md §4.)")
@@ -155,7 +156,7 @@ func expE5(quick bool) {
 			f2(float64(total) / denom), dur(t), fmt.Sprint(agree),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: one findgmod pass per nesting level (d_P+1 runs), total bit-vector")
 	fmt.Println("steps O(d_P·(E+N)); every row agrees with the declarative per-level oracle.")
 }
@@ -185,7 +186,7 @@ func expE6(quick bool) {
 			fmt.Sprint(2*bst.EBeta >= bst.NBeta),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: Nβ/N_C ≤ µ_f and Eβ/E_C ≤ µ_a in every row, and 2Eβ ≥ Nβ always")
 	fmt.Println("(only edge-touching formals counted), so β is a constant factor k larger than C.")
 }
@@ -217,7 +218,7 @@ func expE9(quick bool) {
 			})
 		}
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: all three produce identical GMOD sets (verified by the test suite);")
 	fmt.Println("the linear solver's advantage grows with program size and with call-graph cyclicity.")
 }
@@ -259,7 +260,7 @@ func expE12(quick bool) {
 			dur(tFull), dur(tInc), f2(float64(tFull) / float64(tInc)),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: the incremental update is validated against full recomputation by")
 	fmt.Println("the test suite; its advantage grows with program size (only the affected region")
 	fmt.Println("plus one DMOD refresh is touched). Note: after the first application further")

@@ -13,6 +13,7 @@ import (
 
 	"sideeffect"
 	"sideeffect/internal/gofront"
+	"sideeffect/internal/report"
 )
 
 func init() {
@@ -184,7 +185,7 @@ func expE18(quick bool) {
 			fmt.Sprint(rec.Degraded), roundDur(coldNs), roundDur(lowerNs), roundDur(solveNs),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println()
 	fmt.Println("A cold load pays once for type-checking the stdlib packages it imports; a warm")
 	fmt.Println("load reuses them and costs parse+check+lower of the package alone. Solve time")
@@ -203,7 +204,7 @@ func expE18(quick bool) {
 			p.Pkg, fmt.Sprint(p.DegradedBefore), fmt.Sprint(p.DegradedAfter),
 		})
 	}
-	printTable(modRows)
+	fmt.Print(report.Table(modRows))
 	fmt.Println()
 	fmt.Printf("Whole-module mode (closure of %d packages, %d procedures, %d devirtualized\n",
 		module.ClosureSize, module.Procs, module.Devirtualized)
@@ -429,13 +430,13 @@ func expE18Sweep(quick bool) gofrontSweep {
 	sw.RetainedBytes = ms.HeapAlloc
 
 	mb := func(b uint64) string { return fmt.Sprintf("%.0f MB", float64(b)/(1<<20)) }
-	printTable([][]string{
+	fmt.Print(report.Table([][]string{
 		{"packages", "panics", "load errors", "with type errors", "cold", "warm", "cold/warm", "wall", "peak RSS", "retained heap"},
 		{fmt.Sprint(sw.Packages), fmt.Sprint(sw.Panics), fmt.Sprint(sw.LoadErrors), fmt.Sprint(sw.WithTypeErrors),
 			roundDur(time.Duration(sw.ColdNs)), roundDur(time.Duration(sw.WarmNs)),
 			fmt.Sprintf("%.1fx", float64(sw.ColdNs)/float64(max(1, sw.WarmNs))),
 			roundDur(time.Duration(sw.WallNs)), mb(sw.PeakRSSBytes), mb(sw.RetainedBytes)},
-	})
+	}))
 	fmt.Println()
 	kinds := make([]string, 0, len(sw.ByReason))
 	for k := range sw.ByReason {
@@ -451,7 +452,7 @@ func expE18Sweep(quick bool) gofrontSweep {
 	for _, k := range kinds {
 		reasons = append(reasons, []string{k, fmt.Sprint(sw.ByReason[k])})
 	}
-	printTable(reasons)
+	fmt.Print(report.Table(reasons))
 	fmt.Println()
 	slow := append([]gofrontSweepRow(nil), sw.Rows...)
 	sort.SliceStable(slow, func(i, j int) bool { return slow[i].ColdNs > slow[j].ColdNs })
@@ -460,6 +461,6 @@ func expE18Sweep(quick bool) gofrontSweep {
 		top = append(top, []string{r.Pkg, fmt.Sprint(r.Bytes >> 10), roundDur(time.Duration(r.ColdNs)),
 			roundDur(time.Duration(r.WarmNs)), fmt.Sprint(r.Degraded), fmt.Sprint(r.TypeErrors)})
 	}
-	printTable(top)
+	fmt.Print(report.Table(top))
 	return sw
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"time"
 
+	"sideeffect/internal/report"
 	"sideeffect/internal/server"
 	"sideeffect/internal/store"
 	"sideeffect/internal/workload"
@@ -181,7 +182,7 @@ func expE19(quick bool) {
 		})
 	}
 
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	if err := writeBenchIndex(records); err != nil {
 		fmt.Fprintf(os.Stderr, "E19: %v\n", err)
 		return

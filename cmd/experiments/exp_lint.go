@@ -10,6 +10,7 @@ import (
 
 	"sideeffect"
 	"sideeffect/internal/lint"
+	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -111,7 +112,7 @@ func expE15(quick bool) {
 		addRow(fmt.Sprintf("random N=%d", n), n, src)
 	}
 
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	if err := writeBenchLint(records); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return

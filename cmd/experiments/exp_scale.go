@@ -13,6 +13,7 @@ import (
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
+	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -184,7 +185,7 @@ func expE20(quick bool) {
 	doc.BytesExponent = fitExponent(xs, bs)
 	doc.Mem = sampleMem()
 
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Printf("\nfitted exponents: time %.3f, bytes %.3f (1.0 = linear; gate ≤ 1.2)\n",
 		doc.TimeExponent, doc.BytesExponent)
 	fmt.Printf("peak RSS %.1f MB\n", float64(doc.Mem.PeakRSSBytes)/1e6)

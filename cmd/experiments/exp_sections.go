@@ -8,6 +8,7 @@ import (
 	"sideeffect/internal/ir"
 	"sideeffect/internal/lang/sem"
 	"sideeffect/internal/lang/token"
+	"sideeffect/internal/report"
 	"sideeffect/internal/section"
 	"sideeffect/internal/workload"
 )
@@ -59,7 +60,7 @@ func expE3(bool) {
 		}
 		rows = append(rows, row)
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: elements meet into their common row/column, rows meet columns into")
 	fmt.Println("the whole array — exactly the Hasse structure drawn in the paper's Figure 3.")
 }
@@ -92,7 +93,7 @@ func expE7(quick bool) {
 			fmt.Sprint(an.NumPairs()), dur(tc), dur(tf), growth,
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: factoring time tracks the number of alias pairs (Section 5's 'linear")
 	fmt.Println("in the size of DMOD(s) and ALIAS(p)'), and stays a small tax on the pipeline.")
 }
@@ -130,7 +131,7 @@ func expE8(quick bool) {
 			f2(float64(sres.Stats.Meets) / float64(eb)), dur(t),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: meets per β edge stay constant as the chain and symbol universe")
 	fmt.Println("grow — the complexity does not depend on the depth of the lattice (Section 6).")
 }
@@ -211,7 +212,7 @@ end.
 			})
 		}
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: the column-wise call parallelizes under section analysis and cannot")
 	fmt.Println("under whole-array summaries; the diagonal smear correctly stays serialized.")
 }
@@ -261,7 +262,7 @@ func expE11(quick bool) {
 			fmt.Sprint(count(simple)), fmt.Sprint(count(bounded)),
 		})
 	}
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: the meet counts track each other (cost is lattice-depth independent),")
 	fmt.Println("while only the bounded lattice proves block-disjointness (Section 6's point that")
 	fmt.Println("the framework accommodates richer lattices for more precision at the same asymptotics).")

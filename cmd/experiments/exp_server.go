@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"sideeffect/internal/report"
 	"sideeffect/internal/server"
 	"sideeffect/internal/workload"
 )
@@ -190,7 +191,7 @@ func expE14(quick bool) {
 		})
 	}
 
-	printTable(rows)
+	fmt.Print(report.Table(rows))
 	if err := mergeBenchServer(records); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return

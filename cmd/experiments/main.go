@@ -71,38 +71,6 @@ func timeIt(f func()) time.Duration {
 	return time.Since(start) / time.Duration(runs)
 }
 
-func printTable(rows [][]string) {
-	widths := map[int]int{}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for ri, r := range rows {
-		var b strings.Builder
-		for i, c := range r {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-		}
-		fmt.Println(strings.TrimRight(b.String(), " "))
-		if ri == 0 {
-			var s strings.Builder
-			for i := range r {
-				if i > 0 {
-					s.WriteString("  ")
-				}
-				s.WriteString(strings.Repeat("-", widths[i]))
-			}
-			fmt.Println(s.String())
-		}
-	}
-}
-
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func dur(d time.Duration) string {
 	switch {

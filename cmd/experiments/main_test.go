@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// capture redirects os.Stdout while f runs and returns what was
+// captureStdout redirects os.Stdout while f runs and returns what was
 // printed (the experiment functions print directly).
-func capture(t *testing.T, f func()) string {
+func captureStdout(t *testing.T, f func()) string {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -37,7 +37,7 @@ func capture(t *testing.T, f func()) string {
 }
 
 func TestE3MeetTable(t *testing.T) {
-	out := capture(t, func() { expE3(true) })
+	out := captureStdout(t, func() { expE3(true) })
 	for _, want := range []string{"A(*, J)", "A(K, *)", "A(*, *)", "Hasse"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E3 output missing %q", want)
@@ -46,7 +46,7 @@ func TestE3MeetTable(t *testing.T) {
 }
 
 func TestE10Verdicts(t *testing.T) {
-	out := capture(t, func() { expE10(true) })
+	out := captureStdout(t, func() { expE10(true) })
 	if !strings.Contains(out, "PARALLELIZE") || !strings.Contains(out, "serialize") {
 		t.Errorf("E10 verdicts missing:\n%s", out)
 	}
@@ -57,7 +57,7 @@ func TestE10Verdicts(t *testing.T) {
 
 func TestE15LintOverhead(t *testing.T) {
 	t.Chdir(t.TempDir()) // expE15 writes BENCH_lint.json to the cwd
-	out := capture(t, func() { expE15(true) })
+	out := captureStdout(t, func() { expE15(true) })
 	for _, want := range []string{"per-finding", "SE003", "BENCH_lint.json"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E15 output missing %q:\n%s", want, out)

@@ -14,7 +14,6 @@
 package indexer
 
 import (
-	"fmt"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -23,8 +22,6 @@ import (
 	"time"
 
 	"sideeffect"
-	"sideeffect/internal/cache"
-	"sideeffect/internal/gofront"
 	"sideeffect/internal/store"
 )
 
@@ -293,18 +290,6 @@ func (ix *Indexer) scanInto(pending *batch) int {
 		}
 	}
 	return events
-}
-
-// keyFor computes the server cache's content address for src under
-// lang — the same derivation the HTTP handlers use, so an installed
-// entry is found by the matching request. Go keys fold in the
-// lowering version: results persisted by an older frontend are never
-// served for bytes the new lowering interprets differently.
-func keyFor(lang, src string) string {
-	if lang == "go" {
-		return cache.Key(fmt.Sprintf("go\x00v%d\x00", gofront.LoweringVersion) + src)
-	}
-	return cache.Key(src)
 }
 
 // sortedPaths returns m's keys sorted, for deterministic processing.

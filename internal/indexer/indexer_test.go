@@ -114,10 +114,10 @@ func TestIndexColdStart(t *testing.T) {
 	ix := startIndexer(t, fastConfig(dir), ft)
 
 	waitFor(t, "both files indexed", func() bool { return ix.Stats().Analyses == 2 })
-	if !ft.HasEntry(keyFor("minipl", idxSrc)) {
+	if !ft.HasEntry(store.Key("minipl", idxSrc)) {
 		t.Error("MiniPL snapshot not installed under the server's key")
 	}
-	if !ft.HasEntry(keyFor("go", idxGoSrc)) {
+	if !ft.HasEntry(store.Key("go", idxGoSrc)) {
 		t.Error("Go snapshot not installed under the server's namespaced key")
 	}
 	st := ix.Stats()
@@ -156,10 +156,10 @@ func TestDebounceCoalescesBursts(t *testing.T) {
 	if st.Analyses != 1 {
 		t.Errorf("burst of 3 writes ran %d analyses, want 1 (coalesced)", st.Analyses)
 	}
-	if !ft.HasEntry(keyFor("minipl", final)) {
+	if !ft.HasEntry(store.Key("minipl", final)) {
 		t.Error("final burst content not installed")
 	}
-	if ft.HasEntry(keyFor("minipl", idxSrc)) {
+	if ft.HasEntry(store.Key("minipl", idxSrc)) {
 		t.Error("intermediate burst content was analyzed; debounce failed")
 	}
 }
@@ -180,7 +180,7 @@ func TestAdditiveEditTakesIncrementalPath(t *testing.T) {
 	additive := strings.Replace(idxSrc, "x := 1", "x := 1; h := g", 1)
 	writeFile(t, path, additive)
 	waitFor(t, "incremental edit", func() bool { return ix.Stats().IncrementalEdits == 1 })
-	if !ft.HasEntry(keyFor("minipl", additive)) {
+	if !ft.HasEntry(store.Key("minipl", additive)) {
 		t.Error("incrementally updated snapshot not installed")
 	}
 

@@ -146,7 +146,7 @@ func (ix *Indexer) processFile(path string, deletedKeys map[string]string, delet
 		return // raced a deletion; the next scan records it
 	}
 	src := string(data)
-	key := keyFor(lang, src)
+	key := store.Key(lang, src)
 
 	ix.mu.Lock()
 	old := ix.files[path]

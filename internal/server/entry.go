@@ -43,6 +43,9 @@ type cached struct {
 	// notes and the rendered confidence table appended to text reports.
 	notes []gofront.Note
 	conf  string
+	// degraded marks a live entry the sequential fallback computed after
+	// the first attempt died with a captured panic.
+	degraded bool
 
 	// full is the /analyze full-report response after its "cached"
 	// value, rendered once when the entry is built; report is the report
@@ -68,21 +71,19 @@ type cached struct {
 }
 
 // newCached wraps a freshly computed analysis and renders its
-// full-report body. notes and conf are the Go frontend's confidence
-// data (nil and "" for MiniPL).
-func newCached(a *sideeffect.Analysis, lang string, notes []gofront.Note, conf string) (*cached, error) {
+// full-report body. pkg is the Go frontend's package, whose confidence
+// notes and table the entry keeps (nil for MiniPL), and degraded says
+// whether the fallback retry computed a.
+func newCached(a *sideeffect.Analysis, lang string, pkg *gofront.Package, degraded bool) (*cached, error) {
 	doc, err := json.Marshal(report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod))
 	if err != nil {
 		return nil, fmt.Errorf("render report: %w", err)
 	}
-	e := &cached{a: a, lang: lang, notes: notes, conf: conf}
+	e := &cached{a: a, lang: lang, degraded: degraded}
+	if pkg != nil {
+		e.notes, e.conf = pkg.Notes, pkg.ConfidenceReport()
+	}
 	return e, e.seal(doc)
-}
-
-// newCachedGo wraps a Go-package analysis, keeping the frontend's
-// confidence notes alongside the analysis.
-func newCachedGo(r sideeffect.GoResult) (*cached, error) {
-	return newCached(r.Analysis, "go", r.Pkg.Notes, r.Pkg.ConfidenceReport())
 }
 
 // newCachedSnap wraps a restored (or indexer-rendered) snapshot as a

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 const goSrvSrc = `package p
@@ -76,6 +77,19 @@ func TestAnalyzeGo(t *testing.T) {
 	var eb errorBody
 	if code := post(t, ts.URL+"/analyze", map[string]string{"source": goSrvSrc, "lang": "cobol"}, &eb); code != http.StatusBadRequest {
 		t.Fatalf("lang=cobol: status %d, want 400", code)
+	}
+}
+
+// TestAnalyzeGoTimeout checks that a Go miss runs under the request's
+// deadline, as a MiniPL miss does (TestAnalyzeTimeout).
+func TestAnalyzeGoTimeout(t *testing.T) {
+	ts := newTestServer(t, Config{Timeout: time.Nanosecond})
+	var e errorBody
+	if code := post(t, ts.URL+"/analyze", analyzeRequest{Source: goSrvSrc, Lang: "go"}, &e); code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", code)
+	}
+	if e.Error.Code != "timeout" {
+		t.Errorf("code %q, want timeout", e.Error.Code)
 	}
 }
 

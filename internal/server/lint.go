@@ -170,12 +170,9 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) (int, any, *
 	if req.Lang == "" {
 		req.Lang = r.URL.Query().Get("lang")
 	}
-	entry, key, outcome, apiErr := s.analyzeCachedLang(r.Context(), req.Lang, req.Source)
-	if apiErr != nil {
-		return 0, nil, apiErr
-	}
-	if entry.snap != nil {
-		s.met.warmHit()
+	entry, key, outcome, err := s.resolve(r.Context(), req.Lang, req.Source, s.requestOpts())
+	if err != nil {
+		return 0, nil, errFrom(err)
 	}
 	lf, apiErr := s.entryLint(r.Context(), entry)
 	if apiErr != nil {

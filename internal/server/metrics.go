@@ -6,9 +6,8 @@ import (
 	"strings"
 	"sync"
 
+	"sideeffect"
 	"sideeffect/internal/cache"
-	"sideeffect/internal/core"
-	"sideeffect/internal/prof"
 )
 
 // latencyBounds are the histogram bucket upper bounds in seconds,
@@ -36,35 +35,6 @@ func (h *histogram) observe(seconds float64) {
 	h.counts[i]++
 	h.sum += seconds
 	h.count++
-}
-
-// quantile returns an approximate quantile (0 < q < 1) assuming a
-// uniform distribution inside each bucket; used by the experiment
-// harness for p50/p99 summaries.
-func (h *histogram) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	var seen float64
-	for i, c := range h.counts {
-		if seen+float64(c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBounds[i-1]
-			}
-			hi := lo * 2
-			if i < len(latencyBounds) {
-				hi = latencyBounds[i]
-			}
-			if c == 0 {
-				return hi
-			}
-			return lo + (hi-lo)*(rank-seen)/float64(c)
-		}
-		seen += float64(c)
-	}
-	return latencyBounds[len(latencyBounds)-1]
 }
 
 // metrics is the server's observability state: request counts by
@@ -128,12 +98,6 @@ func (m *metrics) panicked() {
 	m.mu.Unlock()
 }
 
-func (m *metrics) degradedRetry() {
-	m.mu.Lock()
-	m.degraded++
-	m.mu.Unlock()
-}
-
 // warmHit records one request served from a snapshot-backed entry.
 func (m *metrics) warmHit() {
 	m.mu.Lock()
@@ -157,23 +121,22 @@ func (m *metrics) checkpointed(bytes int64, seconds float64) {
 	m.mu.Unlock()
 }
 
-// observeStages folds one profiled analysis run into the per-stage
-// time counters.
-func (m *metrics) observeStages(stages []prof.StageStat) {
+// observeMiss records one cache-miss analysis: its wall time, the
+// stage times of a profiled run, the condensed solver's storage
+// counters, and whether the fallback retry computed it.
+func (m *metrics) observeMiss(seconds float64, a *sideeffect.Analysis, degraded bool) {
+	stages, work := a.Stages.Snapshot(), a.GMODWork()
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.latency.observe(seconds)
 	for _, st := range stages {
 		m.stageSecs[st.Name] += float64(st.NS) / 1e9
 	}
-	m.mu.Unlock()
-}
-
-// observeGMODWork folds one analysis's condensed-solver counters into
-// the storage metrics.
-func (m *metrics) observeGMODWork(s core.GMODStats) {
-	m.mu.Lock()
-	m.condensedRows += int64(s.CondensedRows)
-	m.sharedRowHits += int64(s.SharedRowHits)
-	m.mu.Unlock()
+	m.condensedRows += int64(work.CondensedRows)
+	m.sharedRowHits += int64(work.SharedRowHits)
+	if degraded {
+		m.degraded++
+	}
 }
 
 func (m *metrics) request(endpoint string, status int) {
@@ -198,18 +161,6 @@ func (m *metrics) lintRun(counts map[string]int) {
 		m.lintHits[rule] += int64(n)
 	}
 	m.mu.Unlock()
-}
-
-func (m *metrics) observeAnalysis(seconds float64) {
-	m.mu.Lock()
-	m.latency.observe(seconds)
-	m.mu.Unlock()
-}
-
-func (m *metrics) analysisQuantile(q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.latency.quantile(q)
 }
 
 // robustnessStats carries the serving-layer resilience gauges and
@@ -357,7 +308,7 @@ func (m *metrics) render(cs cache.Stats, sessionsOpen int, rs robustnessStats) s
 	b.WriteString("# TYPE modand_shared_row_hits_total counter\n")
 	fmt.Fprintf(&b, "modand_shared_row_hits_total %d\n", m.sharedRowHits)
 
-	b.WriteString("# HELP modand_analysis_seconds Wall time of analysis computations: one sample per /analyze or /lint cache miss, and one per /batch request for all its misses; session work is not observed.\n")
+	b.WriteString("# HELP modand_analysis_seconds Wall time of analysis computations: one sample per cache miss, whichever endpoint caused it; session work is not observed.\n")
 	b.WriteString("# TYPE modand_analysis_seconds histogram\n")
 	var cum int64
 	for i, bound := range latencyBounds {

@@ -10,8 +10,9 @@
 //     content-addressed LRU (internal/cache) with singleflight
 //     deduplication; responses carry the full JSON report or the answer
 //     to one query (gmod/guse/rmod/callsites/report).
-//   - POST /batch — many sources fanned out over the bounded worker
-//     pool (sideeffect.AnalyzeAll), each entry consulting the cache.
+//   - POST /batch — many sources, repeats dropped, fanned out over the
+//     bounded worker pool (internal/batch); each one resolves through
+//     the same cache and miss path as /analyze.
 //   - /session — stateful handles that hold a program open and absorb
 //     edits through sideeffect.Session: additive edits ride the
 //     incremental engine, anything else falls back to full reanalysis.
@@ -43,6 +44,7 @@ import (
 	"sideeffect/internal/faultinject"
 	"sideeffect/internal/gofront"
 	"sideeffect/internal/report"
+	"sideeffect/internal/store"
 )
 
 // Config tunes the server. The zero value gets sensible production
@@ -291,15 +293,19 @@ func errSessionBroken() *apiError {
 }
 
 // errFrom classifies a hardened-pipeline error into the structured
-// vocabulary: cancellation → timeout, injected faults → fault_injected,
-// captured panics → internal, broken sessions → session_poisoned, and
-// everything else (parse/semantic failures) → analysis_failed.
+// vocabulary: an *apiError stays as it is, cancellation → timeout,
+// injected faults → fault_injected, captured panics → internal, broken
+// sessions → session_poisoned, and everything else (parse/semantic
+// failures) → analysis_failed.
 func errFrom(err error) *apiError {
 	var (
+		ae  *apiError
 		inj *faultinject.InjectedError
 		pe  *batch.PanicError
 	)
 	switch {
+	case errors.As(err, &ae):
+		return ae
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return errTimeout()
 	case errors.Is(err, sideeffect.ErrSessionBroken):
@@ -433,85 +439,68 @@ func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 	return errBadRequest("invalid JSON body: %v", err)
 }
 
-// analyzeCached resolves src through the cache under the request
-// context: a hit returns immediately; a miss computes on the worker
-// options with the deadline threaded through every pipeline stage;
-// concurrent identical requests share one computation. A miss whose
-// first attempt dies with a captured panic is retried once in degraded
-// mode (sideeffect.AnalyzeContextRetry) before the request fails. The
-// computation runs on the request's own goroutine — a cancelled request
-// stops at the next stage boundary and frees its admission slot;
-// nothing is left running in the background. Dedup waiters share the
-// leader's outcome, errors included; errors are never cached, so the
-// next request retries.
-func (s *Server) analyzeCached(ctx context.Context, src string) (*cached, string, cache.Outcome, *apiError) {
-	key := cache.Key(src)
-	entry, outcome, err := s.cache.Do(key, func() (*cached, error) {
-		start := time.Now()
-		// Cache misses run profiled so /metrics can attribute analysis
-		// time to pipeline stages.
-		popts := s.opts
-		popts.Profile = true
-		a, degraded, err := sideeffect.AnalyzeContextRetry(ctx, src, popts)
-		if err != nil {
-			return nil, err
-		}
-		if degraded {
-			s.met.degradedRetry()
-		}
-		s.met.observeAnalysis(time.Since(start).Seconds())
-		s.met.observeStages(a.Stages.Snapshot())
-		s.met.observeGMODWork(a.GMODWork())
-		return newCached(a, "minipl", nil, "")
-	})
-	if err != nil {
-		return nil, key, outcome, errFrom(err)
-	}
-	return entry, key, outcome, nil
-}
-
-// goCacheKey derives the cache address of a single-file Go analysis.
-// The namespace folds in the frontend's lowering version, so an entry
-// persisted by an older lowering (coarser struct tracking, no module
-// resolution) is never served for the same bytes after the frontend
-// changed what those bytes mean. Whole-module entries live in a
-// separate "go-module" namespace derived from the module content hash
-// (see internal/indexer), which folds the version in the same way.
-func goCacheKey(src string) string {
-	return cache.Key(fmt.Sprintf("go\x00v%d\x00", gofront.LoweringVersion) + src)
-}
-
-// analyzeCachedLang dispatches by input language: "" and "minipl" use
-// the MiniPL path (and its cache namespace); "go" lowers the source as
-// a single-file Go package under a language-prefixed cache key, so the
-// two frontends can never serve each other's entries. The Go key is
-// content-addressed over the same bytes the package hash covers.
-func (s *Server) analyzeCachedLang(ctx context.Context, lang, src string) (*cached, string, cache.Outcome, *apiError) {
+// resolve returns the cache entry for src under lang ("" or "minipl",
+// or "go"), computing it on a miss. It is the one miss path of every
+// analyzing endpoint: /analyze and /lint pass the server's workers,
+// profiled (requestOpts), and /batch one worker per program,
+// unprofiled. A miss runs on the caller's goroutine under ctx and the
+// server's fault injector, so nothing is left running in the
+// background. A MiniPL miss goes through
+// sideeffect.AnalyzeContextRetry: a cancelled request stops at the next
+// stage boundary, and a first attempt that dies with a captured panic
+// is retried once on one worker, marking the entry degraded. A Go miss
+// lowers src as a single-file package (the lowering does not watch ctx)
+// and then solves under ctx, with no retry. Concurrent calls for one
+// key share one computation and its outcome, errors included; errors
+// are never cached, so the next call retries. Each miss adds one
+// modand_analysis_seconds sample and its stage and GMOD-work
+// observations, and each call served by a snapshot-backed entry counts
+// one warm hit.
+func (s *Server) resolve(ctx context.Context, lang, src string, opts sideeffect.Options) (*cached, string, cache.Outcome, error) {
 	switch lang {
 	case "", "minipl":
-		return s.analyzeCached(ctx, src)
+		lang = "minipl"
 	case "go":
 	default:
 		return nil, "", 0, errBadRequest("unknown lang %q (want minipl or go)", lang)
 	}
-	key := goCacheKey(src)
+	key := store.Key(lang, src)
 	entry, outcome, err := s.cache.Do(key, func() (*cached, error) {
 		start := time.Now()
-		popts := s.opts
-		popts.Profile = true
-		res, err := sideeffect.AnalyzeGoSource("source.go", src, popts)
+		var (
+			a        *sideeffect.Analysis
+			pkg      *gofront.Package
+			degraded bool
+			err      error
+		)
+		if lang == "go" {
+			if pkg, err = gofront.AnalyzeSource("source.go", src); err == nil {
+				a, err = sideeffect.AnalyzeProgramContext(ctx, pkg.Prog, opts)
+			}
+		} else {
+			a, degraded, err = sideeffect.AnalyzeContextRetry(ctx, src, opts)
+		}
 		if err != nil {
 			return nil, err
 		}
-		s.met.observeAnalysis(time.Since(start).Seconds())
-		s.met.observeStages(res.Analysis.Stages.Snapshot())
-		s.met.observeGMODWork(res.Analysis.GMODWork())
-		return newCachedGo(res)
+		s.met.observeMiss(time.Since(start).Seconds(), a, degraded)
+		return newCached(a, lang, pkg, degraded)
 	})
 	if err != nil {
-		return nil, key, outcome, errFrom(err)
+		return nil, key, outcome, err
+	}
+	if entry.snap != nil {
+		s.met.warmHit()
 	}
 	return entry, key, outcome, nil
+}
+
+// requestOpts are the miss options of /analyze and /lint: the server's
+// workers, profiled so /metrics can attribute analysis time to stages.
+func (s *Server) requestOpts() sideeffect.Options {
+	o := s.opts
+	o.Profile = true
+	return o
 }
 
 // analyzeRequest is the /analyze body. Query is optional; without it
@@ -560,12 +549,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (int, any
 	if req.Lang == "" {
 		req.Lang = r.URL.Query().Get("lang")
 	}
-	entry, key, outcome, apiErr := s.analyzeCachedLang(r.Context(), req.Lang, req.Source)
-	if apiErr != nil {
-		return 0, nil, apiErr
-	}
-	if entry.snap != nil {
-		s.met.warmHit()
+	entry, key, outcome, err := s.resolve(r.Context(), req.Lang, req.Source, s.requestOpts())
+	if err != nil {
+		return 0, nil, errFrom(err)
 	}
 	hit := outcome == cache.Hit
 	if req.Query == nil || req.Query.Kind == "" {
@@ -573,7 +559,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) (int, any
 	}
 	resp := analyzeResponse{Hash: key, Cached: hit, Notes: entry.notes}
 	q := req.Query
-	var err error
+	var apiErr *apiError
 	switch q.Kind {
 	case "report":
 		resp.Text = entry.textReport()
@@ -617,8 +603,9 @@ type batchEntry struct {
 	Cached bool            `json:"cached"`
 	Report json.RawMessage `json:"report,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	// Degraded marks an entry served by the sequential fallback after
-	// its first attempt died with a captured panic.
+	// Degraded marks an answer the sequential fallback computed after
+	// the first attempt died with a captured panic; the cached answer
+	// keeps the mark.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -636,72 +623,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int, any, 
 	return http.StatusOK, map[string][]batchEntry{"results": s.runBatch(r.Context(), req.Sources)}, nil
 }
 
-// runBatch resolves every source, serving repeats and warm entries
-// from the cache and fanning the rest out over the hardened batch
-// pipeline on the request's own goroutine. Cancellation propagates:
-// undispatched sources come back with the timeout error, running ones
-// stop at their next stage boundary, and the worker pool is free when
-// this returns — a cancelled batch cannot strand workers.
+// runBatch resolves every source through resolve with one worker per
+// program, unprofiled. Repeated sources are resolved once and share
+// the answer; the distinct ones fan out over the server's workers on
+// the request's own goroutine. Cancellation propagates: once ctx is
+// done, sources not yet dispatched carry the timeout error even when
+// they are cached, running ones stop at their next stage boundary, and
+// the pool is free when this returns, so a cancelled batch cannot
+// strand workers.
 func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
-	entries := make([]batchEntry, len(sources))
-	var missSrcs []string
-	missAt := make(map[string]int) // key → index into missSrcs
-	for i, src := range sources {
-		key := cache.Key(src)
-		entries[i].Hash = key
-		if e, ok := s.cache.Get(key); ok {
-			entries[i].Cached = true
-			entries[i].Report = e.report
-			if e.snap != nil {
-				s.met.warmHit()
-			}
-			continue
-		}
-		if _, dup := missAt[key]; !dup {
-			missAt[key] = len(missSrcs)
-			missSrcs = append(missSrcs, src)
+	opts := s.opts
+	opts.Workers = 1
+	at := make(map[string]int, len(sources)) // source → index into uniq
+	var uniq []string
+	for _, src := range sources {
+		if _, dup := at[src]; !dup {
+			at[src] = len(uniq)
+			uniq = append(uniq, src)
 		}
 	}
-	if len(missSrcs) == 0 {
-		return entries
-	}
-	start := time.Now()
-	results := sideeffect.AnalyzeAllContext(ctx, missSrcs, s.opts)
-	s.met.observeAnalysis(time.Since(start).Seconds())
-	fresh := make(map[string]*cached, len(results))
-	for j := range results {
-		res := &results[j]
-		if res.Err != nil {
-			continue
-		}
-		e, err := newCached(res.Analysis, "minipl", nil, "")
+	done, err := batch.MapCtx(ctx, s.cfg.Workers, uniq, func(_ int, src string) batchEntry {
+		e, key, outcome, err := s.resolve(ctx, "minipl", src, opts)
 		if err != nil {
-			res.Err = err
-			continue
+			return batchEntry{Hash: key, Error: err.Error()}
 		}
-		key := cache.Key(missSrcs[j])
-		fresh[key] = e
-		s.cache.Put(key, e)
-		s.met.observeGMODWork(res.Analysis.GMODWork())
-		if res.Degraded {
-			s.met.degradedRetry()
-		}
-	}
-	for i := range sources {
-		if entries[i].Cached {
-			continue
-		}
-		key := entries[i].Hash
-		j, queued := missAt[key]
-		switch {
-		case !queued:
-			// Unreachable: every non-cached source was queued.
-			entries[i].Error = fmt.Sprintf("internal: source %d not analyzed", i)
-		case results[j].Err != nil:
-			entries[i].Error = results[j].Err.Error()
-		default:
-			entries[i].Report = fresh[key].report
-			entries[i].Degraded = results[j].Degraded
+		return batchEntry{Hash: key, Cached: outcome == cache.Hit, Report: e.report, Degraded: e.degraded}
+	})
+	entries := make([]batchEntry, len(sources))
+	for i, src := range sources {
+		entries[i] = done[at[src]]
+		if entries[i].Hash == "" {
+			// Never dispatched: the slot is empty and err says why.
+			entries[i] = batchEntry{Hash: store.Key("minipl", src), Error: err.Error()}
 		}
 	}
 	return entries

@@ -308,6 +308,76 @@ func TestBatch(t *testing.T) {
 	}
 }
 
+// TestBatchObservesEveryMiss checks that every distinct source a /batch
+// analyzes is one modand_analysis_seconds sample, as an /analyze miss
+// is, and that a repeated source is analyzed once.
+func TestBatchObservesEveryMiss(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	var srcs []string
+	for seed := int64(1); seed <= 3; seed++ {
+		srcs = append(srcs, workload.Emit(workload.Random(workload.DefaultConfig(8, seed))))
+	}
+	srcs = append(srcs, srcs[0])
+	var resp struct {
+		Results []batchEntry `json:"results"`
+	}
+	if code := post(t, ts.URL+"/batch", batchRequest{Sources: srcs}, &resp); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	for i, e := range resp.Results {
+		if e.Error != "" || e.Cached || e.Report == nil {
+			t.Errorf("entry %d: cached %v, error %q, report %v", i, e.Cached, e.Error, e.Report != nil)
+		}
+	}
+	if got := metricValue(t, ts.URL, "modand_analysis_seconds_count"); got != 3 {
+		t.Errorf("modand_analysis_seconds_count = %g, want 3", got)
+	}
+	if got := metricValue(t, ts.URL, "modand_cache_misses_total"); got != 3 {
+		t.Errorf("modand_cache_misses_total = %g, want 3", got)
+	}
+}
+
+// TestBatchJoinsRunningMiss sends a /batch naming a source whose
+// /analyze miss is still running: the batch must wait for that miss
+// instead of analyzing the source a second time. The program is large
+// enough that its analysis outlasts the wait for the miss to show on
+// /metrics and the batch request's decoding by a wide margin, also
+// under the race detector.
+func TestBatchJoinsRunningMiss(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1})
+	big := workload.Emit(workload.Random(workload.DefaultConfig(200, 5)))
+	analyzed := make(chan error, 1)
+	go func() {
+		code, body, err := postBytes(ts.URL+"/analyze", analyzeRequest{Source: big})
+		if err == nil && code != http.StatusOK {
+			err = fmt.Errorf("status %d: %.200s", code, body)
+		}
+		analyzed <- err
+	}()
+	waitFor(t, "the /analyze miss", func() bool { return metricValue(t, ts.URL, "modand_cache_misses_total") == 1 })
+	var resp struct {
+		Results []batchEntry `json:"results"`
+	}
+	if code := post(t, ts.URL+"/batch", batchRequest{Sources: []string{big}}, &resp); code != http.StatusOK {
+		t.Fatalf("batch: status %d", code)
+	}
+	if err := <-analyzed; err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	if e := resp.Results[0]; e.Error != "" || e.Cached || e.Report == nil {
+		t.Errorf("batch entry: cached %v, error %q, report %v", e.Cached, e.Error, e.Report != nil)
+	}
+	for name, want := range map[string]float64{
+		"modand_cache_dedups_total":     1,
+		"modand_cache_misses_total":     1,
+		"modand_analysis_seconds_count": 1,
+	} {
+		if got := metricValue(t, ts.URL, name); got != want {
+			t.Errorf("%s = %g, want %g", name, got, want)
+		}
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	var created sessionState

@@ -78,7 +78,7 @@ func newStoredFixture(t *testing.T, src, lang string) *storedFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.a, f.notes, f.conf, f.key, file = res.Analysis, res.Pkg.Notes, res.Pkg.ConfidenceReport(), goCacheKey(src), "source.go"
+		f.a, f.notes, f.conf, f.key, file = res.Analysis, res.Pkg.Notes, res.Pkg.ConfidenceReport(), store.Key("go", src), "source.go"
 		if len(f.notes) == 0 {
 			t.Fatal("Go fixture has no notes")
 		}
@@ -136,13 +136,13 @@ func (f *storedFixture) entry() (*cached, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newCachedGo(res)
+		return newCached(res.Analysis, "go", res.Pkg, false)
 	}
 	a, err := sideeffect.Analyze(f.src)
 	if err != nil {
 		return nil, err
 	}
-	return newCached(a, "minipl", nil, "")
+	return newCached(a, "minipl", nil, false)
 }
 
 // postBytes is rawPost for goroutines other than the test's own.

@@ -5,11 +5,29 @@ import (
 	"fmt"
 
 	"sideeffect"
+	"sideeffect/internal/cache"
 	"sideeffect/internal/gofront"
 	"sideeffect/internal/lint"
 	"sideeffect/internal/prof"
 	"sideeffect/internal/report"
 )
+
+// Key is the serving cache's content address for src under lang, the
+// one derivation behind every request handler and the watch-mode
+// indexer, so an installed entry is found by the matching request.
+// MiniPL sources key on their bytes. A "go" key folds a namespace and
+// the frontend's lowering version in front of them: the two frontends
+// never serve each other's entries, and an entry persisted by an older
+// lowering is never served for bytes the new lowering reads
+// differently. Whole-module entries use the indexer's "go-module" key,
+// derived from the module content hash, which folds the version in the
+// same way.
+func Key(lang, src string) string {
+	if lang == "go" {
+		return cache.Key(fmt.Sprintf("go\x00v%d\x00", gofront.LoweringVersion) + src)
+	}
+	return cache.Key(src)
+}
 
 // EntrySnapshot is one content-addressed cache entry rendered to pure
 // data: everything the serving layer answers about an analysis —

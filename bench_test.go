@@ -9,6 +9,7 @@ package sideeffect
 // benchmark methodology.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -189,7 +190,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				AnalyzeProgram(prog)
+				AnalyzeProgramWith(prog, Options{})
 			}
 		})
 	}
@@ -272,6 +273,7 @@ func mergeBenchBatch(b *testing.B, rec benchBatchRecord) {
 	var doc struct {
 		Cores   int                `json:"cores"`
 		NumCPU  int                `json:"num_cpu"`
+		Mem     json.RawMessage    `json:"mem,omitempty"` // E13's memory sample, kept as written
 		Records []benchBatchRecord `json:"records"`
 	}
 	if data, err := os.ReadFile("BENCH_batch.json"); err == nil {
@@ -295,7 +297,7 @@ func mergeBenchBatch(b *testing.B, rec benchBatchRecord) {
 	}
 }
 
-// E13 — batch throughput: a corpus of programs through AnalyzeAll on
+// E13 — batch throughput: a corpus of programs through AnalyzeAllContext on
 // the worker pool vs the fully sequential schedule. The speedup row is
 // recorded in BENCH_batch.json together with the core count, since on
 // a single core the two schedules are expected to tie.
@@ -312,8 +314,9 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 			}
 		}
 	}
-	seq := benchSchedule(b, "seq", func() { check(AnalyzeAll(srcs, Options{Workers: 1})) })
-	par := benchSchedule(b, "par", func() { check(AnalyzeAll(srcs, Options{})) })
+	ctx := context.Background()
+	seq := benchSchedule(b, "seq", func() { check(AnalyzeAllContext(ctx, srcs, Options{Workers: 1})) })
+	par := benchSchedule(b, "par", func() { check(AnalyzeAllContext(ctx, srcs, Options{})) })
 	if seq > 0 && par > 0 {
 		mergeBenchBatch(b, benchBatchRecord{
 			Name: fmt.Sprintf("BenchmarkAnalyzeAll/N=%d", procsEach), Cores: runtime.GOMAXPROCS(0),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -47,7 +48,7 @@ func writeBenchBatch(records []batchBenchRecord) error {
 }
 
 // expE13 measures the concurrent engine twice: a corpus of programs
-// through AnalyzeAll (program-level parallelism) and one large program
+// through AnalyzeAllContext (program-level parallelism) and one large program
 // through AnalyzeWith (stage-level parallelism), each against the
 // one-worker pipeline. On a single-core box the ratio is expected to
 // hover near 1.0 — the point of the sequential differential tests is
@@ -72,14 +73,14 @@ func expE13(quick bool) {
 		for i := range srcs {
 			srcs[i] = workload.Emit(workload.Random(workload.DefaultConfig(n, int64(100*n+i))))
 		}
-		seq := timeIt(func() { sideeffect.AnalyzeAll(srcs, sideeffect.Options{Workers: 1}) })
-		par := timeIt(func() { sideeffect.AnalyzeAll(srcs, sideeffect.Options{Workers: workers}) })
+		seq := timeIt(func() { sideeffect.AnalyzeAllContext(context.Background(), srcs, sideeffect.Options{Workers: 1}) })
+		par := timeIt(func() { sideeffect.AnalyzeAllContext(context.Background(), srcs, sideeffect.Options{Workers: workers}) })
 		rows = append(rows, []string{
 			fmt.Sprintf("batch N=%d", n), fmt.Sprint(progsEach), fmt.Sprint(n),
 			dur(seq), dur(par), f2(float64(seq) / float64(par)),
 		})
 		records = append(records, batchBenchRecord{
-			Name: fmt.Sprintf("AnalyzeAll/N=%d", n), Cores: runtime.GOMAXPROCS(0),
+			Name: fmt.Sprintf("AnalyzeAllContext/N=%d", n), Cores: runtime.GOMAXPROCS(0),
 			Workers: workers, Programs: progsEach, ProcsEach: n,
 			SeqNsPerOp: seq.Nanoseconds(), ParNsPerOp: par.Nanoseconds(),
 			Speedup: float64(seq) / float64(par),

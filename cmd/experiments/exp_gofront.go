@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"go/build"
@@ -248,7 +249,7 @@ func expE18Module(root string, pkgs []string) gofrontModuleRecord {
 	var r sideeffect.GoResult
 	lowerNs := timeIt(func() {
 		var err error
-		r, err = sideeffect.AnalyzeGoModule(root, patterns, sideeffect.Options{Workers: 1})
+		r, err = sideeffect.AnalyzeGoModule(context.Background(), patterns, sideeffect.Options{Workers: 1})
 		if err != nil {
 			panic(fmt.Sprintf("E18: module: %v", err))
 		}

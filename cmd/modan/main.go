@@ -146,8 +146,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "modan: -dot, -fmt, and -json apply to MiniPL inputs only\n")
 			return 2
 		}
-		opts.GoModule = *gomodule
-		results, err := sideeffect.AnalyzeGoPackages(fs.Args(), opts)
+		var results []sideeffect.GoResult
+		var err error
+		if *gomodule {
+			var r sideeffect.GoResult
+			r, err = sideeffect.AnalyzeGoModule(context.Background(), fs.Args(), opts)
+			results = []sideeffect.GoResult{r}
+		} else {
+			results, err = sideeffect.AnalyzeGoPackages(fs.Args(), opts)
+		}
 		if err != nil {
 			fmt.Fprintf(stderr, "modan: %v\n", err)
 			return 1
@@ -199,7 +206,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				code = 1
 				continue
 			}
-			if r.Degraded {
+			if r.Analysis.Degraded {
 				fmt.Fprintf(stderr, "modan: %s: first attempt panicked; served by the sequential fallback\n", fs.Arg(i))
 			}
 			render(stdout, r.Analysis)

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -104,8 +105,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "modlint: -degraded must be text or json, got %q\n", *degraded)
 			return 2
 		}
-		opts.GoModule = *gomodule
-		return runGo(fs.Args(), *format, *degraded, cfg, opts, stdout, stderr)
+		return runGo(fs.Args(), *gomodule, *format, *degraded, cfg, opts, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "modlint: -lang must be minipl or go, got %q\n", *lang)
 		return 2
@@ -133,7 +133,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	code := 0
 	var files []lint.FileReport
-	for i, r := range sideeffect.AnalyzeAll(srcs, opts) {
+	for i, r := range sideeffect.AnalyzeAllContext(context.Background(), srcs, opts) {
 		if r.Err != nil {
 			fmt.Fprintf(stderr, "modlint: %s: %v\n", names[i], r.Err)
 			code = 2
@@ -184,13 +184,22 @@ func emit(format string, files []lint.FileReport, stdout, stderr io.Writer) int 
 }
 
 // runGo is the -lang=go path: targets are package patterns, and each
-// matched package becomes one FileReport keyed by its path. Functions
+// matched package (or, with module, the one whole-module lowering)
+// becomes one FileReport keyed by its path. Functions
 // the frontend lowered with degraded confidence are listed on stderr
 // so worst-case findings are attributable — as per-package text lines
 // by default, or as one machine-readable JSON document with
 // -degraded=json.
-func runGo(patterns []string, format, degradedFmt string, cfg lint.Config, opts sideeffect.Options, stdout, stderr io.Writer) int {
-	results, err := sideeffect.AnalyzeGoPackages(patterns, opts)
+func runGo(patterns []string, module bool, format, degradedFmt string, cfg lint.Config, opts sideeffect.Options, stdout, stderr io.Writer) int {
+	var results []sideeffect.GoResult
+	var err error
+	if module {
+		var r sideeffect.GoResult
+		r, err = sideeffect.AnalyzeGoModule(context.Background(), patterns, opts)
+		results = []sideeffect.GoResult{r}
+	} else {
+		results, err = sideeffect.AnalyzeGoPackages(patterns, opts)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "modlint: %v\n", err)
 		return 2

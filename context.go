@@ -4,34 +4,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 
 	"sideeffect/internal/alias"
 	"sideeffect/internal/batch"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 	"sideeffect/internal/lang/sem"
-	"sideeffect/internal/lint"
 	"sideeffect/internal/prof"
 	"sideeffect/internal/section"
 )
 
-// This file is the hardened face of the public API: every entry point
-// here takes a context and never panics. The plain entry points
-// (Analyze, AnalyzeProgramWith, AnalyzeAll, NewSession, Session.Edit,
-// Incremental.AddLocalEffect) are thin shells over the same pipeline,
-// so the two families cannot drift: they run it with a background
-// context and fault injection off.
-// The analyses and NewSession re-raise a captured panic (repanic) for
-// callers that want fail-fast behavior; Session.Edit keeps
-// EditContext's recovery, and AddLocalEffect returns the error.
-
-// withoutFaults returns o with fault injection off, as every plain
-// entry point runs the pipeline.
-func (o Options) withoutFaults() Options {
-	o.Faults = nil
-	return o
-}
+// This file holds the public API's one contract. Every entry point
+// honours Options.Faults and never panics: a panic anywhere — in the
+// MiniPL parse and prune, the Go load and lower, a pipeline stage or a
+// lint rule — comes back as an error wrapping *batch.PanicError. The
+// pipeline's one retry policy lives in AnalyzeProgramContext, so MiniPL
+// and Go inputs, batches and session edits all share it. The plain
+// forms (Analyze, AnalyzeWith, NewSession, Session.Edit) are one-line
+// shells that run with context.Background(); AnalyzeProgramWith, which
+// has no error result, is the one form that re-panics.
 
 // sequential returns o on one worker: the per-program options of the
 // batch entry points, whose parallelism is across programs, and of the
@@ -41,49 +32,83 @@ func (o Options) sequential() Options {
 	return o
 }
 
-// repanic re-raises a panic that the pipeline captured as an error
-// wrapping *batch.PanicError, as batch.Run does; any other error is
-// returned unchanged.
-func repanic(err error) error {
-	var pe *batch.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
-	return err
+// frontend runs a parse, check or lowering step, returning a panic in
+// it as an error wrapping *batch.PanicError.
+func frontend[T any](step func() (T, error)) (v T, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			var zero T
+			v, err = zero, fmt.Errorf("sideeffect: frontend failed: %w", batch.Capture(rec))
+		}
+	}()
+	return step()
 }
 
-// asPanicError normalizes a recovered value: captured *batch.PanicError
-// values pass through (keeping the panicking goroutine's stack), raw
-// panics are wrapped with the current stack.
-func asPanicError(rec any) *batch.PanicError {
-	if pe, ok := rec.(*batch.PanicError); ok {
-		return pe
-	}
-	return &batch.PanicError{Value: rec, Stack: debug.Stack()}
+// parseMiniPL parses and checks MiniPL source and prunes the
+// procedures unreachable from the main program.
+func parseMiniPL(src string) (*ir.Program, error) {
+	return frontend(func() (*ir.Program, error) {
+		prog, err := sem.AnalyzeSource(src)
+		if err != nil {
+			return nil, fmt.Errorf("sideeffect: %w", err)
+		}
+		return prog.Prune(), nil
+	})
 }
 
 // AnalyzeContext is Analyze with deadline propagation and fault
 // isolation: the context is consulted at every stage boundary, injected
-// faults (Options.Faults) surface as errors, and a panic anywhere in
-// the pipeline — injected or genuine — is returned as an error wrapping
-// *batch.PanicError. It never panics.
+// faults (Options.Faults) surface as errors, and a panic anywhere — in
+// the parser or in the pipeline, injected or genuine — is returned as
+// an error wrapping *batch.PanicError. It never panics.
 func AnalyzeContext(ctx context.Context, src string, opts Options) (*Analysis, error) {
-	prog, err := sem.AnalyzeSource(src)
+	prog, err := parseMiniPL(src)
 	if err != nil {
-		return nil, fmt.Errorf("sideeffect: %w", err)
+		return nil, err
 	}
-	return AnalyzeProgramContext(ctx, prog.Prune(), opts)
+	return AnalyzeProgramContext(ctx, prog, opts)
 }
 
-// AnalyzeProgramContext is AnalyzeProgramWith under the hardened
-// contract of AnalyzeContext: cancellable, fault-injectable, and total
-// (it returns errors, never panics). AnalyzeProgramWith describes the
-// stage schedule.
-func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) (ra *Analysis, err error) {
+// AnalyzeProgramContext analyzes an already-built program model without
+// pruning, scheduling independent stages according to opts, under the
+// contract of AnalyzeContext: cancellable, fault-injectable, and total.
+//
+// The stage dependency graph has two layers. Mod, Use, and alias
+// factoring read only the immutable program model, so they run
+// concurrently first. The four derived stages each depend on one or
+// two of those results and on nothing else: SecMod and SecUse consume
+// the Mod result (both section problems are driven by Mod's GMOD sets,
+// which fix symbol invariance), and the final per-call-site sets
+// factor each core result through the alias analysis. All reads of
+// the shared inputs are read-only, so the layer runs with no locking.
+//
+// An analysis whose first attempt dies with a captured panic, while ctx
+// is still live, is retried once with the same options on one worker,
+// so a worker-pool bug degrades throughput instead of failing the
+// request; Analysis.Degraded marks the retry's answer. The retry
+// carves its rows from a fresh arena, so it shares no storage with the
+// attempt that failed. When both attempts fail, the error joins their
+// errors.
+func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) (*Analysis, error) {
+	a, err := analyzeProgram(ctx, prog, opts)
+	var pe *batch.PanicError
+	if err == nil || !errors.As(err, &pe) || (ctx != nil && ctx.Err() != nil) {
+		return a, err
+	}
+	a, rerr := analyzeProgram(ctx, prog, opts.sequential())
+	if rerr != nil {
+		return nil, errors.Join(err, rerr)
+	}
+	a.Degraded = true
+	return a, nil
+}
+
+// analyzeProgram is one attempt of AnalyzeProgramContext.
+func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options) (ra *Analysis, err error) {
 	a := &Analysis{Prog: prog}
 	defer func() {
 		if rec := recover(); rec != nil {
-			err = asPanicError(rec)
+			err = batch.Capture(rec)
 		}
 		if err != nil {
 			ra, err = nil, fmt.Errorf("sideeffect: analysis failed: %w", err)
@@ -154,48 +179,33 @@ func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 	})
 }
 
-// AnalyzeContextRetry is AnalyzeContext with graceful degradation: an
-// analysis whose first attempt dies with a captured panic, while ctx is
-// still live, is retried once in degraded mode — the caller's options
-// on one worker — so a worker-pool bug degrades throughput instead of
-// failing the request. The retry carves its rows from a fresh arena, so
-// it shares no storage with the attempt that failed. degraded reports
-// that the returned Analysis came from the retry. When both attempts
-// fail, err joins their errors.
-func AnalyzeContextRetry(ctx context.Context, src string, opts Options) (a *Analysis, degraded bool, err error) {
-	a, err = AnalyzeContext(ctx, src, opts)
-	var pe *batch.PanicError
-	if err == nil || !errors.As(err, &pe) || (ctx != nil && ctx.Err() != nil) {
-		return a, false, err
-	}
-	a, rerr := AnalyzeContext(ctx, src, opts.sequential())
-	if rerr != nil {
-		return nil, false, errors.Join(err, rerr)
-	}
-	return a, true, nil
+// AnalyzeAllContext analyzes many source texts concurrently on a
+// bounded worker pool and returns one result per input, in input
+// order: len(srcs) entries, always. Each program runs through
+// AnalyzeContext with the caller's options on one worker — with many
+// programs in flight, program-level parallelism already saturates the
+// workers, and nesting stage-level goroutines underneath would only
+// oversubscribe the pool. A failed program disables only its own
+// entry. Once ctx is done, undispatched programs are skipped; their
+// slots carry ctx.Err().
+func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []BatchResult {
+	return analyzeAll(ctx, srcs, opts, AnalyzeContext)
 }
 
-// AnalyzeAllContext is AnalyzeAll with per-request cancellation and
-// graceful degradation: each program runs through AnalyzeContextRetry,
-// and BatchResult.Degraded marks the entries its retry produced. Once
-// ctx is done, undispatched programs are skipped; their slots carry
-// ctx.Err(). The returned slice always has len(srcs) entries, in input
-// order.
-func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []BatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// analyzeAll is the batch schedule of AnalyzeAllContext and
+// AnalyzeGoPackages: analyze runs once per item, at most opts.workers()
+// at a time, with opts on one worker.
+func analyzeAll[T any](ctx context.Context, items []T, opts Options, analyze func(context.Context, T, Options) (*Analysis, error)) []BatchResult {
 	inner := opts.sequential()
-	out, err := batch.MapCtx(ctx, opts.workers(), srcs, func(_ int, src string) BatchResult {
-		a, degraded, aerr := AnalyzeContextRetry(ctx, src, inner)
-		return BatchResult{Analysis: a, Err: aerr, Degraded: degraded}
+	out, err := batch.MapCtx(ctx, opts.workers(), items, func(_ int, it T) BatchResult {
+		a, aerr := analyze(ctx, it, inner)
+		return BatchResult{Analysis: a, Err: aerr}
 	})
 	if err != nil {
 		// Skipped (undispatched) slots have a zero BatchResult; stamp
 		// them with the cancellation cause so callers see a structured
 		// error rather than an inexplicable empty entry. Panic errors
-		// cannot reach here — AnalyzeContextRetry is total and the
-		// closure above does not panic.
+		// cannot reach here: analyze is total.
 		for i := range out {
 			if out[i].Analysis == nil && out[i].Err == nil {
 				out[i].Err = err
@@ -203,23 +213,6 @@ func AnalyzeAllContext(ctx context.Context, srcs []string, opts Options) []Batch
 		}
 	}
 	return out
-}
-
-// LintContext is Lint with cancellation and panic capture: a panic in a
-// lint rule is returned as an error wrapping *batch.PanicError instead
-// of crossing an API boundary.
-func (a *Analysis) LintContext(ctx context.Context, cfg lint.Config) (rep *lint.Report, err error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			rep, err = nil, fmt.Errorf("sideeffect: lint failed: %w", asPanicError(rec))
-		}
-	}()
-	return a.Lint(cfg)
 }
 
 // ErrSessionBroken reports an operation on a session whose maintained
@@ -234,14 +227,15 @@ var ErrSessionBroken = errors.New("sideeffect: session broken by a failed edit; 
 // solution inconsistent. See ErrSessionBroken.
 func (s *Session) Broken() bool { return s.broken }
 
-// NewSessionContext is NewSession under the hardened pipeline:
-// cancellable and total.
+// NewSessionContext parses, checks, and analyzes src through
+// AnalyzeContext and holds it open for edits. The session keeps opts
+// for every later edit.
 func NewSessionContext(ctx context.Context, src string, opts Options) (*Session, error) {
 	a, err := AnalyzeContext(ctx, src, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opts: opts, src: src, inc: NewIncrementalWith(a, opts)}, nil
+	return &Session{opts: opts, src: src, inc: NewIncremental(a)}, nil
 }
 
 // EditContext is Edit with transactional failure semantics under
@@ -260,26 +254,19 @@ func NewSessionContext(ctx context.Context, src string, opts Options) (*Session,
 //
 // EditContext never panics and never hands a half-updated solution to
 // a later read.
-func (s *Session) EditContext(ctx context.Context, newSrc string) (EditMode, error) {
-	return s.edit(ctx, newSrc, s.opts)
-}
-
-// edit is EditContext with the pipeline options given explicitly, so
-// Edit can run it with fault injection off.
-func (s *Session) edit(ctx context.Context, newSrc string, opts Options) (mode EditMode, err error) {
+func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode, err error) {
 	if s.broken {
 		return EditFull, ErrSessionBroken
 	}
-	prog, perr := sem.AnalyzeSource(newSrc)
-	if perr != nil {
-		return EditFull, fmt.Errorf("sideeffect: %w", perr)
+	prog, err := parseMiniPL(newSrc)
+	if err != nil {
+		return EditFull, err
 	}
-	prog = prog.Prune()
 	modAdds, useAdds, ok := ir.AdditiveDelta(s.inc.a.Prog, prog)
 	if !ok {
 		// Full path: the fresh analysis is built off to the side, so a
 		// failure here cannot touch the current solution.
-		return s.editFullCtx(ctx, opts, prog, newSrc, false)
+		return s.editFullCtx(ctx, prog, newSrc, false)
 	}
 	// Incremental path: from the rebase on, the maintained solution is
 	// being mutated in place, so every failure must recover through
@@ -291,27 +278,27 @@ func (s *Session) edit(ctx context.Context, newSrc string, opts Options) (mode E
 	defer func() {
 		if rec := recover(); rec != nil {
 			var ferr error
-			mode, ferr = s.editFullCtx(ctx, opts, prog, newSrc, true)
+			mode, ferr = s.editFullCtx(ctx, prog, newSrc, true)
 			if ferr == nil {
 				err = nil
 				return
 			}
-			err = errors.Join(asPanicError(rec), ferr)
+			err = errors.Join(batch.Capture(rec), ferr)
 		}
 	}()
 	s.inc.rebase(prog)
 	for _, d := range modAdds {
 		if _, err := s.inc.mod.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, opts, prog, newSrc, true)
+			return s.editFullCtx(ctx, prog, newSrc, true)
 		}
 	}
 	for _, d := range useAdds {
 		if _, err := s.inc.use.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, opts, prog, newSrc, true)
+			return s.editFullCtx(ctx, prog, newSrc, true)
 		}
 	}
-	if err := s.inc.a.refreshDerivedCtx(ctx, opts); err != nil {
-		mode, ferr := s.editFullCtx(ctx, opts, prog, newSrc, true)
+	if err := s.inc.a.refreshDerivedCtx(ctx, s.opts); err != nil {
+		mode, ferr := s.editFullCtx(ctx, prog, newSrc, true)
 		if ferr == nil {
 			return mode, nil
 		}
@@ -325,8 +312,8 @@ func (s *Session) edit(ctx context.Context, newSrc string, opts Options) (mode E
 // mutated says whether the current solution has already been touched in
 // place: if so, a failure here is unrecoverable and breaks the session;
 // if not, failure leaves the session unchanged.
-func (s *Session) editFullCtx(ctx context.Context, opts Options, prog *ir.Program, src string, mutated bool) (EditMode, error) {
-	a, err := AnalyzeProgramContext(ctx, prog, opts)
+func (s *Session) editFullCtx(ctx context.Context, prog *ir.Program, src string, mutated bool) (EditMode, error) {
+	a, err := AnalyzeProgramContext(ctx, prog, s.opts)
 	if err != nil {
 		if mutated {
 			s.broken = true
@@ -334,7 +321,7 @@ func (s *Session) editFullCtx(ctx context.Context, opts Options, prog *ir.Progra
 		}
 		return EditFull, err
 	}
-	s.inc = NewIncrementalWith(a, s.opts)
+	s.inc = NewIncremental(a)
 	s.src = src
 	return EditFull, nil
 }

@@ -3,11 +3,15 @@ package sideeffect
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"sideeffect/internal/batch"
 	"sideeffect/internal/faultinject"
+	"sideeffect/internal/lint"
 	"sideeffect/internal/workload"
 )
 
@@ -54,46 +58,222 @@ func TestAnalyzeContextPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestPlainEntryPointsIgnoreFaults pins the plain family's contract
-// now that it runs the context-aware pipeline: an armed injector in
-// Options.Faults changes nothing for AnalyzeWith, NewSession or
-// Session.Edit, while EditContext on the same session honors it.
-func TestPlainEntryPointsIgnoreFaults(t *testing.T) {
-	panicAll := func() *faultinject.Injector {
-		return faultinject.New(faultinject.Config{
-			Rate: 1, Seed: 5, Kinds: []faultinject.Kind{faultinject.KindPanic},
-		})
-	}
-	src := chaosSrc(t, 9)
-	want, err := Analyze(src)
+// TestEntryPointsTotal runs every public entry point twice. With the
+// zero Options each answer must match its checked-in golden byte for
+// byte. With a panic-only injector at rate 1 each must return an error
+// wrapping *batch.PanicError, and none may panic. Lint has no fault
+// sites, so its second run lints an Analysis whose rules panic.
+// AnalyzeProgramWith, which has no error result, is the exception: it
+// must re-panic the *batch.PanicError (TestAnalyzeProgramWithRepanics).
+func TestEntryPointsTotal(t *testing.T) {
+	ctx := context.Background()
+	prog, err := parseMiniPL(goldenSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeWith(src, Options{Workers: 1, Faults: panicAll()})
+	// An additive edit from base restores goldenSrc; a non-additive
+	// one from other replaces the program.
+	base := strings.Replace(goldenSrc, "; b := t", "", 1)
+	other := chaosSrc(t, 9)
+	goDir := filepath.Join("testdata", "gofront", "pure")
+	goSrc, err := os.ReadFile(filepath.Join(goDir, "pure.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Report() != want.Report() {
-		t.Fatal("AnalyzeWith with an injector differs from Analyze")
+	const (
+		miniGolden = "testdata/golden/report.txt"
+		lintFile   = "testdata/lint/se003_alias.mpl"
+	)
+	lintSrc, err := os.ReadFile(lintFile)
+	if err != nil {
+		t.Fatal(err)
 	}
+	report := func(a *Analysis, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return a.Report(), nil
+	}
+	goReport := func(r GoResult, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return r.GoReport(), nil
+	}
+	// edit opens a session on from without faults, arms o's injector,
+	// and edits it to goldenSrc, which must take the path want names.
+	edit := func(from string, want EditMode, o Options, do func(*Session) (EditMode, error)) (string, error) {
+		s, err := NewSession(from, Options{})
+		if err != nil {
+			return "", err
+		}
+		s.opts = o
+		mode, err := do(s)
+		if err != nil {
+			return "", err
+		}
+		if mode != want {
+			return "", fmt.Errorf("edit took the %v path, want %v", mode, want)
+		}
+		return s.Analysis().Report(), nil
+	}
+	entries := []struct {
+		name, golden string
+		run          func(o Options) (string, error)
+	}{
+		{"AnalyzeWith", miniGolden, func(o Options) (string, error) {
+			return report(AnalyzeWith(goldenSrc, o))
+		}},
+		{"AnalyzeContext", miniGolden, func(o Options) (string, error) {
+			return report(AnalyzeContext(ctx, goldenSrc, o))
+		}},
+		{"AnalyzeProgramWith", miniGolden, func(o Options) (string, error) {
+			return AnalyzeProgramWith(prog, o).Report(), nil
+		}},
+		{"AnalyzeProgramContext", miniGolden, func(o Options) (string, error) {
+			return report(AnalyzeProgramContext(ctx, prog, o))
+		}},
+		{"AnalyzeAllContext", miniGolden, func(o Options) (string, error) {
+			r := AnalyzeAllContext(ctx, []string{goldenSrc}, o)[0]
+			return report(r.Analysis, r.Err)
+		}},
+		{"AnalyzeGoSource", "testdata/gofront/golden/source_pure.report.txt", func(o Options) (string, error) {
+			return goReport(AnalyzeGoSource(ctx, "pure.go", string(goSrc), o))
+		}},
+		{"AnalyzeGoPackages", "testdata/gofront/golden/pure.report.txt", func(o Options) (string, error) {
+			rs, err := AnalyzeGoPackages([]string{goDir}, o)
+			if err != nil {
+				return "", err
+			}
+			return rs[0].GoReport(), nil
+		}},
+		{"AnalyzeGoModule", "testdata/gofront/golden/mod_crosspkg.report.txt", func(o Options) (string, error) {
+			return goReport(AnalyzeGoModule(ctx, []string{filepath.Join("testdata", "gofront", "mod", "crosspkg", "...")}, o))
+		}},
+		{"NewSession", miniGolden, func(o Options) (string, error) {
+			s, err := NewSession(goldenSrc, o)
+			if err != nil {
+				return "", err
+			}
+			return s.Analysis().Report(), nil
+		}},
+		{"NewSessionContext", miniGolden, func(o Options) (string, error) {
+			s, err := NewSessionContext(ctx, goldenSrc, o)
+			if err != nil {
+				return "", err
+			}
+			return s.Analysis().Report(), nil
+		}},
+		{"Session.Edit", miniGolden, func(o Options) (string, error) {
+			return edit(base, EditIncremental, o, func(s *Session) (EditMode, error) { return s.Edit(goldenSrc) })
+		}},
+		{"EditContext", miniGolden, func(o Options) (string, error) {
+			return edit(other, EditFull, o, func(s *Session) (EditMode, error) { return s.EditContext(ctx, goldenSrc) })
+		}},
+		{"Lint", "testdata/lint/se003_alias.golden.txt", func(o Options) (string, error) {
+			a, err := Analyze(string(lintSrc))
+			if err != nil {
+				return "", err
+			}
+			if o.Faults != nil {
+				a = &Analysis{Prog: a.Prog} // every rule dereferences the missing results
+			}
+			rep, err := a.Lint(lint.Config{})
+			if err != nil {
+				return "", err
+			}
+			return lint.Text([]lint.FileReport{{File: lintFile, Report: rep}}), nil
+		}},
+	}
+	call := func(run func(Options) (string, error), o Options) (got string, err error, rec any) {
+		defer func() { rec = recover() }()
+		got, err = run(o)
+		return got, err, nil
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			got, err, rec := call(e.run, Options{})
+			if err != nil || rec != nil {
+				t.Fatalf("faultless run: err %v, panic %v", err, rec)
+			}
+			checkGolden(t, e.golden, got)
 
-	s, err := NewSession(incrSrc, Options{Workers: 1, Faults: panicAll()})
-	if err != nil {
-		t.Fatalf("NewSession injected a fault: %v", err)
-	}
-	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1)
-	mode, err := s.Edit(edited)
-	if err != nil || mode != EditIncremental {
-		t.Fatalf("Edit with an injector = %v, %v; want an incremental edit", mode, err)
-	}
-	if _, err := s.EditContext(context.Background(), incrSrc); err == nil {
-		t.Fatal("EditContext ignored the session's injector")
+			_, err, rec = call(e.run, Options{Faults: faultinject.New(faultinject.Config{
+				Rate: 1, Seed: 5, Kinds: []faultinject.Kind{faultinject.KindPanic},
+			})})
+			if e.name == "AnalyzeProgramWith" {
+				if _, ok := rec.(*batch.PanicError); !ok {
+					t.Fatalf("AnalyzeProgramWith recovered %v, want a re-panicked *batch.PanicError", rec)
+				}
+				return
+			}
+			if rec != nil {
+				t.Fatalf("panicked: %v", rec)
+			}
+			var pe *batch.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %v does not wrap *batch.PanicError", err)
+			}
+		})
 	}
 }
 
-// TestAnalyzeProgramWithRepanics pins the fail-fast contract: a panic
-// inside the pipeline reaches the caller of AnalyzeProgramWith as a
-// *batch.PanicError, as batch.Run re-raises it.
+// TestOneRetryBothLanguages: for a MiniPL and a Go source, an injector
+// seed whose first attempt panics yields Analysis.Degraded and a
+// report byte-identical to the faultless one.
+func TestOneRetryBothLanguages(t *testing.T) {
+	ctx := context.Background()
+	goSrc, err := os.ReadFile(filepath.Join("testdata", "gofront", "pure", "pure.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := chaosSrc(t, 21)
+	cases := []struct {
+		name string
+		run  func(o Options) (*Analysis, string, error)
+	}{
+		{"minipl", func(o Options) (*Analysis, string, error) {
+			a, err := AnalyzeContext(ctx, src, o)
+			if err != nil {
+				return nil, "", err
+			}
+			return a, a.Report(), nil
+		}},
+		{"go", func(o Options) (*Analysis, string, error) {
+			r, err := AnalyzeGoSource(ctx, "pure.go", string(goSrc), o)
+			if err != nil {
+				return nil, "", err
+			}
+			return r.Analysis, r.GoReport(), nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, want, err := c.run(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(0); seed < 200; seed++ {
+				a, got, err := c.run(Options{Workers: 2, Faults: faultinject.New(faultinject.Config{
+					Rate: 0.05, Seed: seed, Kinds: []faultinject.Kind{faultinject.KindPanic},
+				})})
+				if err != nil || !a.Degraded {
+					continue
+				}
+				if got != want {
+					t.Fatalf("seed %d: the retry's report differs from the faultless one", seed)
+				}
+				return
+			}
+			t.Fatal("no injector seed produced a successful retry")
+		})
+	}
+}
+
+// TestAnalyzeProgramWithRepanics pins the fail-fast contract of the one
+// entry point without an error result: a panic inside the pipeline
+// (here on both attempts) reaches the caller of AnalyzeProgramWith as
+// the *batch.PanicError the pipeline captured.
 func TestAnalyzeProgramWithRepanics(t *testing.T) {
 	defer func() {
 		if _, ok := recover().(*batch.PanicError); !ok {
@@ -141,7 +321,7 @@ func TestAnalyzeAllContextDegradedRetry(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = chaosSrc(t, 100+int64(i))
 	}
-	want := AnalyzeAll(srcs, Options{Workers: 1})
+	want := AnalyzeAllContext(context.Background(), srcs, Options{Workers: 1})
 	inj := faultinject.New(faultinject.Config{
 		Rate: 0.05, Seed: 11, Kinds: []faultinject.Kind{faultinject.KindPanic},
 	})
@@ -157,13 +337,13 @@ func TestAnalyzeAllContextDegradedRetry(t *testing.T) {
 		case r.Err != nil:
 			failed++
 		default:
-			if r.Degraded {
+			if r.Analysis.Degraded {
 				degraded++
 			}
 			// Chaos invariant: a response that is not an error is
 			// byte-identical to the faultless answer.
 			if r.Analysis.Report() != want[i].Analysis.Report() {
-				t.Fatalf("result %d (degraded=%v) differs from faultless analysis", i, r.Degraded)
+				t.Fatalf("result %d (degraded=%v) differs from faultless analysis", i, r.Analysis.Degraded)
 			}
 		}
 	}

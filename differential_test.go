@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -128,9 +129,9 @@ func TestAnalyzeAllMatchesAnalyze(t *testing.T) {
 	srcs = append(srcs, "program broken; begin x := 1 end.") // undeclared: must fail alone
 	srcs = append(srcs, workload.Emit(workload.PaperExample()))
 
-	got := AnalyzeAll(srcs, Options{Workers: 4})
+	got := AnalyzeAllContext(context.Background(), srcs, Options{Workers: 4})
 	if len(got) != len(srcs) {
-		t.Fatalf("AnalyzeAll returned %d results for %d inputs", len(got), len(srcs))
+		t.Fatalf("AnalyzeAllContext returned %d results for %d inputs", len(got), len(srcs))
 	}
 	for i, src := range srcs {
 		want, wantErr := Analyze(src)

@@ -2,7 +2,7 @@
 // it — the programming-environment scenario Cooper & Kennedy built the
 // linear-time framework for. Two layers are shown:
 //
-//   - sideeffect.NewIncremental / Analysis.AddLocalEffect record a new
+//   - sideeffect.NewIncremental / Incremental.AddLocalEffect record a new
 //     local effect ("leaf now modifies h") and propagate exactly the
 //     delta through RMOD and GMOD/GUSE;
 //   - sideeffect.NewSession works at the source level: each Edit

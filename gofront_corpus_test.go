@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -142,7 +143,7 @@ func TestGoFrontModuleGolden(t *testing.T) {
 	for _, dir := range moduleDirs(t) {
 		name := filepath.Base(dir)
 		t.Run(name, func(t *testing.T) {
-			r, err := AnalyzeGoModule(dir, nil, Options{})
+			r, err := AnalyzeGoModule(context.Background(), []string{filepath.Join(dir, "...")}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +178,7 @@ func TestGoFrontModuleGolden(t *testing.T) {
 func TestGoFrontModuleFacts(t *testing.T) {
 	byName := map[string]GoResult{}
 	for _, dir := range moduleDirs(t) {
-		r, err := AnalyzeGoModule(dir, nil, Options{})
+		r, err := AnalyzeGoModule(context.Background(), []string{filepath.Join(dir, "...")}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -173,7 +174,7 @@ func TestGoFrontMetamorphic(t *testing.T) {
 	}
 	var want string
 	for _, v := range variants {
-		r, err := AnalyzeGoSource("meta.go", v.src, Options{})
+		r, err := AnalyzeGoSource(context.Background(), "meta.go", v.src, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}

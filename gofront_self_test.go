@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -107,7 +108,7 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 		filepath.Join("internal", "bitset"),
 		filepath.Join("internal", "arena"),
 	}
-	base, err := AnalyzeGoModule(".", patterns, Options{})
+	base, err := AnalyzeGoModule(context.Background(), patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestGoFrontModuleSelfAnalysis(t *testing.T) {
 		{Workers: 4},
 	}
 	for _, opts := range variants {
-		r, err := AnalyzeGoModule(".", patterns, opts)
+		r, err := AnalyzeGoModule(context.Background(), patterns, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sideeffect
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -18,18 +19,13 @@ type GoResult struct {
 // AnalyzeGoPackages loads real Go packages (patterns: "./..."-style
 // walks, directories, or single .go files), lowers each onto the ir
 // with the conservative Banning-compatible cut (see internal/gofront),
-// and analyzes them as a batch with the same options as MiniPL
-// batches. Results are sorted by package path and deterministic for a
-// fixed file tree.
+// and analyzes them as a batch on the schedule of AnalyzeAllContext:
+// each package's pipeline runs on one worker. Results are sorted by
+// package path and deterministic for a fixed file tree. It takes no
+// context, and fails with the first package's error if any package's
+// analysis fails.
 func AnalyzeGoPackages(patterns []string, opts Options) ([]GoResult, error) {
-	if opts.GoModule {
-		r, err := AnalyzeGoModule(moduleRootHint(patterns), patterns, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []GoResult{r}, nil
-	}
-	pkgs, err := gofront.Load(patterns)
+	pkgs, err := frontend(func() ([]*gofront.Package, error) { return gofront.Load(patterns) })
 	if err != nil {
 		return nil, err
 	}
@@ -37,25 +33,26 @@ func AnalyzeGoPackages(patterns []string, opts Options) ([]GoResult, error) {
 	for i, p := range pkgs {
 		progs[i] = p.Prog
 	}
-	analyses := AnalyzeAllPrograms(progs, opts)
 	out := make([]GoResult, len(pkgs))
-	for i := range pkgs {
-		out[i] = GoResult{Pkg: pkgs[i], Analysis: analyses[i]}
+	for i, r := range analyzeAll(context.Background(), progs, opts, AnalyzeProgramContext) {
+		if r.Err != nil {
+			return nil, fmt.Errorf("%s: %w", pkgs[i].Path, r.Err)
+		}
+		out[i] = GoResult{Pkg: pkgs[i], Analysis: r.Analysis}
 	}
 	return out, nil
 }
 
 // AnalyzeGoModule analyzes a whole Go module as one shared program:
 // the patterns' packages plus their module-local import closure lower
-// together (the go.mod is found at or above root), so cross-package
-// calls bind to real procedures and interface calls on module-defined
-// interfaces devirtualize to the closed implementation set.
-func AnalyzeGoModule(root string, patterns []string, opts Options) (GoResult, error) {
-	pkg, err := gofront.LoadModule(root, patterns)
-	if err != nil {
-		return GoResult{}, err
-	}
-	return GoResult{Pkg: pkg, Analysis: AnalyzeProgramWith(pkg.Prog, opts)}, nil
+// together (the go.mod is found at or above the directory of the first
+// pattern), so cross-package calls bind to real procedures and
+// interface calls on module-defined interfaces devirtualize to the
+// closed implementation set.
+func AnalyzeGoModule(ctx context.Context, patterns []string, opts Options) (GoResult, error) {
+	return analyzeGo(ctx, opts, func() (*gofront.Package, error) {
+		return gofront.LoadModule(moduleRootHint(patterns), patterns)
+	})
 }
 
 // moduleRootHint picks the directory LoadModule starts its go.mod
@@ -77,12 +74,23 @@ func moduleRootHint(patterns []string) string {
 
 // AnalyzeGoSource lowers and analyzes a single in-memory Go file as
 // its own package. name is the display name used in reports.
-func AnalyzeGoSource(name, src string, opts Options) (GoResult, error) {
-	pkg, err := gofront.AnalyzeSource(name, src)
+func AnalyzeGoSource(ctx context.Context, name, src string, opts Options) (GoResult, error) {
+	return analyzeGo(ctx, opts, func() (*gofront.Package, error) { return gofront.AnalyzeSource(name, src) })
+}
+
+// analyzeGo loads one Go package with load and analyzes its program
+// through AnalyzeProgramContext. A panic in the load or the lowering
+// comes back as an error, as one in the pipeline does.
+func analyzeGo(ctx context.Context, opts Options, load func() (*gofront.Package, error)) (GoResult, error) {
+	pkg, err := frontend(load)
 	if err != nil {
 		return GoResult{}, err
 	}
-	return GoResult{Pkg: pkg, Analysis: AnalyzeProgramWith(pkg.Prog, opts)}, nil
+	a, err := AnalyzeProgramContext(ctx, pkg.Prog, opts)
+	if err != nil {
+		return GoResult{}, err
+	}
+	return GoResult{Pkg: pkg, Analysis: a}, nil
 }
 
 // GoReport renders the standard analysis report for a Go package,

@@ -14,7 +14,16 @@ import (
 // behaviour is meant to change (the same flag refreshes the Go
 // frontend corpus goldens; see gofront_corpus_test.go).
 func TestGoldenReport(t *testing.T) {
-	a, err := Analyze(`
+	a, err := Analyze(goldenSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "testdata/golden/report.txt", a.Report())
+}
+
+// goldenSrc is the program whose report testdata/golden/report.txt
+// pins.
+const goldenSrc = `
 program golden;
 global g, h;
 global A[4, 4];
@@ -32,12 +41,7 @@ begin
   call swap(g, h);
   call colset(A[*, 2], g)
 end.
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "testdata/golden/report.txt", a.Report())
-}
+`
 
 // TestLargeProgramRobustness exercises the full pipeline on a
 // 20k-procedure program — the scale where quadratic missteps and
@@ -49,7 +53,7 @@ func TestLargeProgramRobustness(t *testing.T) {
 	cfg := workload.DefaultConfig(20_000, 1)
 	cfg.Globals = 2_000 // keep the bit vectors big but the run under a minute
 	prog := workload.Random(cfg)
-	a := AnalyzeProgram(prog)
+	a := AnalyzeProgramWith(prog, Options{})
 	if a.Prog.NumProcs() < 20_000 {
 		t.Fatalf("procs = %d", a.Prog.NumProcs())
 	}

@@ -48,23 +48,14 @@ func (e Effect) String() string {
 type Incremental struct {
 	a        *Analysis
 	mod, use *core.Incremental
-	opts     Options
 }
 
-// NewIncremental wraps an Analysis for incremental maintenance with
-// default scheduling options.
+// NewIncremental wraps an Analysis for incremental maintenance.
 func NewIncremental(a *Analysis) *Incremental {
-	return NewIncrementalWith(a, Options{})
-}
-
-// NewIncrementalWith is NewIncremental with explicit scheduling
-// options for the derived-stage refresh.
-func NewIncrementalWith(a *Analysis, opts Options) *Incremental {
 	return &Incremental{
-		a:    a,
-		mod:  core.NewIncremental(a.Mod),
-		use:  core.NewIncremental(a.Use),
-		opts: opts,
+		a:   a,
+		mod: core.NewIncremental(a.Mod),
+		use: core.NewIncremental(a.Use),
 	}
 }
 
@@ -82,21 +73,6 @@ func (inc *Incremental) Analysis() *Analysis { return inc.a }
 // to the part of the program whose solution changes, plus one linear
 // refresh of the derived stages.
 func (inc *Incremental) AddLocalEffect(proc, variable string, effect Effect) ([]string, error) {
-	changed, err := inc.addCore(proc, variable, effect)
-	if err != nil {
-		return nil, err
-	}
-	if err := inc.a.refreshDerivedCtx(context.Background(), inc.opts.withoutFaults()); err != nil {
-		// Only a panic fails the refresh here.
-		return nil, fmt.Errorf("sideeffect: %w", err)
-	}
-	return changed, nil
-}
-
-// addCore performs the core-result update without refreshing the
-// derived stages, so Session can batch several deltas under a single
-// refresh.
-func (inc *Incremental) addCore(proc, variable string, effect Effect) ([]string, error) {
 	a := inc.a
 	p := a.Prog.Proc(proc)
 	if p == nil {
@@ -117,6 +93,10 @@ func (inc *Incremental) addCore(proc, variable string, effect Effect) ([]string,
 	if err != nil {
 		return nil, err
 	}
+	if err := a.refreshDerivedCtx(context.Background(), Options{}); err != nil {
+		// Only a panic fails the refresh here.
+		return nil, fmt.Errorf("sideeffect: %w", err)
+	}
 	names := make([]string, len(procs))
 	for i, q := range procs {
 		names[i] = q.Name
@@ -136,14 +116,6 @@ func (inc *Incremental) rebase(prog *ir.Program) {
 	// isomorphism preserves; recomputing keeps the analysis free of
 	// stale model pointers and is linear.
 	inc.a.Aliases = alias.Compute(prog)
-}
-
-// AddLocalEffect is a one-shot convenience for
-// NewIncremental(a).AddLocalEffect. For a sequence of edits, keep one
-// Incremental (or a Session) instead of calling this repeatedly: the
-// wrapper construction scans the call sites each time.
-func (a *Analysis) AddLocalEffect(proc, variable string, effect Effect) ([]string, error) {
-	return NewIncremental(a).AddLocalEffect(proc, variable, effect)
 }
 
 // EditMode reports how a Session absorbed an edit.
@@ -192,17 +164,9 @@ type Session struct {
 	broken bool
 }
 
-// NewSession parses, checks, and analyzes src and holds it open for
-// edits. Like AnalyzeWith it ignores opts.Faults and lets a panic in
-// the analysis propagate; the session keeps opts, so its EditContext
-// calls do inject faults.
+// NewSession is NewSessionContext with no deadline.
 func NewSession(src string, opts Options) (*Session, error) {
-	s, err := NewSessionContext(context.Background(), src, opts.withoutFaults())
-	if err != nil {
-		return nil, repanic(err)
-	}
-	s.opts = opts
-	return s, nil
+	return NewSessionContext(context.Background(), src, opts)
 }
 
 // Analysis returns the session's current analysis.
@@ -215,9 +179,9 @@ func (s *Session) Source() string { return s.src }
 // to date, incrementally when the edit is additive and by full
 // reanalysis otherwise. On a parse or semantic error the session is
 // left unchanged and the error is returned. Edit is EditContext with
-// no deadline and fault injection off.
+// no deadline.
 func (s *Session) Edit(newSrc string) (EditMode, error) {
-	return s.edit(context.Background(), newSrc, s.opts.withoutFaults())
+	return s.EditContext(context.Background(), newSrc)
 }
 
 // Close is a no-op: the collector frees a session's analysis once the

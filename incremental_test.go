@@ -64,23 +64,6 @@ func TestIncrementalAddLocalEffect(t *testing.T) {
 	}
 }
 
-func TestAnalysisAddLocalEffectConvenience(t *testing.T) {
-	a, err := Analyze(incrSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.AddLocalEffect("mid", "g", UseEffect); err != nil {
-		t.Fatal(err)
-	}
-	use, err := a.USE("$main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(use, "g") {
-		t.Errorf("USE($main) = %v, missing g", use)
-	}
-}
-
 func TestIncrementalErrors(t *testing.T) {
 	a, err := Analyze(demoSrc)
 	if err != nil {

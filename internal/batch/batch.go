@@ -1,18 +1,16 @@
-// Package batch provides the bounded worker pool behind the public
-// AnalyzeAll API and the parallel-stage analysis engine. It is a small
-// generic utility with no knowledge of the analysis itself, so both
-// the root package and the command-line tools can share one
-// scheduling policy.
+// Package batch provides the bounded worker pool behind the root
+// package's batch entry points and its parallel-stage analysis engine.
+// It is a small generic utility with no knowledge of the analysis
+// itself, so the root package, the server and the command-line tools
+// share one scheduling policy.
 //
 // The pool is panic-isolating: a task that panics never crashes the
 // process from a worker goroutine. RunCtx converts each panic into a
-// *PanicError and keeps running the remaining (independent) tasks;
-// Run re-raises the first captured panic on the calling goroutine, so
-// legacy callers observe the old propagation semantics while gaining
-// a recoverable stack. RunCtx also honors context cancellation:
-// undispatched tasks are skipped once the context is done, which is
-// what lets a cancelled HTTP request free its worker slots instead of
-// grinding through an abandoned batch.
+// *PanicError and keeps running the remaining (independent) tasks, so
+// a caller gets every failure back as an error. RunCtx also honors
+// context cancellation: undispatched tasks are skipped once the
+// context is done, which is what lets a cancelled HTTP request free
+// its worker slots instead of grinding through an abandoned batch.
 package batch
 
 import (
@@ -45,17 +43,23 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// protect runs t, converting a panic into *PanicError. A re-panicked
-// *PanicError passes through unchanged so nested pools keep the
-// original stack.
+// Capture turns a recovered panic value into a *PanicError. A
+// re-panicked *PanicError passes through unchanged, so nested recovers
+// keep the stack of the goroutine that panicked first; any other value
+// is wrapped with the current stack. Call it from the deferred function
+// that recovered.
+func Capture(rec any) *PanicError {
+	if pe, ok := rec.(*PanicError); ok {
+		return pe
+	}
+	return &PanicError{Value: rec, Stack: debug.Stack()}
+}
+
+// protect runs t, converting a panic into *PanicError.
 func protect(t func()) (err *PanicError) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if pe, ok := rec.(*PanicError); ok {
-				err = pe
-				return
-			}
-			err = &PanicError{Value: rec, Stack: debug.Stack()}
+			err = Capture(rec)
 		}
 	}()
 	t()
@@ -135,38 +139,12 @@ func RunCtx(ctx context.Context, workers int, tasks []func()) error {
 	return errors.Join(errs...)
 }
 
-// Run executes every task, at most Workers(workers) at a time, and
-// returns when all have finished. A panicking task is re-panicked on
-// the calling goroutine as a *PanicError (never from a worker, which
-// would crash the process unrecoverably); the other tasks still
-// complete first.
-func Run(workers int, tasks []func()) {
-	if err := RunCtx(context.Background(), workers, tasks); err != nil {
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			panic(pe)
-		}
-	}
-}
-
-// Map applies f to every item, at most Workers(workers) at a time, and
-// returns the results in input order. The index passed to f is the
-// item's position in items. Panics propagate as in Run.
-func Map[T, R any](workers int, items []T, f func(int, T) R) []R {
-	out := make([]R, len(items))
-	tasks := make([]func(), len(items))
-	for i := range items {
-		i := i
-		tasks[i] = func() { out[i] = f(i, items[i]) }
-	}
-	Run(workers, tasks)
-	return out
-}
-
-// MapCtx is Map with cancellation and panic capture: results are
-// returned in input order, with the zero value at every index whose
-// task was skipped (context done) or panicked; the joined error
-// reports why. A nil error means every slot is populated.
+// MapCtx applies f to every item, at most Workers(workers) at a time,
+// and returns the results in input order; the index passed to f is the
+// item's position in items. It runs the tasks as RunCtx does: the zero
+// value stays at every index whose task was skipped (context done) or
+// panicked, and the joined error reports why. A nil error means every
+// slot is populated.
 func MapCtx[T, R any](ctx context.Context, workers int, items []T, f func(int, T) R) ([]R, error) {
 	out := make([]R, len(items))
 	tasks := make([]func(), len(items))

@@ -28,12 +28,16 @@ func TestRunExecutesAllTasks(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = func() { n.Add(1) }
 		}
-		Run(w, tasks)
+		if err := RunCtx(context.Background(), w, tasks); err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
 		if n.Load() != 100 {
 			t.Errorf("workers=%d: ran %d of 100 tasks", w, n.Load())
 		}
 	}
-	Run(4, nil) // empty task list must not hang
+	if err := RunCtx(context.Background(), 4, nil); err != nil { // empty task list must not hang
+		t.Fatal(err)
+	}
 }
 
 func TestRunSequentialOrder(t *testing.T) {
@@ -44,10 +48,12 @@ func TestRunSequentialOrder(t *testing.T) {
 		i := i
 		tasks[i] = func() { order = append(order, i) }
 	}
-	Run(1, tasks)
+	if err := RunCtx(context.Background(), 1, tasks); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("sequential Run out of order: %v", order)
+			t.Fatalf("sequential RunCtx out of order: %v", order)
 		}
 	}
 }
@@ -69,7 +75,9 @@ func TestRunBoundsConcurrency(t *testing.T) {
 			cur.Add(-1)
 		}
 	}
-	Run(w, tasks)
+	if err := RunCtx(context.Background(), w, tasks); err != nil {
+		t.Fatal(err)
+	}
 	if peak.Load() > w {
 		t.Errorf("observed %d concurrent tasks, want ≤ %d", peak.Load(), w)
 	}
@@ -102,19 +110,18 @@ func TestRunCtxCapturesPanics(t *testing.T) {
 	}
 }
 
-func TestRunRepanicsOnCaller(t *testing.T) {
-	defer func() {
-		rec := recover()
-		pe, ok := rec.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want *PanicError", rec, rec)
-		}
-		if pe.Value != "worker bug" {
-			t.Fatalf("panic value = %v", pe.Value)
-		}
-	}()
-	Run(4, []func(){func() {}, func() { panic("worker bug") }})
-	t.Fatal("Run did not re-panic")
+// TestCaptureKeepsFirstStack: a *PanicError re-panicked through a
+// second recover keeps the first goroutine's stack, and any other value
+// is wrapped with one.
+func TestCaptureKeepsFirstStack(t *testing.T) {
+	first := &PanicError{Value: "worker bug", Stack: []byte("first")}
+	if got := Capture(first); got != first {
+		t.Fatalf("Capture re-wrapped a *PanicError: %+v", got)
+	}
+	pe := Capture("raw")
+	if pe.Value != "raw" || len(pe.Stack) == 0 {
+		t.Fatalf("Capture(raw) = %+v, want the value with a stack", pe)
+	}
 }
 
 func TestRunCtxCancellationSkipsUndispatched(t *testing.T) {
@@ -175,14 +182,17 @@ func TestMapPreservesOrder(t *testing.T) {
 		in[i] = i
 	}
 	for _, w := range []int{1, 5, 0} {
-		out := Map(w, in, func(i, v int) int { return v * v })
+		out, err := MapCtx(context.Background(), w, in, func(i, v int) int { return v * v })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, v, i*i)
 			}
 		}
 	}
-	if got := Map(3, []string(nil), func(i int, s string) int { return 0 }); len(got) != 0 {
-		t.Errorf("Map over nil = %v", got)
+	if got, err := MapCtx(context.Background(), 3, []string(nil), func(i int, s string) int { return 0 }); len(got) != 0 || err != nil {
+		t.Errorf("MapCtx over nil = %v, %v", got, err)
 	}
 }

@@ -7,13 +7,19 @@
 // nothing here knows what an analysis is) and safe for concurrent use.
 // Failed computations are never cached: the error is delivered to the
 // leader and every waiter of that flight, and the next request retries.
+// A computation that panics fails its flight the same way, so no key
+// is left waiting on a flight that will never finish.
 package cache
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sync"
+
+	"sideeffect/internal/batch"
 )
 
 // Key returns the content address of a source text: the hex SHA-256 of
@@ -50,10 +56,10 @@ func (o Outcome) String() string {
 	}
 }
 
-// Stats is a snapshot of the cache counters. Hits counts Get/Do calls
-// served from the map, Misses counts calls that had to compute (or, in
-// Get's case, found nothing), Dedups counts Do calls collapsed into
-// another flight, and Evictions counts LRU removals.
+// Stats is a snapshot of the cache counters. Hits counts Do calls
+// served from the map, Misses counts calls that had to compute, Dedups
+// counts calls collapsed into another flight, and Evictions counts LRU
+// removals.
 type Stats struct {
 	Hits, Misses, Dedups, Evictions int64
 	// Corruptions counts entries the validation hook rejected: each was
@@ -67,12 +73,12 @@ type Stats struct {
 type Cache[V any] struct {
 	// Validate, when non-nil, is consulted on every lookup that would
 	// serve a stored value: if it reports false the entry is evicted,
-	// counted in Stats.Corruptions, and the access proceeds as a miss
-	// (Do recomputes; Get reports absence). It guards the serving layer
-	// against corrupted cached results — detection is cheap (an
-	// integrity hash check) next to serving a wrong answer. Set it
-	// before the cache is shared between goroutines; it is called with
-	// the cache lock held and must not call back into the cache.
+	// counted in Stats.Corruptions, and Do recomputes it as a miss. It
+	// guards the serving layer against corrupted cached results —
+	// detection is cheap (an integrity hash check) next to serving a
+	// wrong answer. Set it before the cache is shared between
+	// goroutines; it is called with the cache lock held and must not
+	// call back into the cache.
 	Validate func(key string, val V) bool
 
 	mu       sync.Mutex
@@ -107,23 +113,6 @@ func New[V any](maxEntries int) *Cache[V] {
 		entries:  make(map[string]*list.Element),
 		inflight: make(map[string]*flight[V]),
 	}
-}
-
-// Get returns the cached value for key, marking it most recently used.
-// The lookup is counted as a hit or miss.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		if c.valid(el) {
-			c.stats.Hits++
-			c.ll.MoveToFront(el)
-			return el.Value.(*entry[V]).val, true
-		}
-	}
-	c.stats.Misses++
-	var zero V
-	return zero, false
 }
 
 // valid checks el against the validation hook under c.mu, evicting it
@@ -168,11 +157,14 @@ func (c *Cache[V]) put(key string, val V) {
 
 // Do returns the value for key, computing it with compute on a miss.
 // Concurrent Do calls for the same key are collapsed: one caller (the
-// leader) runs compute, the rest block until it finishes and share its
-// value or error. Errors are not cached — a later Do retries. compute
-// runs without the cache lock held, so unrelated keys proceed in
-// parallel.
-func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error) {
+// leader) runs compute, the rest wait for it to finish and share its
+// value or error. A waiter whose ctx ends first returns ctx.Err(); the
+// flight goes on for the others. Errors are not cached, so a later Do
+// retries. A compute that panics fails its flight with an error
+// wrapping *batch.PanicError, delivered to the leader and every waiter.
+// compute runs without the cache lock held, so unrelated keys proceed
+// in parallel.
+func (c *Cache[V]) Do(ctx context.Context, key string, compute func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok && c.valid(el) {
 		c.stats.Hits++
@@ -184,15 +176,20 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 	if fl, ok := c.inflight[key]; ok {
 		c.stats.Dedups++
 		c.mu.Unlock()
-		<-fl.done
-		return fl.val, Dedup, fl.err
+		select {
+		case <-fl.done:
+			return fl.val, Dedup, fl.err
+		case <-ctx.Done():
+			var zero V
+			return zero, Dedup, ctx.Err()
+		}
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	fl.val, fl.err = compute()
+	fl.val, fl.err = run(compute)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -202,6 +199,17 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.val, Miss, fl.err
+}
+
+// run calls compute, returning a panic in it as an error.
+func run[V any](compute func() (V, error)) (val V, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			var zero V
+			val, err = zero, fmt.Errorf("cache: compute failed: %w", batch.Capture(rec))
+		}
+	}()
+	return compute()
 }
 
 // KV pairs one stored key with its value, as returned by Snapshot.

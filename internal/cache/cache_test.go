@@ -1,12 +1,42 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"sideeffect/internal/batch"
 )
+
+var errAbsent = errors.New("absent")
+
+// lookup serves key through Do with a compute that fails, so it
+// reports a stored value as a hit and counts an absent key as a miss
+// without inserting anything.
+func lookup[V any](c *Cache[V], key string) (V, bool) {
+	v, out, err := c.Do(context.Background(), key, func() (V, error) {
+		var zero V
+		return zero, errAbsent
+	})
+	return v, err == nil && out == Hit
+}
+
+// waitDedups waits until n Do calls have joined another flight.
+func waitDedups[V any](t *testing.T, c *Cache[V], n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Dedups < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("no waiter joined the flight: %+v", c.Stats())
+		}
+		runtime.Gosched()
+	}
+}
 
 func TestKeyIsContentAddressed(t *testing.T) {
 	if Key("a") == Key("b") {
@@ -24,17 +54,17 @@ func TestEvictionOrderIsLRU(t *testing.T) {
 	c := New[int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok { // refresh a: b becomes the oldest
+	if _, ok := lookup(c, "a"); !ok { // refresh a: b becomes the oldest
 		t.Fatal("a missing")
 	}
 	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
+	if _, ok := lookup(c, "b"); ok {
 		t.Error("b survived: eviction is not least-recently-used")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := lookup(c, "a"); !ok {
 		t.Error("recently used a was evicted")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := lookup(c, "c"); !ok {
 		t.Error("newest entry c was evicted")
 	}
 	if s := c.Stats(); s.Evictions != 1 {
@@ -56,15 +86,15 @@ func TestEvictionOrderIsLRU(t *testing.T) {
 func TestHitMissAccounting(t *testing.T) {
 	c := New[string](4)
 	compute := func() (string, error) { return "v", nil }
-	if _, out, _ := c.Do("k", compute); out != Miss {
+	if _, out, _ := c.Do(context.Background(), "k", compute); out != Miss {
 		t.Errorf("first Do = %v, want miss", out)
 	}
 	for i := 0; i < 3; i++ {
-		if _, out, _ := c.Do("k", compute); out != Hit {
+		if _, out, _ := c.Do(context.Background(), "k", compute); out != Hit {
 			t.Errorf("repeat Do = %v, want hit", out)
 		}
 	}
-	if _, ok := c.Get("absent"); ok {
+	if _, ok := lookup(c, "absent"); ok { // an absent key counts a miss
 		t.Error("absent key found")
 	}
 	s := c.Stats()
@@ -78,10 +108,10 @@ func TestErrorsAreNotCached(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")
 	fail := func() (int, error) { calls++; return 0, boom }
-	if _, _, err := c.Do("k", fail); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), "k", fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, _, err := c.Do("k", fail); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), "k", fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if calls != 2 {
@@ -115,7 +145,7 @@ func TestSingleflightCollapses(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			entered.Add(1)
-			v, out, err := c.Do("k", compute)
+			v, out, err := c.Do(context.Background(), "k", compute)
 			if err != nil {
 				t.Error(err)
 			}
@@ -150,7 +180,7 @@ func TestDoUnrelatedKeysProceed(t *testing.T) {
 	release := make(chan struct{})
 	slowStarted := make(chan struct{})
 	go func() {
-		c.Do("slow", func() (int, error) {
+		c.Do(context.Background(), "slow", func() (int, error) {
 			close(slowStarted)
 			<-release
 			return 1, nil
@@ -159,7 +189,7 @@ func TestDoUnrelatedKeysProceed(t *testing.T) {
 	<-slowStarted
 	done := make(chan struct{})
 	go func() {
-		if _, out, _ := c.Do("fast", func() (int, error) { return 2, nil }); out != Miss {
+		if _, out, _ := c.Do(context.Background(), "fast", func() (int, error) { return 2, nil }); out != Miss {
 			t.Errorf("fast Do = %v, want miss", out)
 		}
 		close(done)
@@ -175,24 +205,24 @@ func TestValidateEvictsCorruptEntries(t *testing.T) {
 
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d, %v before corruption", v, ok)
+	if v, ok := lookup(c, "a"); !ok || v != 1 {
+		t.Fatalf("lookup(a) = %d, %v before corruption", v, ok)
 	}
 	corrupt["a"] = true
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("corrupt entry served by Get")
+	if _, ok := lookup(c, "a"); ok {
+		t.Fatal("corrupt entry served")
 	}
 	if s := c.Stats(); s.Corruptions != 1 || s.Entries != 1 {
-		t.Fatalf("after corrupt Get: %+v", s)
+		t.Fatalf("after corrupt lookup: %+v", s)
 	}
 	// Do must recompute a corrupt entry, not serve it.
 	corrupt["b"] = true
-	v, out, err := c.Do("b", func() (int, error) { return 20, nil })
+	v, out, err := c.Do(context.Background(), "b", func() (int, error) { return 20, nil })
 	if err != nil || v != 20 || out != Miss {
 		t.Fatalf("Do over corrupt entry = %d, %v, %v", v, out, err)
 	}
 	corrupt["b"] = false
-	if v, ok := c.Get("b"); !ok || v != 20 {
+	if v, ok := lookup(c, "b"); !ok || v != 20 {
 		t.Fatalf("recomputed entry not cached: %d, %v", v, ok)
 	}
 	if s := c.Stats(); s.Corruptions != 2 {
@@ -201,7 +231,103 @@ func TestValidateEvictsCorruptEntries(t *testing.T) {
 	// A nil validator (the default) never rejects.
 	c.Validate = nil
 	corrupt["b"] = true
-	if _, ok := c.Get("b"); !ok {
+	if _, ok := lookup(c, "b"); !ok {
 		t.Fatal("nil validator rejected an entry")
+	}
+}
+
+// TestPanickingComputeFailsItsFlight: a compute that panics still
+// closes its flight. The leader and a waiter each get an error wrapping
+// *batch.PanicError, and the next Do for the key computes again.
+func TestPanickingComputeFailsItsFlight(t *testing.T) {
+	c := New[int](4)
+	ctx := context.Background()
+	entered, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, _, err := c.Do(ctx, "k", func() (int, error) {
+			close(entered)
+			<-release
+			panic("compute bug")
+		})
+		errs <- err
+	}()
+	<-entered
+	go func() {
+		_, _, err := c.Do(ctx, "k", func() (int, error) { return 0, errors.New("waiter computed") })
+		errs <- err
+	}()
+	waitDedups(t, c, 1)
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			var pe *batch.PanicError
+			if !errors.As(err, &pe) || pe.Value != "compute bug" {
+				t.Errorf("Do after a panicking compute = %v, want a *batch.PanicError", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a Do is still blocked on the panicked flight")
+		}
+	}
+	next := make(chan error, 1)
+	go func() {
+		v, out, err := c.Do(ctx, "k", func() (int, error) { return 7, nil })
+		if err == nil && (v != 7 || out != Miss) {
+			err = fmt.Errorf("got %d, %v; want 7, miss", v, out)
+		}
+		next <- err
+	}()
+	select {
+	case err := <-next:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the next Do is blocked on the panicked flight")
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Dedups != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 misses, 1 dedup, 1 entry", s)
+	}
+}
+
+// TestWaiterContextEnds: a waiter whose context ends returns ctx.Err()
+// while the leader is still computing, and the flight finishes for the
+// leader and lands in the cache.
+func TestWaiterContextEnds(t *testing.T) {
+	c := New[int](4)
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), "k", func() (int, error) {
+			close(entered)
+			<-release
+			return 1, nil
+		})
+		leader <- err
+	}()
+	<-entered
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, "k", func() (int, error) { return 0, errors.New("waiter computed") })
+		waiter <- err
+	}()
+	waitDedups(t, c, 1)
+	cancel()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled waiter = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter still blocked behind the leader")
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := lookup(c, "k"); !ok || v != 1 {
+		t.Errorf("leader's value not cached: %d, %v", v, ok)
 	}
 }

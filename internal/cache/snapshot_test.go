@@ -15,7 +15,7 @@ func TestSnapshotRecencyOrderAndRefs(t *testing.T) {
 	c.Put("a", a)
 	c.Put("b", b)
 	c.Put("c", cv)
-	c.Get("a") // a becomes most recently used
+	lookup(c, "a") // a becomes most recently used
 
 	before := c.Stats()
 	snap := c.Snapshot()
@@ -41,13 +41,13 @@ func TestSnapshotRecencyOrderAndRefs(t *testing.T) {
 	c2.Put("a", 1)
 	c2.Put("b", 2)
 	c2.Put("c", 3)
-	c2.Get("a")
+	lookup(c2, "a")
 	c2.Snapshot()
 	c2.Put("d", 4)
-	if _, ok := c2.Get("b"); ok {
+	if _, ok := lookup(c2, "b"); ok {
 		t.Error("LRU victim after Snapshot was not b")
 	}
-	if _, ok := c2.Get("a"); !ok {
+	if _, ok := lookup(c2, "a"); !ok {
 		t.Error("Snapshot disturbed recency of a")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sideeffect/internal/faultinject"
 	"sideeffect/internal/store"
 )
 
@@ -278,6 +279,37 @@ func TestErrorFileTracked(t *testing.T) {
 	files = ix.Files().([]fileView)
 	if files[0].Status != "ok" {
 		t.Errorf("fixed file still errored: %+v", files[0])
+	}
+}
+
+// TestInjectedPanicsFailFilesNotTheLoop: with a panic-only injector at
+// rate 1 in Opts.Faults, a new .mpl file and a new .go file each come
+// out as errors counted in Stats.Errors, and the watch loop survives to
+// process a later batch.
+func TestInjectedPanicsFailFilesNotTheLoop(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "a.mpl"), idxSrc)
+	writeFile(t, filepath.Join(dir, "b.go"), idxGoSrc)
+	cfg := fastConfig(dir)
+	cfg.Opts.Faults = faultinject.New(faultinject.Config{
+		Rate: 1, Seed: 1, Kinds: []faultinject.Kind{faultinject.KindPanic},
+	})
+	ft := newFakeTarget()
+	ix := startIndexer(t, cfg, ft)
+	waitFor(t, "both files failed", func() bool { return ix.Stats().Errors == 2 })
+	for _, f := range ix.Files().([]fileView) {
+		if f.Status != "error" || !strings.Contains(f.Error, "panic") {
+			t.Errorf("%s: status %q, error %q; want an injected-panic error", f.Path, f.Status, f.Error)
+		}
+	}
+	batches := ix.Stats().Batches
+	writeFile(t, filepath.Join(dir, "c.mpl"), idxGoSrcAsMiniPL())
+	waitFor(t, "a later batch", func() bool {
+		st := ix.Stats()
+		return st.Batches > batches && st.Errors == 3
+	})
+	if n := ft.installCount(); n != 0 {
+		t.Errorf("%d snapshots installed from failed analyses", n)
 	}
 }
 

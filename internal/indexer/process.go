@@ -1,13 +1,13 @@
 package indexer
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"sideeffect"
 	"sideeffect/internal/cache"
-	"sideeffect/internal/gofront"
 	"sideeffect/internal/store"
 )
 
@@ -93,21 +93,22 @@ func (b *batch) touchesGo(exts map[string]string) bool {
 // extension-addressed relative paths, which this can never be).
 const moduleStatePath = "(module)"
 
-// analyzeModule runs — or recognizes as warm — the whole-module Go
-// analysis and installs it under a key derived from the module's
-// content hash.
+// analyzeModule runs the whole-module Go analysis and installs it
+// under a key derived from the module's content hash, or recognizes
+// that key as warm. The solve that precedes the warm check costs
+// little next to the load it shares.
 func (ix *Indexer) analyzeModule() {
 	ix.mu.Lock()
 	old := ix.files[moduleStatePath]
 	ix.mu.Unlock()
 	st := &fileState{path: moduleStatePath, lang: "go-module", status: "ok"}
 	defer ix.setState(moduleStatePath, st)
-	pkg, err := gofront.LoadModule(ix.cfg.Root, nil)
+	res, err := sideeffect.AnalyzeGoModule(context.Background(), []string{filepath.Join(ix.cfg.Root, "...")}, ix.cfg.Opts)
 	if err != nil {
 		ix.fail(st, err)
 		return
 	}
-	st.key = cache.Key("go-module\x00" + pkg.Hash)
+	st.key = cache.Key("go-module\x00" + res.Pkg.Hash)
 	if ix.target.HasEntry(st.key) {
 		st.mode = "warm"
 		if old != nil {
@@ -116,8 +117,8 @@ func (ix *Indexer) analyzeModule() {
 		ix.bumpWarm()
 		return
 	}
-	a := sideeffect.AnalyzeProgramWith(pkg.Prog, ix.cfg.Opts)
-	snap, err := store.BuildEntry(a, st.key, "go-module", pkg.Notes, pkg.ConfidenceReport())
+	a := res.Analysis
+	snap, err := store.BuildEntry(a, st.key, "go-module", res.Pkg.Notes, res.Pkg.ConfidenceReport())
 	if err != nil {
 		ix.fail(st, err)
 		return
@@ -247,7 +248,7 @@ func (ix *Indexer) analyzeMiniPL(path, src, key string, known bool, st *fileStat
 // (the same lowering the server's lang=go endpoints use, so the cache
 // key and rendered bytes match) and installs the snapshot.
 func (ix *Indexer) analyzeGo(path, src, key string, known bool, st *fileState) {
-	res, err := sideeffect.AnalyzeGoSource("source.go", src, ix.cfg.Opts)
+	res, err := sideeffect.AnalyzeGoSource(context.Background(), "source.go", src, ix.cfg.Opts)
 	if err != nil {
 		ix.fail(st, err)
 		return

@@ -43,9 +43,6 @@ type cached struct {
 	// notes and the rendered confidence table appended to text reports.
 	notes []gofront.Note
 	conf  string
-	// degraded marks a live entry the sequential fallback computed after
-	// the first attempt died with a captured panic.
-	degraded bool
 
 	// full is the /analyze full-report response after its "cached"
 	// value, rendered once when the entry is built; report is the report
@@ -72,14 +69,13 @@ type cached struct {
 
 // newCached wraps a freshly computed analysis and renders its
 // full-report body. pkg is the Go frontend's package, whose confidence
-// notes and table the entry keeps (nil for MiniPL), and degraded says
-// whether the fallback retry computed a.
-func newCached(a *sideeffect.Analysis, lang string, pkg *gofront.Package, degraded bool) (*cached, error) {
+// notes and table the entry keeps (nil for MiniPL).
+func newCached(a *sideeffect.Analysis, lang string, pkg *gofront.Package) (*cached, error) {
 	doc, err := json.Marshal(report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod))
 	if err != nil {
 		return nil, fmt.Errorf("render report: %w", err)
 	}
-	e := &cached{a: a, lang: lang, degraded: degraded}
+	e := &cached{a: a, lang: lang}
 	if pkg != nil {
 		e.notes, e.conf = pkg.Notes, pkg.ConfidenceReport()
 	}

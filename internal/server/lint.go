@@ -79,7 +79,7 @@ func (req *lintRequest) lintConfig() (lint.Config, *apiError) {
 // names the artifact in rendered output. A panic in a lint rule comes
 // back as a structured internal error, never across the HTTP boundary.
 func (s *Server) buildLintResponse(ctx context.Context, a *sideeffect.Analysis, file string, cfg lint.Config, format string) (*lintResponse, *apiError) {
-	rep, err := a.LintContext(ctx, cfg)
+	rep, err := a.Lint(cfg)
 	if err != nil {
 		return nil, lintError(ctx, err)
 	}
@@ -135,7 +135,10 @@ func renderLintResponse(rep *lint.Report, file string, format string) (*lintResp
 // into a throwaway profile: the shared analysis is never written.
 func (s *Server) entryLint(ctx context.Context, e *cached) (*lintForms, *apiError) {
 	lf, err := e.lint.get(ctx, func() (*lintForms, error) {
-		rep, err := e.a.LintContext(ctx, lint.Config{Prof: prof.New()})
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rep, err := e.a.Lint(lint.Config{Prof: prof.New()})
 		if err != nil {
 			return nil, err
 		}

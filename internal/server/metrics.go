@@ -123,8 +123,8 @@ func (m *metrics) checkpointed(bytes int64, seconds float64) {
 
 // observeMiss records one cache-miss analysis: its wall time, the
 // stage times of a profiled run, the condensed solver's storage
-// counters, and whether the fallback retry computed it.
-func (m *metrics) observeMiss(seconds float64, a *sideeffect.Analysis, degraded bool) {
+// counters, and whether the retry computed it (Analysis.Degraded).
+func (m *metrics) observeMiss(seconds float64, a *sideeffect.Analysis) {
 	stages, work := a.Stages.Snapshot(), a.GMODWork()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -134,7 +134,7 @@ func (m *metrics) observeMiss(seconds float64, a *sideeffect.Analysis, degraded 
 	}
 	m.condensedRows += int64(work.CondensedRows)
 	m.sharedRowHits += int64(work.SharedRowHits)
-	if degraded {
+	if a.Degraded {
 		m.degraded++
 	}
 }

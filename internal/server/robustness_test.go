@@ -130,10 +130,7 @@ func TestCacheCorruptionRecomputes(t *testing.T) {
 		t.Fatalf("first analyze: %d", code)
 	}
 	// Corrupt the stored entry's integrity sum.
-	e, ok := srv.cache.Get(first.Hash)
-	if !ok {
-		t.Fatal("entry not cached")
-	}
+	e := cachedEntry(t, srv, first.Hash)
 	e.sum++
 	var second struct {
 		Hash   string `json:"hash"`

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -378,11 +377,7 @@ func (s *Server) serve(ctx context.Context, label string, heavy bool, fn handler
 				}
 				return
 			}
-			pe, ok := rec.(*batch.PanicError)
-			if !ok {
-				pe = &batch.PanicError{Value: rec, Stack: debug.Stack()}
-			}
-			status, body, apiErr = 0, nil, errInternal(pe)
+			status, body, apiErr = 0, nil, errInternal(batch.Capture(rec))
 		}
 	}()
 	// The endpoint fault point: an injected panic exercises the
@@ -445,14 +440,15 @@ func (s *Server) decodeJSON(r *http.Request, v any) *apiError {
 // profiled (requestOpts), and /batch one worker per program,
 // unprofiled. A miss runs on the caller's goroutine under ctx and the
 // server's fault injector, so nothing is left running in the
-// background. A MiniPL miss goes through
-// sideeffect.AnalyzeContextRetry: a cancelled request stops at the next
-// stage boundary, and a first attempt that dies with a captured panic
-// is retried once on one worker, marking the entry degraded. A Go miss
-// lowers src as a single-file package (the lowering does not watch ctx)
-// and then solves under ctx, with no retry. Concurrent calls for one
-// key share one computation and its outcome, errors included; errors
-// are never cached, so the next call retries. Each miss adds one
+// background: a MiniPL source goes through sideeffect.AnalyzeContext,
+// a Go source through sideeffect.AnalyzeGoSource as a single-file
+// package. Either way a cancelled request stops at the next stage
+// boundary (the Go lowering itself does not watch ctx), and a first
+// attempt that dies with a captured panic is retried once on one
+// worker, marking the entry degraded. Concurrent calls for one key
+// share one computation and its outcome, errors included; errors are
+// never cached, so the next call retries, and a caller whose ctx ends
+// while another computes the key stops waiting. Each miss adds one
 // modand_analysis_seconds sample and its stage and GMOD-work
 // observations, and each call served by a snapshot-backed entry counts
 // one warm hit.
@@ -465,26 +461,22 @@ func (s *Server) resolve(ctx context.Context, lang, src string, opts sideeffect.
 		return nil, "", 0, errBadRequest("unknown lang %q (want minipl or go)", lang)
 	}
 	key := store.Key(lang, src)
-	entry, outcome, err := s.cache.Do(key, func() (*cached, error) {
+	entry, outcome, err := s.cache.Do(ctx, key, func() (*cached, error) {
 		start := time.Now()
 		var (
-			a        *sideeffect.Analysis
-			pkg      *gofront.Package
-			degraded bool
-			err      error
+			res sideeffect.GoResult
+			err error
 		)
 		if lang == "go" {
-			if pkg, err = gofront.AnalyzeSource("source.go", src); err == nil {
-				a, err = sideeffect.AnalyzeProgramContext(ctx, pkg.Prog, opts)
-			}
+			res, err = sideeffect.AnalyzeGoSource(ctx, "source.go", src, opts)
 		} else {
-			a, degraded, err = sideeffect.AnalyzeContextRetry(ctx, src, opts)
+			res.Analysis, err = sideeffect.AnalyzeContext(ctx, src, opts)
 		}
 		if err != nil {
 			return nil, err
 		}
-		s.met.observeMiss(time.Since(start).Seconds(), a, degraded)
-		return newCached(a, lang, pkg, degraded)
+		s.met.observeMiss(time.Since(start).Seconds(), res.Analysis)
+		return newCached(res.Analysis, lang, res.Pkg)
 	})
 	if err != nil {
 		return nil, key, outcome, err
@@ -647,7 +639,7 @@ func (s *Server) runBatch(ctx context.Context, sources []string) []batchEntry {
 		if err != nil {
 			return batchEntry{Hash: key, Error: err.Error()}
 		}
-		return batchEntry{Hash: key, Cached: outcome == cache.Hit, Report: e.report, Degraded: e.degraded}
+		return batchEntry{Hash: key, Cached: outcome == cache.Hit, Report: e.report, Degraded: e.a != nil && e.a.Degraded}
 	})
 	entries := make([]batchEntry, len(sources))
 	for i, src := range sources {

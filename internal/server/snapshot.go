@@ -47,9 +47,10 @@ func (s *Server) ExportCheckpoint() *store.Checkpoint {
 // ImportCheckpoint installs a restored checkpoint: every entry
 // becomes a snapshot-backed cache entry (no analysis runs, no stage
 // timers fire), and every session is rebuilt from its persisted
-// source. It returns how many of each were restored; undecodable
-// entries and sessions whose source no longer analyzes are skipped
-// rather than failing the restore.
+// source under the server's options, fault injector included. It
+// returns how many of each were restored; undecodable entries and
+// sessions whose source no longer analyzes (or whose analysis trips
+// the injector) are skipped rather than failing the restore.
 func (s *Server) ImportCheckpoint(cp *store.Checkpoint) (entries, sessions int) {
 	if cp == nil {
 		return 0, 0

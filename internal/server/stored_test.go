@@ -74,7 +74,7 @@ func newStoredFixture(t *testing.T, src, lang string) *storedFixture {
 	f := &storedFixture{src: src, lang: lang}
 	file := "source.mpl"
 	if lang == "go" {
-		res, err := sideeffect.AnalyzeGoSource("source.go", src, sideeffect.Options{})
+		res, err := sideeffect.AnalyzeGoSource(context.Background(), "source.go", src, sideeffect.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,17 +132,31 @@ func newStoredFixture(t *testing.T, src, lang string) *storedFixture {
 // computes.
 func (f *storedFixture) entry() (*cached, error) {
 	if f.lang == "go" {
-		res, err := sideeffect.AnalyzeGoSource("source.go", f.src, sideeffect.Options{})
+		res, err := sideeffect.AnalyzeGoSource(context.Background(), "source.go", f.src, sideeffect.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return newCached(res.Analysis, "go", res.Pkg, false)
+		return newCached(res.Analysis, "go", res.Pkg)
 	}
 	a, err := sideeffect.Analyze(f.src)
 	if err != nil {
 		return nil, err
 	}
-	return newCached(a, "minipl", nil, false)
+	return newCached(a, "minipl", nil)
+}
+
+// cachedEntry returns the entry srv's cache holds for key, served
+// through Do with a compute that fails, so an absent key fails the
+// test instead of being computed.
+func cachedEntry(t *testing.T, srv *Server, key string) *cached {
+	t.Helper()
+	e, out, err := srv.cache.Do(context.Background(), key, func() (*cached, error) {
+		return nil, errors.New("not cached")
+	})
+	if err != nil || out != cache.Hit {
+		t.Fatalf("entry %s not cached: %v, %v", key, out, err)
+	}
+	return e
 }
 
 // postBytes is rawPost for goroutines other than the test's own.
@@ -181,7 +195,7 @@ func dedupBody(t *testing.T, f *storedFixture, c storedCase) []byte {
 	release := make(chan struct{})
 	leader := make(chan error, 1)
 	go func() {
-		_, _, err := srv.cache.Do(f.key, func() (*cached, error) {
+		_, _, err := srv.cache.Do(context.Background(), f.key, func() (*cached, error) {
 			<-release
 			return f.entry()
 		})
@@ -460,10 +474,7 @@ func TestLintRunFailureNotKept(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	rawPost(t, ts.URL+"/analyze", analyzeRequest{Source: lintSrc})
-	e, ok := srv.cache.Get(cache.Key(lintSrc))
-	if !ok {
-		t.Fatal("entry not cached")
-	}
+	e := cachedEntry(t, srv, cache.Key(lintSrc))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, apiErr := srv.entryLint(ctx, e); apiErr == nil || apiErr.Code != "timeout" {

@@ -1,6 +1,9 @@
 package sideeffect
 
 import (
+	"fmt"
+
+	"sideeffect/internal/batch"
 	"sideeffect/internal/lint"
 )
 
@@ -16,7 +19,8 @@ import (
 // analysis, and calls on an independently recomputed analysis of the
 // same source, produce identical diagnostics in identical order. An
 // error reports a configuration mistake (unknown rule name), never a
-// property of the program.
+// property of the program — or a panic in a rule, which comes back as
+// an error wrapping *batch.PanicError: Lint never panics.
 //
 // Rendering (text, JSON, SARIF 2.1.0) is the lint package's job; see
 // cmd/modlint for the command-line driver and internal/server for the
@@ -25,7 +29,12 @@ import (
 // When the analysis was built with Options.Profile and cfg carries no
 // profile of its own, per-rule timings join Analysis.Stages under
 // "lint.<rule-id>" names.
-func (a *Analysis) Lint(cfg lint.Config) (*lint.Report, error) {
+func (a *Analysis) Lint(cfg lint.Config) (rep *lint.Report, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			rep, err = nil, fmt.Errorf("sideeffect: lint failed: %w", batch.Capture(rec))
+		}
+	}()
 	if cfg.Prof == nil {
 		cfg.Prof = a.Stages
 	}

@@ -22,6 +22,7 @@ package sideeffect
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -31,7 +32,6 @@ import (
 	"sideeffect/internal/core"
 	"sideeffect/internal/faultinject"
 	"sideeffect/internal/ir"
-	"sideeffect/internal/lang/sem"
 	"sideeffect/internal/prof"
 	"sideeffect/internal/report"
 	"sideeffect/internal/section"
@@ -39,29 +39,25 @@ import (
 
 // Options controls how the analysis pipeline is scheduled. The zero
 // value runs independent stages concurrently with GOMAXPROCS workers,
-// which is the default used by Analyze and AnalyzeProgram.
+// which is the default used by Analyze.
 type Options struct {
 	// Workers bounds the number of concurrently executing stages (in
-	// AnalyzeProgramWith) or programs (in AnalyzeAll). Zero or negative
-	// means GOMAXPROCS. One runs the classic single-goroutine pipeline:
-	// every stage in order on the calling goroutine. The result is
-	// identical either way — only the schedule changes.
+	// AnalyzeProgramContext) or programs (in AnalyzeAllContext and
+	// AnalyzeGoPackages). Zero or negative means GOMAXPROCS. One runs
+	// the classic single-goroutine pipeline: every stage in order on
+	// the calling goroutine. The result is identical either way — only
+	// the schedule changes.
 	Workers int
 	// Profile, when true, records per-stage wall time (and, on a
 	// sequential run, allocation counts) in Analysis.Stages and tags
 	// each stage's execution with a pprof "stage" label.
 	Profile bool
-	// GoModule, when true, makes AnalyzeGoPackages treat its patterns
-	// as one whole Go module: every matched package plus its
-	// module-local import closure lowers into a single shared program
-	// with cross-package calls resolved and closed interface calls
-	// devirtualized (see gofront.LoadModule). MiniPL inputs ignore it.
-	GoModule bool
 	// Faults, when non-nil, injects deterministic seed-driven faults at
 	// the pipeline's stage boundaries for chaos testing (see
-	// internal/faultinject). Only the context-aware entry points
-	// (AnalyzeContext and friends) honor it: they convert injected
-	// panics into errors. Production runs leave this nil.
+	// internal/faultinject). Every entry point honours it: an injected
+	// error or panic comes back as an error (AnalyzeProgramWith, which
+	// has no error result, re-panics it). Production runs leave this
+	// nil.
 	Faults *faultinject.Injector
 }
 
@@ -90,6 +86,10 @@ type Analysis struct {
 	// Options.Profile; nil otherwise. Stage names are hierarchical:
 	// "mod.gmod", "use.rmod", "sections.mod.formals", "factor.mod", …
 	Stages *prof.Profile
+	// Degraded reports that the first attempt died with a captured
+	// panic and this Analysis came from the retry on one worker (see
+	// AnalyzeProgramContext).
+	Degraded bool
 }
 
 // GMODWork sums the findgmod work counters of both problems across
@@ -112,83 +112,39 @@ func (a *Analysis) GMODWork() core.GMODStats {
 // Analyze parses, checks, and analyzes MiniPL source text, running
 // both the MOD and USE problems, alias factoring, and regular section
 // analysis. Procedures unreachable from the main program are pruned
-// first, as the paper assumes.
+// first, as the paper assumes. It is AnalyzeContext with no deadline
+// and the default options.
 func Analyze(src string) (*Analysis, error) {
-	return AnalyzeWith(src, Options{})
+	return AnalyzeContext(context.Background(), src, Options{})
 }
 
-// AnalyzeWith is Analyze with explicit scheduling options.
+// AnalyzeWith is AnalyzeContext with no deadline.
 func AnalyzeWith(src string, opts Options) (*Analysis, error) {
-	prog, err := sem.AnalyzeSource(src)
-	if err != nil {
-		return nil, fmt.Errorf("sideeffect: %w", err)
-	}
-	return AnalyzeProgramWith(prog.Prune(), opts), nil
+	return AnalyzeContext(context.Background(), src, opts)
 }
 
-// AnalyzeProgram analyzes an already-built program model without
-// pruning.
-func AnalyzeProgram(prog *ir.Program) *Analysis {
-	return AnalyzeProgramWith(prog, Options{})
-}
-
-// AnalyzeProgramWith analyzes an already-built program model without
-// pruning, scheduling independent stages according to opts.
-//
-// The stage dependency graph has two layers. Mod, Use, and alias
-// factoring read only the immutable program model, so they run
-// concurrently first. The four derived stages each depend on one or
-// two of those results and on nothing else: SecMod and SecUse consume
-// the Mod result (both section problems are driven by Mod's GMOD sets,
-// which fix symbol invariance), and the final per-call-site sets
-// factor each core result through the alias analysis. All reads of
-// the shared inputs are read-only, so the layer runs with no locking.
-//
-// Options.Faults is ignored, and a panic in any stage propagates as a
-// *batch.PanicError; AnalyzeProgramContext is the total variant.
+// AnalyzeProgramWith is AnalyzeProgramContext with no deadline, for
+// callers that want fail-fast behavior: having no error result, it
+// re-raises a captured panic as the *batch.PanicError it was, and
+// panics with any other error (an injected one, under Options.Faults).
+// It is the one entry point that can panic.
 func AnalyzeProgramWith(prog *ir.Program, opts Options) *Analysis {
-	a, err := AnalyzeProgramContext(context.Background(), prog, opts.withoutFaults())
+	a, err := AnalyzeProgramContext(context.Background(), prog, opts)
 	if err != nil {
-		// With no deadline and no injector, only a panic stops the
-		// pipeline; re-raise it.
-		panic(repanic(err))
+		var pe *batch.PanicError
+		if errors.As(err, &pe) {
+			panic(pe)
+		}
+		panic(err)
 	}
 	return a
 }
 
-// BatchResult is one program's outcome from AnalyzeAll: either a
-// completed Analysis or the parse/semantic error that stopped it.
+// BatchResult is one program's outcome from AnalyzeAllContext: either
+// a completed Analysis or the error that stopped it.
 type BatchResult struct {
 	Analysis *Analysis
 	Err      error
-	// Degraded reports that the first attempt failed with a captured
-	// panic and the Analysis came from the fallback retry of
-	// AnalyzeContextRetry (the same options on one worker).
-	Degraded bool
-}
-
-// AnalyzeAll analyzes many source texts concurrently on a bounded
-// worker pool and returns one result per input, in input order. Each
-// program's own stage pipeline runs sequentially — with many programs
-// in flight, program-level parallelism already saturates the workers,
-// and nesting stage-level goroutines underneath would only oversubscribe
-// the pool. A failed parse disables only that entry; the others are
-// unaffected.
-func AnalyzeAll(srcs []string, opts Options) []BatchResult {
-	return batch.Map(opts.workers(), srcs, func(_ int, src string) BatchResult {
-		a, err := AnalyzeWith(src, opts.sequential())
-		return BatchResult{Analysis: a, Err: err}
-	})
-}
-
-// AnalyzeAllPrograms is AnalyzeAll for callers that already hold
-// program models: the same bounded worker pool and per-program
-// sequential pipeline, without the parser in front. Programs are
-// analyzed as given (prune first if needed).
-func AnalyzeAllPrograms(progs []*ir.Program, opts Options) []*Analysis {
-	return batch.Map(opts.workers(), progs, func(_ int, p *ir.Program) *Analysis {
-		return AnalyzeProgramWith(p, opts.sequential())
-	})
 }
 
 // Procedures returns the procedure names in declaration order (main

@@ -43,14 +43,16 @@ type benchServerRecord struct {
 }
 
 // mergeBenchServer folds one record into BENCH_server.json, replacing
-// any previous row with the same name. Benchmarks only run under
-// -bench, so plain `go test` never touches the file.
+// any previous row with the same name and keeping the memory sample E14
+// wrote. Benchmarks only run under -bench, so plain `go test` never
+// touches the file.
 func mergeBenchServer(tb testing.TB, rec benchServerRecord) {
 	tb.Helper()
 	var doc struct {
 		Cores          int                 `json:"cores"`
 		NumCPU         int                 `json:"num_cpu"`
 		Oversubscribed bool                `json:"oversubscribed"`
+		Mem            json.RawMessage     `json:"mem,omitempty"` // E14's memory sample, kept as written
 		Records        []benchServerRecord `json:"records"`
 	}
 	if data, err := os.ReadFile("BENCH_server.json"); err == nil {
@@ -77,6 +79,36 @@ func mergeBenchServer(tb testing.TB, rec benchServerRecord) {
 	}
 	if err := os.WriteFile("BENCH_server.json", append(out, '\n'), 0o644); err != nil {
 		tb.Fatalf("write BENCH_server.json: %v", err)
+	}
+}
+
+// TestMergeBenchServerKeepsMem merges a record into a file E14 wrote
+// and checks that the memory sample and the other rows survive.
+func TestMergeBenchServerKeepsMem(t *testing.T) {
+	t.Chdir(t.TempDir())
+	const mem = `{"heap_alloc_bytes": 1, "sys_bytes": 2, "peak_rss_bytes": 3}`
+	before := `{"cores": 2, "num_cpu": 2, "oversubscribed": false, "mem": ` + mem +
+		`, "records": [{"name": "E14Row", "qps": 5}, {"name": "ServerAnalyzeWarm", "qps": 1}]}`
+	if err := os.WriteFile("BENCH_server.json", []byte(before), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mergeBenchServer(t, benchServerRecord{Name: "ServerAnalyzeWarm", QPS: 7})
+	data, err := os.ReadFile("BENCH_server.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after struct {
+		Mem     map[string]int      `json:"mem"`
+		Records []benchServerRecord `json:"records"`
+	}
+	if err := json.Unmarshal(data, &after); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"heap_alloc_bytes": 1, "sys_bytes": 2, "peak_rss_bytes": 3}; fmt.Sprint(after.Mem) != fmt.Sprint(want) {
+		t.Errorf("mem after the merge = %v, want %v:\n%s", after.Mem, want, data)
+	}
+	if len(after.Records) != 2 || after.Records[0].Name != "E14Row" || after.Records[1].QPS != 7 {
+		t.Errorf("records after the merge = %+v", after.Records)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 )
@@ -56,19 +57,36 @@ func main() {
 	}
 }
 
-// timeIt runs f repeatedly until it has consumed a minimum budget and
-// returns the per-run wall time.
+// timeItWarmups is the number of calls timeIt makes to f before its
+// first sample.
+const timeItWarmups = 2
+
+// timeIt returns the per-run wall time of f as the median of at least
+// five samples. Each sample is the mean over a batch of runs sized to
+// take about 10 ms, so a fast f is timed well above the clock's
+// resolution and an f slower than that is one run per sample. Sampling
+// goes on until the samples span 50 ms, so an op longer than the
+// budget is still the median of five runs, not one.
 func timeIt(f func()) time.Duration {
+	const (
+		minSamples = 5
+		batchTime  = 10 * time.Millisecond
+		budget     = 50 * time.Millisecond
+	)
 	f() // warm up (allocator, caches)
-	f()
-	const budget = 50 * time.Millisecond
 	start := time.Now()
-	runs := 0
-	for time.Since(start) < budget {
-		f()
-		runs++
+	f() // the second of timeItWarmups, timed to size the batch
+	batch := max(1, int(batchTime/max(time.Since(start), 1)))
+	var samples []time.Duration
+	for begin := time.Now(); len(samples) < minSamples || time.Since(begin) < budget; {
+		t0 := time.Now()
+		for i := 0; i < batch; i++ {
+			f()
+		}
+		samples = append(samples, time.Since(t0)/time.Duration(batch))
 	}
-	return time.Since(start) / time.Duration(runs)
+	slices.Sort(samples)
+	return samples[len(samples)/2]
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -63,6 +64,21 @@ func TestE15LintOverhead(t *testing.T) {
 			t.Errorf("E15 output missing %q:\n%s", want, out)
 		}
 	}
+	// Every row with alias hazards has a time for SE003 from the
+	// profile of the sampled runs.
+	data, err := os.ReadFile("BENCH_lint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Records []lintBenchRecord }
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range doc.Records {
+		if r.Counts["SE003"] > 0 && r.SE003NsPerOp <= 0 {
+			t.Errorf("row %q: %d SE003 findings but se003_ns_per_op = %d", r.Name, r.Counts["SE003"], r.SE003NsPerOp)
+		}
+	}
 }
 
 func TestHelpers(t *testing.T) {
@@ -80,6 +96,27 @@ func TestHelpers(t *testing.T) {
 	}
 	if got := timeIt(func() {}); got < 0 {
 		t.Errorf("timeIt negative: %v", got)
+	}
+}
+
+// TestTimeItMedian pins timeIt's contract: an op slower than its batch
+// target is timed from at least five single runs, and their median
+// ignores one slow outlier that a mean would not.
+func TestTimeItMedian(t *testing.T) {
+	calls := 0
+	got := timeIt(func() {
+		calls++
+		d := 15 * time.Millisecond
+		if calls == 5 {
+			d = 300 * time.Millisecond
+		}
+		time.Sleep(d)
+	})
+	if calls < 7 {
+		t.Errorf("timeIt ran f %d times, want two warm-ups and five samples", calls)
+	}
+	if got < 15*time.Millisecond || got > 60*time.Millisecond {
+		t.Errorf("timeIt = %v, want the median run of about 15ms", got)
 	}
 }
 

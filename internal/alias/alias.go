@@ -27,7 +27,7 @@
 package alias
 
 import (
-	"sort"
+	"slices"
 
 	"sideeffect/internal/arena"
 	"sideeffect/internal/bitset"
@@ -58,18 +58,18 @@ func pack(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// Pairs returns ALIAS(p) in deterministic (sorted) order.
+// Pairs returns ALIAS(p) in deterministic (sorted) order. The packed
+// keys sort as (X, Y) pairs do, so it sorts them and unpacks after.
 func (a *Analysis) Pairs(p *ir.Procedure) []Pair {
-	out := make([]Pair, 0, len(a.sets[p.ID]))
+	keys := make([]uint64, 0, len(a.sets[p.ID]))
 	for pr := range a.sets[p.ID] {
-		out = append(out, Pair{X: int(pr >> 32), Y: int(pr & 0xffffffff)})
+		keys = append(keys, pr)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].X != out[j].X {
-			return out[i].X < out[j].X
-		}
-		return out[i].Y < out[j].Y
-	})
+	slices.Sort(keys)
+	out := make([]Pair, len(keys))
+	for i, pr := range keys {
+		out[i] = Pair{X: int(pr >> 32), Y: int(pr & 0xffffffff)}
+	}
 	return out
 }
 

@@ -2,7 +2,11 @@ package lint
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -109,6 +113,66 @@ func TestSortDiagnostics(t *testing.T) {
 	want := []string{"SE007:i", "SE001:a", "SE001:x", "SE002:p", "SE004:g"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("order = %v, want %v", got, want)
+	}
+}
+
+// TestFindingsKeepEmissionOrder fills far more chunks than a capacity
+// computed by shifting could address before overflowing int, and
+// checks that flatten returns every finding once, in emission order,
+// in a slice of the exact length.
+func TestFindingsKeepEmissionOrder(t *testing.T) {
+	var none findings
+	if none.flatten() != nil {
+		t.Error("flatten of no findings is not nil")
+	}
+	const n = 300_000
+	var f findings
+	for i := 0; i < n; i++ {
+		f.add(Diagnostic{Pos: token.Pos{Line: i}})
+	}
+	ds := f.flatten()
+	if len(ds) != n || cap(ds) != n {
+		t.Fatalf("flatten: len %d cap %d, want %d", len(ds), cap(ds), n)
+	}
+	for i, d := range ds {
+		if d.Pos.Line != i {
+			t.Fatalf("finding %d has line %d: emission order lost", i, d.Pos.Line)
+		}
+	}
+}
+
+// TestSortDiagnosticsIsStable checks the index sort against a stable
+// sort of the findings on inputs dense with ties, where only Proc,
+// which no key reads, tells tied findings apart.
+func TestSortDiagnosticsIsStable(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	pick := func(vals ...string) string { return vals[r.Intn(len(vals))] }
+	for _, n := range []int{0, 1, 2, 7, 100, 3000} {
+		ds := make([]Diagnostic, n)
+		for i := range ds {
+			ds[i] = Diagnostic{
+				Rule: pick("SE001", "SE003", "SE005"), Subject: pick("a", "b"), Message: pick("m", "n"),
+				Proc: strconv.Itoa(i), Pos: token.Pos{Line: r.Intn(4), Col: r.Intn(3)},
+			}
+		}
+		want := slices.Clone(ds)
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.Pos != b.Pos {
+				return a.Pos.Line < b.Pos.Line || a.Pos.Line == b.Pos.Line && a.Pos.Col < b.Pos.Col
+			}
+			if a.Rule != b.Rule {
+				return a.Rule < b.Rule
+			}
+			if a.Subject != b.Subject {
+				return a.Subject < b.Subject
+			}
+			return a.Message < b.Message
+		})
+		sortDiagnostics(ds)
+		if !slices.Equal(ds, want) {
+			t.Errorf("n=%d: index sort differs from the stable sort", n)
+		}
 	}
 }
 

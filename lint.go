@@ -38,6 +38,11 @@ func (a *Analysis) Lint(cfg lint.Config) (rep *lint.Report, err error) {
 	if cfg.Prof == nil {
 		cfg.Prof = a.Stages
 	}
+	return lint.Run(a.lintInput(), cfg)
+}
+
+// lintInput gathers the facts the rules read from the analysis.
+func (a *Analysis) lintInput() *lint.Input {
 	in := &lint.Input{
 		Prog:    a.Prog,
 		Mod:     a.Mod,
@@ -57,5 +62,5 @@ func (a *Analysis) Lint(cfg lint.Config) (rep *lint.Report, err error) {
 			Sections:  v.Sections,
 		})
 	}
-	return lint.Run(in, cfg)
+	return in
 }

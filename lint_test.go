@@ -327,8 +327,9 @@ func TestLintPositionRoundTrip(t *testing.T) {
 
 // FuzzLint feeds arbitrary text through analysis plus the diagnostics
 // engine and all three writers, asserting the engine never panics,
-// accepts every analyzable input, and is deterministic on repeated
-// runs over independently recomputed results.
+// accepts every analyzable input, agrees with the reference engine,
+// and is deterministic on repeated runs over independently recomputed
+// results.
 func FuzzLint(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
@@ -351,6 +352,9 @@ func FuzzLint(f *testing.F) {
 		r1, err := a1.Lint(lint.Config{})
 		if err != nil {
 			t.Fatalf("lint rejected an analyzable input: %v", err)
+		}
+		if ref := referenceLint(t, a1, lint.Config{}); !reflect.DeepEqual(r1, ref) {
+			t.Errorf("the engine's report differs from the reference: %s\nfor:\n%s", reportDiff(r1, ref), src)
 		}
 		files := []lint.FileReport{{File: "fuzz.mpl", Report: r1}}
 		if _, err := lint.JSON(files); err != nil {

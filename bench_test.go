@@ -10,10 +10,7 @@ package sideeffect
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"sideeffect/internal/alias"
@@ -236,92 +233,33 @@ func BenchmarkParseAnalyze(b *testing.B) {
 	}
 }
 
-// benchBatchRecord mirrors the row shape cmd/experiments/exp_batch.go
-// writes, so both producers feed the same BENCH_batch.json.
-type benchBatchRecord struct {
-	Name       string  `json:"name"`
-	Cores      int     `json:"cores"`
-	Workers    int     `json:"workers"`
-	Programs   int     `json:"programs"`
-	ProcsEach  int     `json:"procs_each"`
-	SeqNsPerOp int64   `json:"seq_ns_per_op"`
-	ParNsPerOp int64   `json:"par_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-}
+// schedules are the two worker settings the E13 benchmarks compare:
+// one worker (seq) and the default pool of GOMAXPROCS workers (par).
+var schedules = []struct {
+	name    string
+	workers int
+}{{"seq", 1}, {"par", 0}}
 
-// benchSchedule runs f as a named sub-benchmark and returns the
-// measured ns/op, so a top-level benchmark can compare two schedules.
-func benchSchedule(b *testing.B, name string, f func()) int64 {
-	var ns int64
-	b.Run(name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f()
-		}
-		if b.N > 0 {
-			ns = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-	})
-	return ns
-}
-
-// mergeBenchBatch folds one record into BENCH_batch.json next to the
-// rows written by `experiments -run E13`, replacing any previous row
-// with the same name. Benchmarks only run under -bench, so plain
-// `go test` never touches the file.
-func mergeBenchBatch(b *testing.B, rec benchBatchRecord) {
-	b.Helper()
-	var doc struct {
-		Cores   int                `json:"cores"`
-		NumCPU  int                `json:"num_cpu"`
-		Mem     json.RawMessage    `json:"mem,omitempty"` // E13's memory sample, kept as written
-		Records []benchBatchRecord `json:"records"`
-	}
-	if data, err := os.ReadFile("BENCH_batch.json"); err == nil {
-		_ = json.Unmarshal(data, &doc)
-	}
-	doc.Cores = runtime.GOMAXPROCS(0)
-	doc.NumCPU = runtime.NumCPU()
-	kept := doc.Records[:0]
-	for _, r := range doc.Records {
-		if r.Name != rec.Name {
-			kept = append(kept, r)
-		}
-	}
-	doc.Records = append(kept, rec)
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal BENCH_batch.json: %v", err)
-	}
-	if err := os.WriteFile("BENCH_batch.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_batch.json: %v", err)
-	}
-}
-
-// E13 — batch throughput: a corpus of programs through AnalyzeAllContext on
-// the worker pool vs the fully sequential schedule. The speedup row is
-// recorded in BENCH_batch.json together with the core count, since on
-// a single core the two schedules are expected to tie.
+// E13 — batch throughput: a corpus of programs through AnalyzeAllContext
+// on the worker pool vs the fully sequential schedule. On a single core
+// the two are expected to tie. `experiments -run E13` records the same
+// comparison.
 func BenchmarkAnalyzeAll(b *testing.B) {
 	const nProgs, procsEach = 12, 64
 	srcs := make([]string, nProgs)
 	for i := range srcs {
 		srcs[i] = workload.Emit(workload.Random(workload.DefaultConfig(procsEach, int64(500+i))))
 	}
-	check := func(rs []BatchResult) {
-		for _, r := range rs {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
 	ctx := context.Background()
-	seq := benchSchedule(b, "seq", func() { check(AnalyzeAllContext(ctx, srcs, Options{Workers: 1})) })
-	par := benchSchedule(b, "par", func() { check(AnalyzeAllContext(ctx, srcs, Options{})) })
-	if seq > 0 && par > 0 {
-		mergeBenchBatch(b, benchBatchRecord{
-			Name: fmt.Sprintf("BenchmarkAnalyzeAll/N=%d", procsEach), Cores: runtime.GOMAXPROCS(0),
-			Workers: runtime.GOMAXPROCS(0), Programs: nProgs, ProcsEach: procsEach,
-			SeqNsPerOp: seq, ParNsPerOp: par, Speedup: float64(seq) / float64(par),
+	for _, s := range schedules {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range AnalyzeAllContext(ctx, srcs, Options{Workers: s.workers}) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			}
 		})
 	}
 }
@@ -332,13 +270,11 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 func BenchmarkAnalyzeParallelStages(b *testing.B) {
 	const procs = 1024
 	prog := workload.Random(workload.DefaultConfig(procs, 7)).Prune()
-	seq := benchSchedule(b, "seq", func() { AnalyzeProgramWith(prog, Options{Workers: 1}) })
-	par := benchSchedule(b, "par", func() { AnalyzeProgramWith(prog, Options{}) })
-	if seq > 0 && par > 0 {
-		mergeBenchBatch(b, benchBatchRecord{
-			Name: fmt.Sprintf("BenchmarkAnalyzeParallelStages/N=%d", procs), Cores: runtime.GOMAXPROCS(0),
-			Workers: runtime.GOMAXPROCS(0), Programs: 1, ProcsEach: procs,
-			SeqNsPerOp: seq, ParNsPerOp: par, Speedup: float64(seq) / float64(par),
+	for _, s := range schedules {
+		b.Run(s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				AnalyzeProgramWith(prog, Options{Workers: s.workers})
+			}
 		})
 	}
 }

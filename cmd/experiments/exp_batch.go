@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -18,9 +17,7 @@ func init() {
 	)
 }
 
-// batchBenchRecord is one row of BENCH_batch.json, shared with the
-// BenchmarkAnalyzeAll / BenchmarkAnalyzeParallelStages harness in
-// bench_test.go: downstream tooling reads either producer.
+// batchBenchRecord is one row of BENCH_batch.json.
 type batchBenchRecord struct {
 	Name       string  `json:"name"`
 	Cores      int     `json:"cores"`
@@ -32,19 +29,10 @@ type batchBenchRecord struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// writeBenchBatch writes the records as BENCH_batch.json in the
-// current directory.
-func writeBenchBatch(records []batchBenchRecord) error {
-	out, err := json.MarshalIndent(struct {
-		Cores   int                `json:"cores"`
-		NumCPU  int                `json:"num_cpu"`
-		Mem     memSample          `json:"mem"`
-		Records []batchBenchRecord `json:"records"`
-	}{runtime.GOMAXPROCS(0), runtime.NumCPU(), sampleMem(), records}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_batch.json", append(out, '\n'), 0o644)
+// batchBenchDoc is BENCH_batch.json.
+type batchBenchDoc struct {
+	benchHead
+	Records []batchBenchRecord `json:"records"`
 }
 
 // expE13 measures the concurrent engine twice: a corpus of programs
@@ -107,7 +95,7 @@ func expE13(quick bool) {
 	})
 
 	fmt.Print(report.Table(rows))
-	if err := writeBenchBatch(records); err != nil {
+	if err := writeBench("BENCH_batch.json", &batchBenchDoc{Records: records}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -39,19 +38,11 @@ type chaosBenchRecord struct {
 	P99Ms     float64 `json:"p99_ms"`
 }
 
-func writeBenchChaos(records []chaosBenchRecord) error {
-	doc := struct {
-		Cores   int                `json:"cores"`
-		NumCPU  int                `json:"num_cpu"`
-		Mem     memSample          `json:"mem"`
-		Seed    int64              `json:"seed"`
-		Records []chaosBenchRecord `json:"records"`
-	}{Cores: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Mem: sampleMem(), Seed: 1, Records: records}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_chaos.json", append(out, '\n'), 0o644)
+// chaosBenchDoc is BENCH_chaos.json.
+type chaosBenchDoc struct {
+	benchHead
+	Seed    int64              `json:"seed"`
+	Records []chaosBenchRecord `json:"records"`
 }
 
 // expE17 sweeps the injected fault rate and records what the hardened
@@ -110,17 +101,6 @@ func expE17(quick bool) {
 		_, _ = buf.ReadFrom(resp.Body)
 		return classify(resp.StatusCode, buf.Bytes()), time.Since(t0), nil
 	}
-	quantiles := func(lat []time.Duration) (p50, p99 float64) {
-		if len(lat) == 0 {
-			return 0, 0
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		at := func(q float64) float64 {
-			return float64(lat[int(q*float64(len(lat)-1))].Nanoseconds()) / 1e6
-		}
-		return at(0.50), at(0.99)
-	}
-
 	var records []chaosBenchRecord
 	rows := [][]string{{"profile", "fault rate", "requests", "ok", "faulted", "timeout", "shed", "error rate", "p50", "p99"}}
 	addRow := func(rec chaosBenchRecord) {
@@ -156,7 +136,7 @@ func expE17(quick bool) {
 			}
 		}
 		ts.Close()
-		p50, p99 := quantiles(lat)
+		p50, p99 := latencyQuantiles(lat)
 		errRate := 1 - float64(counts["ok"])/float64(requests)
 		addRow(chaosBenchRecord{
 			Name: fmt.Sprintf("faults-%.2f", rate), FaultRate: rate, Requests: requests,
@@ -223,7 +203,7 @@ func expE17(quick bool) {
 		}
 	}
 	shedTS.Close()
-	p50, p99 := quantiles(recLat)
+	p50, p99 := latencyQuantiles(recLat)
 	addRow(chaosBenchRecord{
 		Name: "shed-burst", FaultRate: 0, Requests: burst,
 		OK: shedCnt["ok"], Faulted: shedCnt["faulted"] + shedCnt["other"] + shedCnt["transport"],
@@ -232,7 +212,7 @@ func expE17(quick bool) {
 	})
 
 	fmt.Print(report.Table(rows))
-	if err := writeBenchChaos(records); err != nil {
+	if err := writeBench("BENCH_chaos.json", &chaosBenchDoc{Seed: 1, Records: records}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"go/build"
 	"os"
@@ -216,7 +215,7 @@ func expE18(quick bool) {
 	fmt.Println()
 	sweep := expE18Sweep(quick)
 
-	if err := writeBenchGofront(records, module, sweep); err != nil {
+	if err := writeBench("BENCH_gofront.json", &gofrontBenchDoc{Records: records, Module: module, Sweep: sweep}); err != nil {
 		fmt.Fprintf(os.Stderr, "E18: %v\n", err)
 	}
 	if sweep.Panics > 0 {
@@ -273,19 +272,12 @@ func expE18Module(root string, pkgs []string) gofrontModuleRecord {
 	return rec
 }
 
-func writeBenchGofront(records []gofrontBenchRecord, module gofrontModuleRecord, sweep gofrontSweep) error {
-	out, err := json.MarshalIndent(struct {
-		Cores   int                  `json:"cores"`
-		NumCPU  int                  `json:"num_cpu"`
-		Mem     memSample            `json:"mem"`
-		Records []gofrontBenchRecord `json:"records"`
-		Module  gofrontModuleRecord  `json:"module"`
-		Sweep   gofrontSweep         `json:"sweep"`
-	}{runtime.GOMAXPROCS(0), runtime.NumCPU(), sampleMem(), records, module, sweep}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_gofront.json", append(out, '\n'), 0o644)
+// gofrontBenchDoc is BENCH_gofront.json.
+type gofrontBenchDoc struct {
+	benchHead
+	Records []gofrontBenchRecord `json:"records"`
+	Module  gofrontModuleRecord  `json:"module"`
+	Sweep   gofrontSweep         `json:"sweep"`
 }
 
 // maxQuickSweepBytes bounds the own source of the packages a -quick

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"time"
 
 	"sideeffect/internal/report"
@@ -37,17 +36,10 @@ type indexBenchRecord struct {
 	RestoreMBps      float64 `json:"restore_mbps"`
 }
 
-func writeBenchIndex(records []indexBenchRecord) error {
-	out, err := json.MarshalIndent(struct {
-		Cores   int                `json:"cores"`
-		NumCPU  int                `json:"num_cpu"`
-		Mem     memSample          `json:"mem"`
-		Records []indexBenchRecord `json:"records"`
-	}{runtime.GOMAXPROCS(0), runtime.NumCPU(), sampleMem(), records}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_index.json", append(out, '\n'), 0o644)
+// indexBenchDoc is BENCH_index.json.
+type indexBenchDoc struct {
+	benchHead
+	Records []indexBenchRecord `json:"records"`
 }
 
 // expE19 measures what watch-mode persistence buys: the first query a
@@ -183,7 +175,7 @@ func expE19(quick bool) {
 	}
 
 	fmt.Print(report.Table(rows))
-	if err := writeBenchIndex(records); err != nil {
+	if err := writeBench("BENCH_index.json", &indexBenchDoc{Records: records}); err != nil {
 		fmt.Fprintf(os.Stderr, "E19: %v\n", err)
 		return
 	}

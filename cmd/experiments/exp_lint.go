@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -36,18 +34,12 @@ type lintBenchRecord struct {
 	Counts         map[string]int `json:"counts"`
 }
 
-func writeBenchLint(records []lintBenchRecord) error {
-	out, err := json.MarshalIndent(struct {
-		Cores   int               `json:"cores"`
-		NumCPU  int               `json:"num_cpu"`
-		Mem     memSample         `json:"mem"`
-		Workers int               `json:"workers"`
-		Records []lintBenchRecord `json:"records"`
-	}{runtime.GOMAXPROCS(0), runtime.NumCPU(), sampleMem(), 1, records}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_lint.json", append(out, '\n'), 0o644)
+// lintBenchDoc is BENCH_lint.json. Workers is 1, the pool size of
+// every timed analysis.
+type lintBenchDoc struct {
+	benchHead
+	Workers int               `json:"workers"`
+	Records []lintBenchRecord `json:"records"`
 }
 
 // compactCounts renders non-zero per-rule counts as "SE001:3 SE004:1".
@@ -142,7 +134,7 @@ func expE15(quick bool) {
 	}
 
 	fmt.Print(report.Table(rows))
-	if err := writeBenchLint(records); err != nil {
+	if err := writeBench("BENCH_lint.json", &lintBenchDoc{Workers: 1, Records: records}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return
 	}

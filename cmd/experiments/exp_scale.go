@@ -58,24 +58,15 @@ type scaleBenchRecord struct {
 	Verified string `json:"verified"`
 }
 
+// scaleBenchDoc is BENCH_scale.json.
 type scaleBenchDoc struct {
-	Cores  int       `json:"cores"`
-	NumCPU int       `json:"num_cpu"`
-	Mem    memSample `json:"mem"`
+	benchHead
 	// TimeExponent and BytesExponent are the least-squares slopes of
 	// log(wall_ns) and log(alloc_bytes) against log(procs): 1.0 is
 	// linear scaling, the paper's claim; the acceptance gate is ≤ 1.2.
 	TimeExponent  float64            `json:"time_exponent"`
 	BytesExponent float64            `json:"bytes_exponent"`
 	Records       []scaleBenchRecord `json:"records"`
-}
-
-func writeBenchScale(doc scaleBenchDoc) error {
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_scale.json", append(out, '\n'), 0o644)
 }
 
 // fitExponent returns the least-squares slope of log(y) on log(x) —
@@ -111,8 +102,6 @@ func expE20(quick bool) {
 	}
 
 	var doc scaleBenchDoc
-	doc.Cores = runtime.GOMAXPROCS(0)
-	doc.NumCPU = runtime.NumCPU()
 	rows := [][]string{{"N", "sites", "gen", "analyze", "ns/proc", "steps", "steps/N", "shared", "alloc MB", "verified"}}
 	for _, n := range sizes {
 		t0 := time.Now()
@@ -183,13 +172,12 @@ func expE20(quick bool) {
 	}
 	doc.TimeExponent = fitExponent(xs, ts)
 	doc.BytesExponent = fitExponent(xs, bs)
-	doc.Mem = sampleMem()
 
 	fmt.Print(report.Table(rows))
 	fmt.Printf("\nfitted exponents: time %.3f, bytes %.3f (1.0 = linear; gate ≤ 1.2)\n",
 		doc.TimeExponent, doc.BytesExponent)
-	fmt.Printf("peak RSS %.1f MB\n", float64(doc.Mem.PeakRSSBytes)/1e6)
-	if err := writeBenchScale(doc); err != nil {
+	fmt.Printf("peak RSS %.1f MB\n", float64(peakRSS())/1e6)
+	if err := writeBench("BENCH_scale.json", &doc); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -23,9 +22,9 @@ func init() {
 	)
 }
 
-// serverBenchRecord is one row of BENCH_server.json, shared with the
-// BenchmarkServer* harness in bench_server_test.go: both producers
-// merge into the same file by name.
+// serverBenchRecord is one row of BENCH_server.json. For a profile
+// that sends several programs per request, Requests and QPS count
+// programs and the latencies are per request.
 type serverBenchRecord struct {
 	Name          string  `json:"name"`
 	Cores         int     `json:"cores"`
@@ -37,51 +36,21 @@ type serverBenchRecord struct {
 	CacheHitRatio float64 `json:"cache_hit_ratio"`
 }
 
-// mergeBenchServer folds records into BENCH_server.json in the current
-// directory, replacing rows with matching names and keeping the rest
-// (the benchmark harness contributes its own rows to the same file).
-func mergeBenchServer(records []serverBenchRecord) error {
-	var doc struct {
-		Cores          int                 `json:"cores"`
-		NumCPU         int                 `json:"num_cpu"`
-		Oversubscribed bool                `json:"oversubscribed"`
-		Mem            memSample           `json:"mem"`
-		Records        []serverBenchRecord `json:"records"`
-	}
-	if data, err := os.ReadFile("BENCH_server.json"); err == nil {
-		_ = json.Unmarshal(data, &doc)
-	}
-	doc.Cores = runtime.GOMAXPROCS(0)
-	doc.NumCPU = runtime.NumCPU()
-	doc.Mem = sampleMem()
-	// Worker pools wider than the physical core count mean the qps and
-	// latency rows measure scheduling, not parallel speedup.
-	doc.Oversubscribed = doc.Cores > doc.NumCPU
-	for _, rec := range records {
-		if rec.Workers > doc.NumCPU {
-			doc.Oversubscribed = true
-		}
-	}
-	for _, rec := range records {
-		kept := doc.Records[:0]
-		for _, r := range doc.Records {
-			if r.Name != rec.Name {
-				kept = append(kept, r)
-			}
-		}
-		doc.Records = append(kept, rec)
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_server.json", append(out, '\n'), 0o644)
+// serverBenchDoc is BENCH_server.json. Oversubscribed marks a run
+// whose scheduler or worker pools are wider than the machine's CPU
+// count: its qps and latency rows measure scheduling, not parallel
+// speedup.
+type serverBenchDoc struct {
+	benchHead
+	Oversubscribed bool                `json:"oversubscribed"`
+	Records        []serverBenchRecord `json:"records"`
 }
 
 // expE14 measures the serving layer end to end over real HTTP: the
-// cache-hit steady state, the cold miss path, and the incremental
-// session edit — the three request profiles a long-lived programming
-// environment generates. Latency is client-observed; the hit ratio
+// cache-hit steady state, the cold miss path, the incremental session
+// edit — the three request profiles a long-lived programming
+// environment generates — and /batch throughput over a corpus larger
+// than its server's cache. Latency is client-observed; the hit ratio
 // comes from the responses themselves.
 func expE14(quick bool) {
 	requests := 200
@@ -90,9 +59,22 @@ func expE14(quick bool) {
 		requests = 40
 		procs = 16
 	}
+	workers := jobs
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	ts := httptest.NewServer(server.New(server.Config{Workers: jobs}).Handler())
 	defer ts.Close()
 	src := workload.Emit(workload.Random(workload.DefaultConfig(procs, 14)))
+	// The batch profile has a server of its own whose cache holds half
+	// of its eight sources, so nearly every program of a /batch request
+	// is analyzed.
+	bts := httptest.NewServer(server.New(server.Config{Workers: jobs, CacheEntries: 4}).Handler())
+	defer bts.Close()
+	batchSrcs := make([]string, 8)
+	for i := range batchSrcs {
+		batchSrcs[i] = workload.Emit(workload.Random(workload.DefaultConfig(24, int64(900+i))))
+	}
 
 	post := func(url string, body any, out any) error {
 		data, err := json.Marshal(body)
@@ -111,17 +93,20 @@ func expE14(quick bool) {
 		}
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	quantiles := func(lat []time.Duration) (p50, p99 float64) {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		at := func(q float64) float64 {
-			return float64(lat[int(q*float64(len(lat)-1))].Nanoseconds()) / 1e6
+	hit := func(cached bool) int {
+		if cached {
+			return 1
 		}
-		return at(0.50), at(0.99)
+		return 0
 	}
 
+	// Each request of a profile carries programs sources; fire sends
+	// request i and returns how many of them the server answered from
+	// its cache.
 	type profile struct {
-		name string
-		fire func(i int) (cached bool, err error)
+		name     string
+		programs int
+		fire     func(i int) (hits int, err error)
 	}
 	var analyzeResp struct {
 		Cached bool `json:"cached"`
@@ -137,70 +122,88 @@ func expE14(quick bool) {
 		Mode string `json:"mode"`
 	}
 	profiles := []profile{
-		{"analyze-warm", func(i int) (bool, error) {
+		{"analyze-warm", 1, func(i int) (int, error) {
 			err := post(ts.URL+"/analyze", map[string]string{"source": src}, &analyzeResp)
-			return analyzeResp.Cached, err
+			return hit(analyzeResp.Cached), err
 		}},
-		{"analyze-cold", func(i int) (bool, error) {
+		{"analyze-cold", 1, func(i int) (int, error) {
 			err := post(ts.URL+"/analyze", map[string]string{"source": src + strings.Repeat("\n", i+1)}, &analyzeResp)
-			return analyzeResp.Cached, err
+			return hit(analyzeResp.Cached), err
 		}},
-		{"session-edit", func(i int) (bool, error) {
+		{"session-edit", 1, func(i int) (int, error) {
 			err := post(ts.URL+"/session/"+sess.ID+"/edit",
 				map[string]string{"source": src + strings.Repeat("\n", i%2+1)}, &editResp)
 			if err == nil && editResp.Mode != "incremental" {
 				err = fmt.Errorf("edit %d took mode %q", i, editResp.Mode)
 			}
-			return false, err
+			return 0, err
+		}},
+		{"batch-8srcs", len(batchSrcs), func(int) (int, error) {
+			var resp struct {
+				Results []struct {
+					Cached bool   `json:"cached"`
+					Error  string `json:"error"`
+				} `json:"results"`
+			}
+			if err := post(bts.URL+"/batch", map[string][]string{"sources": batchSrcs}, &resp); err != nil {
+				return 0, err
+			}
+			hits := 0
+			for _, r := range resp.Results {
+				if r.Error != "" {
+					return 0, fmt.Errorf("/batch: %s", r.Error)
+				}
+				hits += hit(r.Cached)
+			}
+			return hits, nil
 		}},
 	}
 
-	var records []serverBenchRecord
+	doc := serverBenchDoc{Oversubscribed: runtime.GOMAXPROCS(0) > runtime.NumCPU() || workers > runtime.NumCPU()}
 	rows := [][]string{{"profile", "requests", "qps", "p50", "p99", "hit ratio"}}
 	for _, p := range profiles {
-		lat := make([]time.Duration, 0, requests)
+		calls := requests / p.programs
+		lat := make([]time.Duration, 0, calls)
 		hits := 0
 		start := time.Now()
-		for i := 0; i < requests; i++ {
+		for i := 0; i < calls; i++ {
 			t0 := time.Now()
-			cached, err := p.fire(i)
+			h, err := p.fire(i)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", p.name, err)
 				return
 			}
 			lat = append(lat, time.Since(t0))
-			if cached {
-				hits++
-			}
+			hits += h
 		}
 		elapsed := time.Since(start)
-		p50, p99 := quantiles(lat)
-		qps := float64(requests) / elapsed.Seconds()
-		ratio := float64(hits) / float64(requests)
+		n := calls * p.programs
+		p50, p99 := latencyQuantiles(lat)
+		qps := float64(n) / elapsed.Seconds()
+		ratio := float64(hits) / float64(n)
 		rows = append(rows, []string{
-			p.name, fmt.Sprint(requests), f2(qps),
+			p.name, fmt.Sprint(n), f2(qps),
 			fmt.Sprintf("%.2fms", p50), fmt.Sprintf("%.2fms", p99), f2(ratio),
 		})
-		workers := jobs
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		records = append(records, serverBenchRecord{
+		doc.Records = append(doc.Records, serverBenchRecord{
 			Name: "E14/" + p.name, Cores: runtime.GOMAXPROCS(0), Workers: workers,
-			Requests: requests, QPS: qps, P50Ms: p50, P99Ms: p99, CacheHitRatio: ratio,
+			Requests: n, QPS: qps, P50Ms: p50, P99Ms: p99, CacheHitRatio: ratio,
 		})
 	}
 
 	fmt.Print(report.Table(rows))
-	if err := mergeBenchServer(records); err != nil {
+	if err := writeBench("BENCH_server.json", &doc); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return
 	}
-	fmt.Printf("\nGOMAXPROCS = %d; records merged into BENCH_server.json.\n", runtime.GOMAXPROCS(0))
+	fmt.Printf("\nGOMAXPROCS = %d; records written to BENCH_server.json.\n", runtime.GOMAXPROCS(0))
 	fmt.Println("Claim check: warm requests (hit ratio ~1.0) skip analysis entirely and" +
 		" write the entry's report bytes rendered on the miss, so their remaining cost is" +
 		" HTTP and they should clearly outrun the cold path, which now also renders those" +
 		" bytes; incremental edits skip only the fixpoint solves (they still" +
 		" parse, rebase, and refresh derived stages), so their lead over cold grows" +
-		" with program size rather than appearing on toy inputs.")
+		" with program size rather than appearing on toy inputs. The batch row counts" +
+		" programs: its eight sources cycle through a four-entry cache, so nearly every" +
+		" one is analyzed and its qps is miss-path throughput with HTTP and JSON" +
+		" amortized over the worker pool.")
 }

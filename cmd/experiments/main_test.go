@@ -81,6 +81,47 @@ func TestE15LintOverhead(t *testing.T) {
 	}
 }
 
+// TestE14WritesEveryProfile: E14 is the one producer of
+// BENCH_server.json, so a run replaces whatever the file held with its
+// four profiles under the shared head.
+func TestE14WritesEveryProfile(t *testing.T) {
+	t.Chdir(t.TempDir()) // expE14 writes BENCH_server.json to the cwd
+	foreign := `{"cores": 1, "records": [{"name": "ServerAnalyzeWarm", "requests": 1}]}`
+	if err := os.WriteFile("BENCH_server.json", []byte(foreign), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() { expE14(true) })
+	if !strings.Contains(out, "BENCH_server.json") {
+		t.Errorf("E14 output does not name BENCH_server.json:\n%s", out)
+	}
+	data, err := os.ReadFile("BENCH_server.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		NumCPU  int             `json:"num_cpu"`
+		Mem     json.RawMessage `json:"mem"`
+		Records []serverBenchRecord
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.NumCPU <= 0 || len(doc.Mem) == 0 {
+		t.Errorf("head lacks num_cpu or mem:\n%s", data)
+	}
+	var names []string
+	for _, r := range doc.Records {
+		names = append(names, r.Name)
+		if r.Requests <= 0 || r.QPS <= 0 {
+			t.Errorf("row %q: requests %d, qps %v", r.Name, r.Requests, r.QPS)
+		}
+	}
+	want := []string{"E14/analyze-warm", "E14/analyze-cold", "E14/session-edit", "E14/batch-8srcs"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("records = %v, want %v", names, want)
+	}
+}
+
 func TestHelpers(t *testing.T) {
 	if f2(1.5) != "1.50" {
 		t.Errorf("f2 = %q", f2(1.5))

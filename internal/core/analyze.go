@@ -49,20 +49,13 @@ type Result struct {
 
 // Options configures Analyze.
 type Options struct {
-	// Prune removes procedures unreachable from main before solving.
-	// The paper assumes this clean-up (Section 3.3); without it the
-	// nesting extension may report effects of never-called nested
-	// procedures. Pruning re-indexes the program, so results refer to
-	// Result.Prog, not the input.
-	Prune bool
 	// Prof, when non-nil, accumulates per-stage wall time (and
 	// optionally allocation counters) under names like "mod.gmod".
 	Prof *prof.Profile
-	// Structure, when non-nil and built for the program Analyze ends up
-	// solving (after any pruning), supplies the kind-independent
-	// skeleton so a MOD+USE pair shares one graph construction. A nil
-	// or mismatched Structure is ignored and the skeleton is built
-	// internally.
+	// Structure, when non-nil and built for the program Analyze
+	// solves, supplies the kind-independent skeleton so a MOD+USE pair
+	// shares one graph construction. A nil or mismatched Structure is
+	// ignored and the skeleton is built internally.
 	Structure *Structure
 	// Faults, when non-nil, injects deterministic faults at every
 	// stage boundary (sites "core.mod.gmod", "core.use.rmod", …) for
@@ -81,7 +74,10 @@ type Options struct {
 //
 // Total cost is O(N + E) graph work plus O((N+E)·v) bit-vector work
 // for vectors of v words, matching the paper's O(N² + NE) when the
-// number of variables grows linearly with the program.
+// number of variables grows linearly with the program. The paper
+// assumes unreachable procedures were removed first (ir.Program.Prune,
+// Section 3.3); on an unpruned nested program the nesting extension
+// may report effects of never-called nested procedures.
 func Analyze(prog *ir.Program, kind Kind, opts Options) *Result {
 	r, err := AnalyzeCtx(context.Background(), prog, kind, opts)
 	if err != nil {
@@ -149,7 +145,7 @@ func (pl *pipeline) step(stage string, f func()) bool {
 
 // solve runs the stages up to GMOD:
 //
-//	prune → β → call graph → facts → RMOD → IMOD+ → GMOD
+//	β → call graph → facts → RMOD → IMOD+ → GMOD
 //
 // GMOD is solved as per-level escape tables. With rows set (Analyze),
 // the gmod stage materializes every procedure's row from the tables and
@@ -159,9 +155,6 @@ func (pl *pipeline) step(stage string, f func()) bool {
 // arena.Row's storage rule. After a failed step pl.err is set and the
 // results are incomplete.
 func (pl *pipeline) solve(prog *ir.Program, rows bool) (*CondensedResult, []*bitset.Set) {
-	if pl.opts.Prune && !pl.step("prune", func() { prog = prog.Prune() }) {
-		return nil, nil
-	}
 	if rows {
 		pl.ar = new(arena.Arena)
 	}

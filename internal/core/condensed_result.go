@@ -44,7 +44,7 @@ type CondensedResult struct {
 
 // AnalyzeCondensed runs the same stage sequence as Analyze but keeps
 // the GMOD solution in condensed form; it is the giant-graph entry
-// point. Of the options, Prune, Prof, Structure and Faults are honored.
+// point. Every option (Prof, Structure and Faults) is honored.
 // Rows follow arena.Row's rule on the heap, not an arena: the condensed
 // store is itself the memory optimization, and carving its rows from an
 // arena made the 100k-procedure sweep of EXPERIMENTS.md E20 a fifth

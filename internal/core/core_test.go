@@ -366,15 +366,18 @@ end.
 	wantSet(t, prog, use.DMOD[prog.Sites[len(prog.Sites)-1].ID], "g")
 }
 
+// TestAnalyzePruneOption: GMOD(main) ignores a dead modifier whether
+// or not the program was pruned (the paper's Section 3.3 clean-up,
+// which callers apply with ir.Program.Prune before solving).
 func TestAnalyzePruneOption(t *testing.T) {
 	b := ir.NewBuilder("p")
 	g := b.Global("g")
 	dead := b.Proc("dead", nil)
 	b.Mod(dead, g)
 	prog := b.MustFinish()
-	res := core.Analyze(prog, core.Mod, core.Options{Prune: true})
+	res := core.Analyze(prog.Prune(), core.Mod, core.Options{})
 	if res.Prog.Proc("dead") != nil {
-		t.Error("Prune option did not prune")
+		t.Error("Prune kept the dead procedure")
 	}
 	if !res.GMOD[res.Prog.Main.ID].Empty() {
 		t.Error("GMOD(main) nonempty after pruning dead modifier")

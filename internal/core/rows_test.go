@@ -40,9 +40,9 @@ func rowConfigs() []rowConfig {
 func forEachRowCase(t *testing.T, f func(t *testing.T, r *core.Result)) {
 	covered := map[string]bool{}
 	for _, c := range rowConfigs() {
-		prog := workload.Random(c.cfg)
+		prog := workload.Random(c.cfg).Prune()
 		for _, kind := range []core.Kind{core.Mod, core.Use} {
-			r := core.Analyze(prog, kind, core.Options{Prune: true})
+			r := core.Analyze(prog, kind, core.Options{})
 			covered[fmt.Sprintf("nested=%v dense=%v", r.Prog.MaxLevel() > 0, r.Prog.NumVars() <= arena.DenseRowBits)] = true
 			t.Run(c.name+"/"+kind.String(), func(t *testing.T) { f(t, r) })
 		}
@@ -128,8 +128,8 @@ func TestResultRowRepresentation(t *testing.T) {
 // the rows are dense words or sparse blocks.
 func TestArenaResultsIndependent(t *testing.T) {
 	for _, n := range []int{40, 400} {
-		prog := workload.Random(workload.DefaultConfig(n, 11))
-		r := core.Analyze(prog, core.Mod, core.Options{Prune: true})
+		prog := workload.Random(workload.DefaultConfig(n, 11)).Prune()
+		r := core.Analyze(prog, core.Mod, core.Options{})
 		if r.Arena == nil {
 			t.Fatal("Analyze result has no arena")
 		}

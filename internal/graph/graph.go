@@ -1,9 +1,7 @@
 // Package graph provides the directed multi-graph substrate shared by
 // the call multi-graph and the binding multi-graph, together with the
 // graph algorithms the paper builds on: Tarjan's strongly-connected
-// components algorithm, condensation, topological ordering of the
-// condensation, depth-first search with edge classification, and
-// reachability.
+// components algorithm and reachability.
 //
 // Nodes are dense integers [0, N). Parallel edges are permitted and
 // significant (both the call graph and β are multi-graphs); each edge
@@ -37,9 +35,8 @@ func New(n int) *Graph {
 // instead of O(N + E) incremental appends — the hot builders (call
 // graph, β, the per-level graphs of the multi-level GMOD solver)
 // rebuild graphs on every analysis. The list is taken over by the
-// graph; callers must not reuse it. AddNode/AddEdge remain valid
-// afterwards (later appends fall off the shared backing arrays
-// naturally).
+// graph; callers must not reuse it. AddEdge remains valid afterwards
+// (later appends fall off the shared backing arrays naturally).
 func FromEdgeList(n int, list []Edge) *Graph {
 	for i := range list {
 		list[i].ID = i
@@ -73,13 +70,6 @@ func (g *Graph) NumNodes() int { return len(g.succ) }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// AddNode appends a fresh node and returns its index.
-func (g *Graph) AddNode() int {
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
-	return len(g.succ) - 1
-}
-
 // AddEdge inserts a directed edge from→to and returns its ID.
 // Self-loops and parallel edges are allowed.
 func (g *Graph) AddEdge(from, to int) int {
@@ -103,19 +93,6 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id int) Edge { return g.edges[id] }
-
-// Reverse returns a new graph with every edge direction flipped.
-// Edge IDs are preserved.
-func (g *Graph) Reverse() *Graph {
-	r := New(g.NumNodes())
-	for _, e := range g.edges {
-		re := Edge{From: e.To, To: e.From, ID: e.ID}
-		r.edges = append(r.edges, re)
-		r.succ[re.From] = append(r.succ[re.From], re)
-		r.pred[re.To] = append(r.pred[re.To], re)
-	}
-	return r
-}
 
 // Reachable returns the set of nodes reachable from any of the roots
 // (the roots themselves included), as a boolean slice indexed by node.

@@ -9,13 +9,9 @@ import (
 )
 
 func TestAddNodesEdges(t *testing.T) {
-	g := New(2)
-	if g.NumNodes() != 2 || g.NumEdges() != 0 {
-		t.Fatalf("New(2): %d nodes %d edges", g.NumNodes(), g.NumEdges())
-	}
-	v := g.AddNode()
-	if v != 2 || g.NumNodes() != 3 {
-		t.Fatalf("AddNode returned %d", v)
+	g := New(3)
+	if g.NumNodes() != 3 || g.NumEdges() != 0 {
+		t.Fatalf("New(3): %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
 	e0 := g.AddEdge(0, 1)
 	e1 := g.AddEdge(0, 1) // parallel edge
@@ -31,19 +27,6 @@ func TestAddNodesEdges(t *testing.T) {
 	}
 	if g.Edge(2).From != 1 || g.Edge(2).To != 2 {
 		t.Errorf("Edge(2) = %+v", g.Edge(2))
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	r := g.Reverse()
-	if len(r.Succs(2)) != 1 || r.Succs(2)[0].To != 1 {
-		t.Errorf("Reverse: Succs(2) = %v", r.Succs(2))
-	}
-	if r.Edge(0).From != 1 || r.Edge(0).To != 0 {
-		t.Errorf("Reverse preserves IDs: Edge(0) = %+v", r.Edge(0))
 	}
 }
 
@@ -221,50 +204,6 @@ func TestQuickSCCMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestCondense(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 2) // parallel cross edge preserved
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2)
-	g.AddEdge(4, 0)
-	s := g.SCC()
-	d, orig := g.Condense(s)
-	if d.NumNodes() != 3 {
-		t.Fatalf("condensation nodes = %d, want 3", d.NumNodes())
-	}
-	if d.NumEdges() != 3 { // {0,1}→{2,3} twice (parallel preserved), 4→{0,1} once
-		t.Fatalf("condensation edges = %d, want 3: %v", d.NumEdges(), d.Edges())
-	}
-	if len(orig) != d.NumEdges() {
-		t.Fatalf("orig mapping length %d != %d", len(orig), d.NumEdges())
-	}
-	order, ok := d.TopoOrder()
-	if !ok {
-		t.Fatal("condensation not acyclic")
-	}
-	pos := make([]int, d.NumNodes())
-	for i, c := range order {
-		pos[c] = i
-	}
-	for _, e := range d.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Errorf("topo order violated for edge %+v", e)
-		}
-	}
-}
-
-func TestTopoOrderCycle(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	if _, ok := g.TopoOrder(); ok {
-		t.Error("TopoOrder accepted a cyclic graph")
-	}
-}
-
 func TestSCCLargeChainIterative(t *testing.T) {
 	// A deep chain would overflow a recursive implementation's stack;
 	// the iterative one must handle it.
@@ -307,130 +246,4 @@ func TestSCCMembersConsistent(t *testing.T) {
 			t.Fatalf("members not a partition: %v", all)
 		}
 	}
-}
-
-func TestReducible(t *testing.T) {
-	// Straight line: reducible.
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if !g.Reducible(0) {
-		t.Error("chain should be reducible")
-	}
-	// Natural loop (back edge to a dominator): reducible.
-	g = New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	if !g.Reducible(0) {
-		t.Error("natural loop should be reducible")
-	}
-	// Self-loop: T1.
-	g = New(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 1)
-	if !g.Reducible(0) {
-		t.Error("self loop should be reducible")
-	}
-	// The classic irreducible diamond: two entries into a cycle.
-	g = New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	if g.Reducible(0) {
-		t.Error("two-entry cycle should be irreducible")
-	}
-	// Unreachable garbage does not affect the verdict.
-	g = New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2)
-	if !g.Reducible(0) {
-		t.Error("unreachable cycle should not matter")
-	}
-	// Empty graph.
-	if !New(0).Reducible(0) {
-		t.Error("empty graph should be reducible")
-	}
-	// Mutual recursion reached from a single root IS irreducible when
-	// both procedures are called from outside the cycle — the shape
-	// that defeats the swift algorithm's reducibility assumption.
-	g = New(4)
-	g.AddEdge(0, 1) // main → even
-	g.AddEdge(0, 2) // main → odd
-	g.AddEdge(1, 2) // even → odd
-	g.AddEdge(2, 1) // odd → even
-	_ = g.AddNode()
-	if g.Reducible(0) {
-		t.Error("doubly-entered mutual recursion should be irreducible")
-	}
-}
-
-func TestReducibleRandomAgainstDefinition(t *testing.T) {
-	// Cross-check against a simple spec: a graph is reducible iff
-	// every retreating edge in any DFS targets a dominator. We use the
-	// equivalent "every cycle has a single entry from outside" check
-	// via brute-force dominators on small graphs.
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + r.Intn(7)
-		g := New(n)
-		for i := 0; i < n+r.Intn(2*n); i++ {
-			g.AddEdge(r.Intn(n), r.Intn(n))
-		}
-		got := g.Reducible(0)
-		want := reducibleSpec(g, 0)
-		if got != want {
-			t.Fatalf("trial %d: Reducible = %v, spec = %v, edges %v",
-				trial, got, want, g.Edges())
-		}
-	}
-}
-
-// reducibleSpec: a rooted graph is reducible iff for every edge u→v
-// where v dominates u (a back edge), removing all such back edges
-// leaves an acyclic graph. Dominators computed by brute force.
-func reducibleSpec(g *Graph, root int) bool {
-	n := g.NumNodes()
-	reach := g.Reachable(root)
-	// dom[v] = set of nodes that dominate v.
-	dominates := func(d, v int) bool {
-		if !reach[v] || !reach[d] {
-			return false
-		}
-		// v unreachable when d removed?
-		seen := make([]bool, n)
-		seen[d] = true // block d
-		stack := []int{root}
-		if root != d {
-			seen[root] = true
-		} else {
-			return true // root dominates everything
-		}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.Succs(x) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		return !seen[v] || v == d
-	}
-	// Remove back edges (target dominates source); check acyclicity.
-	h := New(n)
-	for _, e := range g.Edges() {
-		if !reach[e.From] || !reach[e.To] {
-			continue
-		}
-		if dominates(e.To, e.From) {
-			continue // back edge
-		}
-		h.AddEdge(e.From, e.To)
-	}
-	_, acyclic := h.TopoOrder()
-	return acyclic
 }

@@ -120,52 +120,3 @@ func (g *Graph) SCC() *SCCInfo {
 	}
 	return &SCCInfo{Comp: comp, Members: members, Trivial: trivial}
 }
-
-// Condense returns the condensation DAG of g under the given SCC
-// decomposition: one node per component, and one edge per original
-// edge whose endpoints lie in different components (parallel edges are
-// preserved, matching the multi-graph flavor of the inputs). Edge IDs
-// in the condensation index a slice mapping back to original edge IDs,
-// returned as the second value.
-func (g *Graph) Condense(s *SCCInfo) (*Graph, []int) {
-	d := New(s.NumComponents())
-	var orig []int
-	for _, e := range g.edges {
-		cf, ct := s.Comp[e.From], s.Comp[e.To]
-		if cf != ct {
-			d.AddEdge(cf, ct)
-			orig = append(orig, e.ID)
-		}
-	}
-	return d, orig
-}
-
-// TopoOrder returns a topological order of an acyclic graph (callers
-// typically pass a condensation). The second result is false if the
-// graph has a cycle, in which case the order is not meaningful.
-func (g *Graph) TopoOrder() ([]int, bool) {
-	n := g.NumNodes()
-	indeg := make([]int, n)
-	for _, e := range g.edges {
-		indeg[e.To]++
-	}
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		order = append(order, v)
-		for _, e := range g.succ[v] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return order, len(order) == n
-}

@@ -215,18 +215,6 @@ func analyzeAll[T any](ctx context.Context, items []T, opts Options, analyze fun
 	return out
 }
 
-// ErrSessionBroken reports an operation on a session whose maintained
-// solution was left inconsistent by a failed edit (the failure hit
-// after in-place mutation had begun and the full-reanalysis fallback
-// failed too). A broken session refuses every further edit. The server
-// surfaces this as a structured error until the client deletes the
-// session.
-var ErrSessionBroken = errors.New("sideeffect: session broken by a failed edit; close and recreate it")
-
-// Broken reports whether a failed edit left the session's maintained
-// solution inconsistent. See ErrSessionBroken.
-func (s *Session) Broken() bool { return s.broken }
-
 // NewSessionContext parses, checks, and analyzes src through
 // AnalyzeContext and holds it open for edits. The session keeps opts
 // for every later edit.
@@ -238,90 +226,29 @@ func NewSessionContext(ctx context.Context, src string, opts Options) (*Session,
 	return &Session{opts: opts, src: src, inc: NewIncremental(a)}, nil
 }
 
-// EditContext is Edit with transactional failure semantics under
-// cancellation and fault injection:
-//
-//   - a parse/semantic error, or any failure before the maintained
-//     solution is touched (including the whole full-reanalysis path),
-//     leaves the session exactly as it was — same analysis, same
-//     source;
-//   - a failure after in-place mutation has begun falls back to full
-//     reanalysis; if that succeeds the edit still lands (mode
-//     EditFull);
-//   - if the fallback fails too, the session is marked broken: the old
-//     solution is unrecoverable (it was mutated) and every further
-//     edit returns ErrSessionBroken.
-//
-// EditContext never panics and never hands a half-updated solution to
-// a later read.
-func (s *Session) EditContext(ctx context.Context, newSrc string) (mode EditMode, err error) {
-	if s.broken {
-		return EditFull, ErrSessionBroken
-	}
+// EditContext is Edit under cancellation and fault injection. It
+// parses newSrc; if the edit is additive it applies the deltas on the
+// next updater (a copy of the current analysis sharing its rows) and
+// refreshes the derived stages; if that fails, or the edit is not
+// additive, it analyzes the new program beside the session through
+// AnalyzeProgramContext. The session takes the new analysis and source
+// only on success. On failure — a parse error, a done context, an
+// injected fault or a panic — it returns the joined errors and the
+// session is exactly as it was. EditContext never panics.
+func (s *Session) EditContext(ctx context.Context, newSrc string) (EditMode, error) {
 	prog, err := parseMiniPL(newSrc)
 	if err != nil {
 		return EditFull, err
 	}
-	modAdds, useAdds, ok := ir.AdditiveDelta(s.inc.a.Prog, prog)
-	if !ok {
-		// Full path: the fresh analysis is built off to the side, so a
-		// failure here cannot touch the current solution.
-		return s.editFullCtx(ctx, prog, newSrc, false)
+	next, ierr := s.inc.edit(ctx, prog, s.opts)
+	if next != nil {
+		s.inc, s.src = next, newSrc
+		return EditIncremental, nil
 	}
-	// Incremental path: from the rebase on, the maintained solution is
-	// being mutated in place, so every failure must recover through
-	// full reanalysis or break the session. The recover is load-bearing:
-	// fault points reached on this goroutine (rather than inside a
-	// panic-capturing worker pool) panic straight through the
-	// incremental machinery, and without it the half-mutated solution
-	// would be served as if the edit had never happened.
-	defer func() {
-		if rec := recover(); rec != nil {
-			var ferr error
-			mode, ferr = s.editFullCtx(ctx, prog, newSrc, true)
-			if ferr == nil {
-				err = nil
-				return
-			}
-			err = errors.Join(batch.Capture(rec), ferr)
-		}
-	}()
-	s.inc.rebase(prog)
-	for _, d := range modAdds {
-		if _, err := s.inc.mod.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, prog, newSrc, true)
-		}
-	}
-	for _, d := range useAdds {
-		if _, err := s.inc.use.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
-			return s.editFullCtx(ctx, prog, newSrc, true)
-		}
-	}
-	if err := s.inc.a.refreshDerivedCtx(ctx, s.opts); err != nil {
-		mode, ferr := s.editFullCtx(ctx, prog, newSrc, true)
-		if ferr == nil {
-			return mode, nil
-		}
-		return EditFull, errors.Join(err, ferr)
-	}
-	s.src = newSrc
-	return EditIncremental, nil
-}
-
-// editFullCtx replaces the session's analysis with a fresh one of prog.
-// mutated says whether the current solution has already been touched in
-// place: if so, a failure here is unrecoverable and breaks the session;
-// if not, failure leaves the session unchanged.
-func (s *Session) editFullCtx(ctx context.Context, prog *ir.Program, src string, mutated bool) (EditMode, error) {
 	a, err := AnalyzeProgramContext(ctx, prog, s.opts)
 	if err != nil {
-		if mutated {
-			s.broken = true
-			err = errors.Join(err, ErrSessionBroken)
-		}
-		return EditFull, err
+		return EditFull, errors.Join(ierr, err)
 	}
-	s.inc = NewIncremental(a)
-	s.src = src
+	s.inc, s.src = NewIncremental(a), newSrc
 	return EditFull, nil
 }

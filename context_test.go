@@ -382,14 +382,14 @@ func TestSessionEditContextTransactional(t *testing.T) {
 	}
 
 	// Non-additive edit under a cancelled context: the full path fails
-	// off to the side, session untouched and NOT broken.
+	// off to the side, session untouched.
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
 	other := chaosSrc(t, 201)
 	if _, err := s.EditContext(cancelled, other); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled full edit: %v", err)
 	}
-	if s.Broken() || s.Source() != base || s.Analysis().Report() != wantReport {
+	if s.Source() != base || s.Analysis().Report() != wantReport {
 		t.Fatal("cancelled full edit mutated the session")
 	}
 
@@ -402,15 +402,12 @@ func TestSessionEditContextTransactional(t *testing.T) {
 	}
 }
 
-// TestSessionEditContextPanicMidMutation is the regression test for a
-// chaos-soak find: a fault point that panics on the edit's own
-// goroutine (rather than inside a panic-capturing worker pool) used to
-// escape EditContext mid-mutation. The serving layer's recover turned
-// it into a 500, but the session was never marked broken, so later
-// reads served the half-updated solution — an edit that "failed" had
-// partially landed. EditContext must instead absorb the panic: either
-// the full-reanalysis fallback lands the edit, or the session comes
-// out broken, or the solution is exactly the pre-edit one.
+// TestSessionEditContextPanicMidMutation: with every fault point
+// panicking, those reached on the edit's own goroutine (rather than
+// inside a panic-capturing worker pool) included, an edit must fail
+// with a captured panic and leave the session exactly as it was — same
+// analysis, same source, same report — and the same edit must land
+// incrementally once the faults are off.
 func TestSessionEditContextPanicMidMutation(t *testing.T) {
 	base := incrSrc
 	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1)
@@ -418,7 +415,8 @@ func TestSessionEditContextPanicMidMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseReport := s.Analysis().Report()
+	before := s.Analysis()
+	baseReport := before.Report()
 	// Arm panic-only injection after creation so the session builds
 	// cleanly; from here every fault point panics on whatever
 	// goroutine reaches it.
@@ -426,53 +424,68 @@ func TestSessionEditContextPanicMidMutation(t *testing.T) {
 		Rate: 1, Seed: 3, Kinds: []faultinject.Kind{faultinject.KindPanic},
 	})
 	_, err = s.EditContext(context.Background(), edited)
-	switch {
-	case err == nil:
-		if s.Source() != edited {
-			t.Fatal("edit reported success without landing")
-		}
-	case s.Broken():
-		if !errors.Is(err, ErrSessionBroken) {
-			t.Fatalf("breaking edit error %v does not wrap ErrSessionBroken", err)
-		}
-		if _, err := s.EditContext(context.Background(), base); !errors.Is(err, ErrSessionBroken) {
-			t.Fatalf("broken session accepted an edit: %v", err)
-		}
-	default:
-		if s.Source() != base || s.Analysis().Report() != baseReport {
-			t.Fatal("failed edit left a half-mutated session readable")
-		}
+	var pe *batch.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("edit with every fault point panicking: err %v, want a captured panic", err)
 	}
-}
-
-func TestSessionEditContextBreaks(t *testing.T) {
-	// An additive edit (same structure, one new assignment to a global
-	// inside an existing procedure) under a cancelled context: the
-	// incremental path mutates in place, the derived refresh hits the
-	// cancelled context, and the full-reanalysis fallback fails too —
-	// the session must come out broken, refusing further edits.
-	base := incrSrc
-	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1)
-	s, err := NewSessionContext(context.Background(), base, Options{Workers: 1})
+	if s.Analysis() != before || s.Source() != base || before.Report() != baseReport {
+		t.Fatal("failed edit changed the session")
+	}
+	s.opts.Faults = nil
+	mode, err := s.EditContext(context.Background(), edited)
+	if err != nil || mode != EditIncremental {
+		t.Fatalf("edit after the faults: mode %v, err %v", mode, err)
+	}
+	if before.Report() != baseReport {
+		t.Fatal("the edit wrote the analysis it replaced")
+	}
+	fresh, err := Analyze(edited)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancelled, stop := context.WithCancel(context.Background())
-	stop()
-	_, err = s.EditContext(cancelled, edited)
-	if err == nil {
-		t.Fatal("cancelled incremental edit reported success")
+	if s.Analysis().Report() != fresh.Report() {
+		t.Fatal("edit after the faults differs from a fresh analysis")
 	}
-	if !s.Broken() {
-		t.Skip("edit was absorbed before mutation began; cannot force broken state here")
+}
+
+// TestSessionEditCancelledKeepsAnalysis: an additive edit whose
+// context is already done (the client has gone) fails with the
+// context's error and leaves the session exactly as it was, and the
+// session keeps taking edits: the next additive edit under a live
+// context lands incrementally and equals a fresh Analyze.
+func TestSessionEditCancelledKeepsAnalysis(t *testing.T) {
+	base := incrSrc
+	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1)
+	fresh, err := Analyze(edited)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrSessionBroken) {
-		t.Fatalf("breaking edit error %v does not wrap ErrSessionBroken", err)
-	}
-	if _, err := s.EditContext(context.Background(), base); !errors.Is(err, ErrSessionBroken) {
-		t.Fatalf("broken session accepted an edit: %v", err)
-	}
-	if _, err := s.Edit(base); !errors.Is(err, ErrSessionBroken) {
-		t.Fatalf("broken session accepted a legacy Edit: %v", err)
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s, err := NewSessionContext(context.Background(), base, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Analysis()
+			baseReport := before.Report()
+			cancelled, stop := context.WithCancel(context.Background())
+			stop()
+			if _, err := s.EditContext(cancelled, edited); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled additive edit: err %v, want context.Canceled", err)
+			}
+			if s.Analysis() != before || s.Source() != base || s.Analysis().Report() != baseReport {
+				t.Fatal("cancelled additive edit changed the session")
+			}
+			mode, err := s.EditContext(context.Background(), edited)
+			if err != nil || mode != EditIncremental {
+				t.Fatalf("edit after the cancelled one: mode %v, err %v", mode, err)
+			}
+			if s.Source() != edited || s.Analysis().Report() != fresh.Report() {
+				t.Fatal("edit after the cancelled one differs from a fresh analysis")
+			}
+			if before.Report() != baseReport {
+				t.Fatal("the edit wrote the analysis it replaced")
+			}
+		})
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"sort"
 
 	"sideeffect/internal/alias"
+	"sideeffect/internal/batch"
+	"sideeffect/internal/binding"
+	"sideeffect/internal/callgraph"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 )
@@ -36,15 +39,18 @@ func (e Effect) String() string {
 // programming-environment scenario the paper was built for, where one
 // procedure is recompiled with a new local effect and the environment
 // wants updated summaries without re-running the whole-program
-// analysis. The wrapped Analysis is updated in place: the MOD and USE
-// core results are maintained by delta propagation over the call and
-// binding multi-graphs (internal/core.Incremental), and the derived
-// stages (regular sections, alias-factored per-site sets) are
-// recomputed from the maintained fixpoints, which is linear and cheap.
+// analysis. An Incremental made by NewIncremental updates the wrapped
+// Analysis in place: the MOD and USE core results are maintained by
+// delta propagation over the call and binding multi-graphs
+// (internal/core.Incremental), and the derived stages (regular
+// sections, alias-factored per-site sets) are recomputed from the
+// maintained fixpoints, which is linear and cheap.
 //
 // Non-additive edits (deleting statements, adding call sites or
 // variables) are outside this type's contract; Session handles them by
-// detecting the case and falling back to full reanalysis.
+// detecting the case and falling back to full reanalysis. A Session
+// never updates its analysis in place: each additive edit runs on the
+// next updater, built beside the current one.
 type Incremental struct {
 	a        *Analysis
 	mod, use *core.Incremental
@@ -105,17 +111,55 @@ func (inc *Incremental) AddLocalEffect(proc, variable string, effect Effect) ([]
 	return names, nil
 }
 
-// rebase re-points the maintained results at a reparsed, ID-isomorphic
-// program model (certified by ir.AdditiveDelta) so that reports carry
-// the new source's positions.
-func (inc *Incremental) rebase(prog *ir.Program) {
-	inc.mod.Rebase(prog)
-	inc.use.Rebase(prog)
-	inc.a.Prog = prog
+// rebase returns the updater for the next solution: a copy of the
+// analysis re-pointed at prog, a reparsed, ID-isomorphic program model
+// (certified by ir.AdditiveDelta), so that reports carry the new
+// source's positions. The copy's core results share every row with the
+// current ones until an update writes it (core.Incremental.Rebase), so
+// the current analysis is never written. β and the call graph are
+// built once for both problems.
+func (inc *Incremental) rebase(prog *ir.Program) *Incremental {
+	beta, cg := binding.Build(prog), callgraph.Build(prog)
+	a := *inc.a
+	next := &Incremental{a: &a, mod: inc.mod.Rebase(prog, beta, cg), use: inc.use.Rebase(prog, beta, cg)}
+	a.Prog, a.Mod, a.Use = prog, next.mod.Result(), next.use.Result()
 	// Alias pairs depend only on the binding structure, which the
 	// isomorphism preserves; recomputing keeps the analysis free of
 	// stale model pointers and is linear.
-	inc.a.Aliases = alias.Compute(prog)
+	a.Aliases = alias.Compute(prog)
+	return next
+}
+
+// edit applies an additive edit, the deltas from the current program
+// to prog, on the next updater and refreshes its derived stages. It
+// returns nil and no error when the edit is not additive. A panic
+// comes back as an error; either way the current analysis is left as
+// it was.
+func (inc *Incremental) edit(ctx context.Context, prog *ir.Program, opts Options) (next *Incremental, err error) {
+	modAdds, useAdds, ok := ir.AdditiveDelta(inc.a.Prog, prog)
+	if !ok {
+		return nil, nil
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			next, err = nil, fmt.Errorf("sideeffect: incremental edit failed: %w", batch.Capture(rec))
+		}
+	}()
+	next = inc.rebase(prog)
+	for _, d := range modAdds {
+		if _, err := next.mod.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
+			return nil, err
+		}
+	}
+	for _, d := range useAdds {
+		if _, err := next.use.AddLocalEffect(prog.Procs[d.Proc], prog.Vars[d.Var]); err != nil {
+			return nil, err
+		}
+	}
+	if err := next.a.refreshDerivedCtx(ctx, opts); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // EditMode reports how a Session absorbed an edit.
@@ -153,15 +197,15 @@ func (m EditMode) String() string {
 //
 // Either way the resulting Analysis is identical, byte for byte in its
 // reports, to a fresh Analyze of the new source; the mode only changes
-// how much work was done. A Session is not safe for concurrent use;
-// the server serializes access per session.
+// how much work was done. An edit builds the next analysis beside the
+// current one and swaps it in only once it is complete, so an edit
+// lands whole or not at all, and an Analysis the session handed out is
+// never written by a later edit. A Session is not safe for concurrent
+// use; the server serializes access per session.
 type Session struct {
 	opts Options
 	src  string
 	inc  *Incremental
-	// broken marks a session whose maintained solution was left
-	// inconsistent by a failed EditContext; see ErrSessionBroken.
-	broken bool
 }
 
 // NewSession is NewSessionContext with no deadline.
@@ -177,9 +221,8 @@ func (s *Session) Source() string { return s.src }
 
 // Edit replaces the session's source text and brings the analysis up
 // to date, incrementally when the edit is additive and by full
-// reanalysis otherwise. On a parse or semantic error the session is
-// left unchanged and the error is returned. Edit is EditContext with
-// no deadline.
+// reanalysis otherwise. On any error the session is left unchanged and
+// the error is returned. Edit is EditContext with no deadline.
 func (s *Session) Edit(newSrc string) (EditMode, error) {
 	return s.EditContext(context.Background(), newSrc)
 }

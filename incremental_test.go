@@ -151,6 +151,8 @@ func scalarVisiblePairs(prog *ir.Program) [][2]int {
 // random additive edit sequences applied through a Session must yield
 // byte-identical reports (text and JSON) to a fresh Analyze of the
 // edited source, under both the sequential and the parallel schedule.
+// Every edit, incremental or full, must leave the report of the
+// analysis it replaced unchanged.
 func TestSessionDifferentialRandomEdits(t *testing.T) {
 	seeds := int64(8)
 	steps := 8
@@ -197,12 +199,16 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, s := range sessions {
+				prev, prevReport := s.Analysis(), s.Analysis().Report()
 				mode, err := s.Edit(newSrc)
 				if err != nil {
 					t.Fatalf("seed %d step %d %s: %v", seed, step, name, err)
 				}
 				if mode != EditIncremental {
 					t.Fatalf("seed %d step %d %s: additive edit took mode %v", seed, step, name, mode)
+				}
+				if prev.Report() != prevReport {
+					t.Fatalf("seed %d step %d %s: incremental edit wrote the analysis it replaced", seed, step, name)
 				}
 				a := s.Analysis()
 				if got := a.Report(); got != wantText {
@@ -225,12 +231,16 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, s := range sessions {
+			prev, prevReport := s.Analysis(), s.Analysis().Report()
 			mode, err := s.Edit(other)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, name, err)
 			}
 			if mode != EditFull {
 				t.Errorf("seed %d %s: program replacement took mode %v", seed, name, mode)
+			}
+			if prev.Report() != prevReport {
+				t.Errorf("seed %d %s: full edit wrote the analysis it replaced", seed, name)
 			}
 			if s.Analysis().Report() != fresh.Report() {
 				t.Errorf("seed %d %s: post-replacement report diverged", seed, name)

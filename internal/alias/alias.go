@@ -43,10 +43,8 @@ type Pair struct {
 // Analysis holds the alias solution for a program.
 type Analysis struct {
 	Prog *ir.Program
-	// sets[pid] is ALIAS(p), each pair packed as X<<32|Y with X < Y.
-	// Maps are allocated lazily: most procedures of realistic programs
-	// have no alias pairs at all, and the nil map reads below are free.
-	sets []map[uint64]struct{}
+	// pairs[pid] is ALIAS(p), sorted by (X, Y).
+	pairs [][]Pair
 	// adj[pid] maps a variable ID to the IDs aliased to it in p.
 	adj []map[int][]int32
 }
@@ -58,26 +56,15 @@ func pack(a, b int) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// Pairs returns ALIAS(p) in deterministic (sorted) order. The packed
-// keys sort as (X, Y) pairs do, so it sorts them and unpacks after.
-func (a *Analysis) Pairs(p *ir.Procedure) []Pair {
-	keys := make([]uint64, 0, len(a.sets[p.ID]))
-	for pr := range a.sets[p.ID] {
-		keys = append(keys, pr)
-	}
-	slices.Sort(keys)
-	out := make([]Pair, len(keys))
-	for i, pr := range keys {
-		out[i] = Pair{X: int(pr >> 32), Y: int(pr & 0xffffffff)}
-	}
-	return out
-}
+// Pairs returns ALIAS(p), sorted by (X, Y). The slice is the
+// analysis's own storage: callers must not modify it.
+func (a *Analysis) Pairs(p *ir.Procedure) []Pair { return a.pairs[p.ID] }
 
 // NumPairs returns the total number of alias pairs across procedures.
 func (a *Analysis) NumPairs() int {
 	n := 0
-	for _, s := range a.sets {
-		n += len(s)
+	for _, ps := range a.pairs {
+		n += len(ps)
 	}
 	return n
 }
@@ -86,21 +73,25 @@ func (a *Analysis) NumPairs() int {
 func Compute(prog *ir.Program) *Analysis {
 	a := &Analysis{
 		Prog: prog,
-		sets: make([]map[uint64]struct{}, prog.NumProcs()),
 		adj:  make([]map[int][]int32, prog.NumProcs()),
 	}
+	// sets[pid] is ALIAS(p) while the worklist runs, each pair packed
+	// as X<<32|Y with X < Y. Maps are allocated lazily: most procedures
+	// of realistic programs have no alias pairs at all, and the nil map
+	// reads below are free.
+	sets := make([]map[uint64]struct{}, prog.NumProcs())
 	add := func(pid, x, y int) bool {
 		if x == y {
 			return false
 		}
 		key := pack(x, y)
-		if _, ok := a.sets[pid][key]; ok {
+		if _, ok := sets[pid][key]; ok {
 			return false
 		}
-		s := a.sets[pid]
+		s := sets[pid]
 		if s == nil {
 			s = make(map[uint64]struct{}, 8)
-			a.sets[pid] = s
+			sets[pid] = s
 		}
 		s[key] = struct{}{}
 		ad := a.adj[pid]
@@ -126,7 +117,7 @@ func Compute(prog *ir.Program) *Analysis {
 	process := func(cs *ir.CallSite) bool {
 		q := cs.Callee
 		callerAdj := a.adj[cs.Caller.ID]
-		callerSet := a.sets[cs.Caller.ID]
+		callerSet := sets[cs.Caller.ID]
 		changed := false
 		for i, ai := range cs.Args {
 			if ai.Mode != ir.FormalRef || ai.Var == nil {
@@ -180,7 +171,7 @@ func Compute(prog *ir.Program) *Analysis {
 		// along call edges.
 		for _, child := range prog.Procs[pid].Nested {
 			changed := false
-			for pr := range a.sets[pid] {
+			for pr := range sets[pid] {
 				if add(child.ID, int(pr>>32), int(pr&0xffffffff)) {
 					changed = true
 				}
@@ -189,6 +180,24 @@ func Compute(prog *ir.Program) *Analysis {
 				push(child.ID)
 			}
 		}
+	}
+	// Keep each ALIAS(p) sorted, once. The packed keys sort as (X, Y)
+	// pairs do, so sort them and unpack after.
+	a.pairs = make([][]Pair, len(sets))
+	for pid, set := range sets {
+		if len(set) == 0 {
+			continue
+		}
+		keys := make([]uint64, 0, len(set))
+		for pr := range set {
+			keys = append(keys, pr)
+		}
+		slices.Sort(keys)
+		ps := make([]Pair, len(keys))
+		for i, pr := range keys {
+			ps[i] = Pair{X: int(pr >> 32), Y: int(pr & 0xffffffff)}
+		}
+		a.pairs[pid] = ps
 	}
 	return a
 }

@@ -19,8 +19,13 @@ func analyze(t *testing.T, src string) *ir.Program {
 }
 
 func hasPair(a *Analysis, p *ir.Procedure, x, y *ir.Variable) bool {
-	_, ok := a.sets[p.ID][pack(x.ID, y.ID)]
-	return ok
+	want := pack(x.ID, y.ID)
+	for _, pr := range a.Pairs(p) {
+		if pack(pr.X, pr.Y) == want {
+			return true
+		}
+	}
+	return false
 }
 
 func TestGlobalFormalAlias(t *testing.T) {

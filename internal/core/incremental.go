@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sideeffect/internal/binding"
 	"sideeffect/internal/bitset"
@@ -24,10 +25,19 @@ import (
 // the other direction and are handled by full recomputation (the
 // facade's Session reanalyzes), which is what production environments
 // of the era did as well.
+//
+// An updater made by NewIncremental writes its result in place. One
+// made by Rebase works on a copy that shares every row with the result
+// it was rebased from, and copies a row of Facts.I, IMODPlus or GMOD
+// the first time it writes it, so that result is never written.
 type Incremental struct {
 	res *Result
 	// callersOf[q] lists the call sites invoking q.
 	callersOf [][]*ir.CallSite
+	// copied holds the rows a rebased updater has copied; every other
+	// row is still shared with the result it was rebased from. It is
+	// nil for an updater that owns all its rows.
+	copied map[*bitset.Set]bool
 }
 
 // NewIncremental wraps an existing analysis result for incremental
@@ -43,6 +53,17 @@ func NewIncremental(res *Result) *Incremental {
 		inc.callersOf[cs.Callee.ID] = append(inc.callersOf[cs.Callee.ID], cs)
 	}
 	return inc
+}
+
+// row returns rows[i] ready to be written: a row still shared with the
+// result this updater was rebased from is first replaced by a heap
+// copy.
+func (inc *Incremental) row(rows []*bitset.Set, i int) *bitset.Set {
+	if inc.copied != nil && !inc.copied[rows[i]] {
+		rows[i] = rows[i].Clone()
+		inc.copied[rows[i]] = true
+	}
+	return rows[i]
 }
 
 // Result returns the maintained result.
@@ -69,7 +90,7 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 		p.IUSE.Add(v.ID)
 	}
 	for q := p; q != nil; q = q.Parent {
-		res.Facts.I[q.ID].Add(v.ID)
+		inc.row(res.Facts.I, q.ID).Add(v.ID)
 		if q.Parent == nil || res.Facts.Local[q.ID].Has(v.ID) {
 			break
 		}
@@ -148,8 +169,8 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 		if d == nil || d.Empty() {
 			continue
 		}
-		res.IMODPlus[pid].UnionWith(d)
-		if res.GMOD[pid].UnionInPlaceCount(d) > 0 {
+		inc.row(res.IMODPlus, pid).UnionWith(d)
+		if inc.row(res.GMOD, pid).UnionInPlaceCount(d) > 0 {
 			changedSet[pid] = true
 			queue = append(queue, pid)
 		}
@@ -188,7 +209,7 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 			changed := false
 			add.ForEach(func(id int) {
 				if classOK(prog.Vars[id], cs.Callee.Level) {
-					res.GMOD[pid].Add(id)
+					inc.row(res.GMOD, pid).Add(id)
 					changed = true
 				}
 			})
@@ -214,29 +235,39 @@ func (inc *Incremental) AddLocalEffect(p *ir.Procedure, v *ir.Variable) ([]*ir.P
 	return out, nil
 }
 
-// Rebase re-points the maintained result at prog, a program model that
-// is structurally identical to the current one — same IDs for every
+// Rebase returns an updater for prog, a program model that is
+// structurally identical to the current one — same IDs for every
 // variable, procedure, and call site, as certified by ir.AdditiveDelta
 // — but may carry different source positions and additional local
-// facts. The solved fixpoints (RMOD, IMOD+, GMOD, DMOD) are kept
-// as-is: they are pure ID-indexed sets and remain valid under the
-// isomorphism. The linear auxiliary structures that hold pointers into
-// the program model (binding multi-graph, call graph, caller index)
-// are rebuilt from prog, which preserves β-node numbering because
-// nodes are enumerated in procedure/formal declaration order.
+// facts. beta and cg are prog's binding multi-graph and call graph;
+// the MOD and USE updaters of one edit share them, as a fresh analysis
+// does.
 //
-// Rebase does not apply the new facts; call AddLocalEffect for each
-// delta afterwards. Passing a program that is not ID-isomorphic to the
-// current one corrupts the result.
-func (inc *Incremental) Rebase(prog *ir.Program) {
-	res := inc.res
-	res.Prog = prog
-	res.Facts.Prog = prog
-	res.Beta = binding.Build(prog)
-	res.RMOD.Beta = res.Beta
-	res.CG = callgraph.Build(prog)
-	inc.callersOf = make([][]*ir.CallSite, prog.NumProcs())
-	for _, cs := range prog.Sites {
-		inc.callersOf[cs.Callee.ID] = append(inc.callersOf[cs.Callee.ID], cs)
-	}
+// The new updater's result is a copy of the current one. The solved
+// fixpoints (RMOD, IMOD+, GMOD, DMOD) carry over: they are pure
+// ID-indexed sets and remain valid under the isomorphism, and β-node
+// numbering is preserved because nodes are enumerated in
+// procedure/formal declaration order. The copy has its own row slices
+// and RMOD solution, but shares every row with the current result
+// until AddLocalEffect writes it; rows it copies come from the heap.
+// The current result is never written, so it stays valid whatever
+// happens to the new updater.
+//
+// Rebase does not apply the new facts; call AddLocalEffect on the new
+// updater for each delta afterwards. Passing a program that is not
+// ID-isomorphic to the current one yields a corrupt result.
+func (inc *Incremental) Rebase(prog *ir.Program, beta *binding.Beta, cg *callgraph.CallGraph) *Incremental {
+	old := inc.res
+	facts, rmod, res := *old.Facts, *old.RMOD, *old
+	facts.Prog = prog
+	facts.I = slices.Clone(old.Facts.I)
+	rmod.Beta = beta
+	rmod.Node = slices.Clone(old.RMOD.Node)
+	res.Prog, res.Facts, res.Beta, res.CG, res.RMOD = prog, &facts, beta, cg, &rmod
+	res.IMODPlus = slices.Clone(old.IMODPlus)
+	res.GMOD = slices.Clone(old.GMOD)
+	res.Arena = nil
+	next := NewIncremental(&res)
+	next.copied = map[*bitset.Set]bool{}
+	return next
 }

@@ -80,38 +80,25 @@ func (c *Config) fill() {
 }
 
 // Stats are the indexer's monotonic counters (plus the Files gauge),
-// exposed for tests and rendered into /metrics.
+// exposed for tests, served on /index/status and rendered into
+// /metrics.
 type Stats struct {
-	Files            int
-	Scans            int64
-	Batches          int64
-	Analyses         int64
-	IncrementalEdits int64
-	FullReanalyses   int64
-	Warm             int64
-	Deletes          int64
-	Renames          int64
-	Errors           int64
+	Files            int   `json:"files"`
+	Scans            int64 `json:"scans"`
+	Batches          int64 `json:"batches"`
+	Analyses         int64 `json:"analyses"`
+	IncrementalEdits int64 `json:"incrementalEdits"`
+	FullReanalyses   int64 `json:"fullReanalyses"`
+	Warm             int64 `json:"warm"`
+	Deletes          int64 `json:"deletes"`
+	Renames          int64 `json:"renames"`
+	Errors           int64 `json:"errors"`
 }
 
 // statFP is a file's cheap change fingerprint.
 type statFP struct {
 	size      int64
 	modTimeNs int64
-}
-
-// fileState is the indexer's processed view of one file, the unit the
-// /index/files table and the persisted IndexState are built from.
-type fileState struct {
-	path      string // slash-separated, relative to Root
-	lang      string
-	key       string // content address in the server cache
-	size      int64
-	modTimeNs int64
-	status    string // "ok" or "error"
-	errMsg    string
-	mode      string // cold | incremental | full | warm: how the last change was absorbed
-	procs     int
 }
 
 // Indexer is one watch loop over one directory tree.
@@ -121,8 +108,8 @@ type Indexer struct {
 	exts   map[string]string // ".mpl" → "minipl", ".go" → "go" (enabled langs only)
 
 	mu         sync.Mutex
-	files      map[string]*fileState // processed view, keyed by relative path
-	seen       map[string]statFP     // last-scan stat per path (change detection)
+	files      map[string]*store.FileState // processed view, keyed by relative path
+	seen       map[string]statFP           // last-scan stat per path (change detection)
 	stats      Stats
 	watching   bool
 	lastScanNs int64
@@ -155,7 +142,7 @@ func New(cfg Config, target Target) *Indexer {
 		cfg:      cfg,
 		target:   target,
 		exts:     exts,
-		files:    make(map[string]*fileState),
+		files:    make(map[string]*store.FileState),
 		seen:     make(map[string]statFP),
 		sessions: newSessionTable(cfg.MaxSessions),
 	}

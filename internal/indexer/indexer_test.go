@@ -125,7 +125,7 @@ func TestIndexColdStart(t *testing.T) {
 	if st.Files != 2 || st.FullReanalyses != 2 || st.IncrementalEdits != 0 {
 		t.Errorf("stats = %+v, want 2 files, 2 cold analyses", st)
 	}
-	files, ok := ix.Files().([]fileView)
+	files, ok := ix.Files().([]store.FileState)
 	if !ok || len(files) != 2 {
 		t.Fatalf("Files() = %#v, want 2 rows", ix.Files())
 	}
@@ -193,9 +193,38 @@ func TestAdditiveEditTakesIncrementalPath(t *testing.T) {
 	if st.Analyses != 3 || st.IncrementalEdits != 1 {
 		t.Errorf("stats = %+v, want 3 analyses of which 1 incremental", st)
 	}
-	files := ix.Files().([]fileView)
+	files := ix.Files().([]store.FileState)
 	if files[0].Mode != "full" {
 		t.Errorf("after structural edit, mode = %q, want full", files[0].Mode)
+	}
+}
+
+// TestFailedEditKeepsSession: a file whose edit fails to parse keeps
+// its session at the last good analysis, so an additive fix after the
+// error is absorbed incrementally rather than by a full reanalysis.
+func TestFailedEditKeepsSession(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "prog.mpl")
+	writeFile(t, path, idxSrc)
+	ft := newFakeTarget()
+	ix := startIndexer(t, fastConfig(dir), ft)
+	waitFor(t, "cold index", func() bool { return ix.Stats().Analyses == 1 })
+
+	writeFile(t, path, strings.Replace(idxSrc, "x := 1", "x := ", 1))
+	waitFor(t, "failed edit", func() bool { return ix.Stats().Errors == 1 })
+
+	fixed := strings.Replace(idxSrc, "x := 1", "x := 1; h := g", 1)
+	writeFile(t, path, fixed)
+	waitFor(t, "fix", func() bool { return ix.Stats().Analyses == 2 })
+	if st := ix.Stats(); st.IncrementalEdits != 1 || st.FullReanalyses != 1 {
+		t.Errorf("stats = %+v, want the fix absorbed incrementally", st)
+	}
+	files := ix.Files().([]store.FileState)
+	if len(files) != 1 || files[0].Status != "ok" || files[0].Mode != "incremental" {
+		t.Errorf("after the fix, table = %+v, want prog.mpl ok and incremental", files)
+	}
+	if !ft.HasEntry(store.Key("minipl", fixed)) {
+		t.Error("the fix's snapshot was not installed")
 	}
 }
 
@@ -213,7 +242,7 @@ func TestDeleteLeavesNoGhost(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "delete processed", func() bool { return ix.Stats().Deletes == 1 })
-	if files := ix.Files().([]fileView); len(files) != 0 {
+	if files := ix.Files().([]store.FileState); len(files) != 0 {
 		t.Errorf("deleted file still listed: %+v", files)
 	}
 	if st := ix.Stats(); st.Files != 0 {
@@ -245,7 +274,7 @@ func TestRenameIsWarm(t *testing.T) {
 	if st.Warm != 1 {
 		t.Errorf("rename not counted warm: %+v", st)
 	}
-	files := ix.Files().([]fileView)
+	files := ix.Files().([]store.FileState)
 	if len(files) != 1 || files[0].Path != "new.mpl" || files[0].Mode != "warm" {
 		t.Errorf("after rename, table = %+v, want new.mpl warm", files)
 	}
@@ -266,7 +295,7 @@ func TestErrorFileTracked(t *testing.T) {
 		st := ix.Stats()
 		return st.Errors == 1 && st.Analyses == 1
 	})
-	files := ix.Files().([]fileView)
+	files := ix.Files().([]store.FileState)
 	if len(files) != 2 || files[0].Path != "bad.mpl" || files[0].Status != "error" || files[0].Error == "" {
 		t.Errorf("error file not tracked: %+v", files)
 	}
@@ -276,7 +305,7 @@ func TestErrorFileTracked(t *testing.T) {
 	// Fixing the file clears the error on the next batch.
 	writeFile(t, filepath.Join(dir, "bad.mpl"), idxGoSrcAsMiniPL())
 	waitFor(t, "fixed", func() bool { return ix.Stats().Analyses == 2 })
-	files = ix.Files().([]fileView)
+	files = ix.Files().([]store.FileState)
 	if files[0].Status != "ok" {
 		t.Errorf("fixed file still errored: %+v", files[0])
 	}
@@ -297,7 +326,7 @@ func TestInjectedPanicsFailFilesNotTheLoop(t *testing.T) {
 	ft := newFakeTarget()
 	ix := startIndexer(t, cfg, ft)
 	waitFor(t, "both files failed", func() bool { return ix.Stats().Errors == 2 })
-	for _, f := range ix.Files().([]fileView) {
+	for _, f := range ix.Files().([]store.FileState) {
 		if f.Status != "error" || !strings.Contains(f.Error, "panic") {
 			t.Errorf("%s: status %q, error %q; want an injected-panic error", f.Path, f.Status, f.Error)
 		}
@@ -357,7 +386,7 @@ func TestRestoreStateSkipsUnchanged(t *testing.T) {
 	if st.Warm != 0 {
 		t.Errorf("unchanged files re-touched (%d warm events), want none", st.Warm)
 	}
-	files := second.Files().([]fileView)
+	files := second.Files().([]store.FileState)
 	if files[0].Path != "a.mpl" || files[0].Mode != "cold" {
 		t.Errorf("unchanged file state not preserved: %+v", files[0])
 	}
@@ -425,8 +454,8 @@ func TestModuleMode(t *testing.T) {
 	ix := startIndexer(t, cfg, ft)
 
 	waitFor(t, "cold module analysis", func() bool { return ix.Stats().Analyses == 1 })
-	files := ix.Files().([]fileView)
-	var mod *fileView
+	files := ix.Files().([]store.FileState)
+	var mod *store.FileState
 	for i := range files {
 		if files[i].Path == moduleStatePath {
 			mod = &files[i]
@@ -482,7 +511,7 @@ func TestModuleModeRestore(t *testing.T) {
 		t.Errorf("restored watcher ran %d analyses on an unchanged tree, want 0", st.Analyses)
 	}
 	found := false
-	for _, f := range second.Files().([]fileView) {
+	for _, f := range second.Files().([]store.FileState) {
 		if f.Path == moduleStatePath {
 			found = true
 		}

@@ -30,14 +30,14 @@ func (ix *Indexer) process(b *batch) {
 	// rename matching. A path created and deleted inside one batch has
 	// no processed view and is skipped outright.
 	deletedKeys := make(map[string]string) // old key → old path
-	deletedStates := make(map[string]*fileState)
+	deletedStates := make(map[string]*store.FileState)
 	for _, path := range sortedPaths(b.deleted) {
 		old, ok := ix.files[path]
 		if !ok {
 			continue
 		}
 		delete(ix.files, path)
-		deletedKeys[old.key] = path
+		deletedKeys[old.Key] = path
 		deletedStates[path] = old
 	}
 	ix.mu.Unlock()
@@ -101,24 +101,24 @@ func (ix *Indexer) analyzeModule() {
 	ix.mu.Lock()
 	old := ix.files[moduleStatePath]
 	ix.mu.Unlock()
-	st := &fileState{path: moduleStatePath, lang: "go-module", status: "ok"}
+	st := &store.FileState{Path: moduleStatePath, Lang: "go-module", Status: "ok"}
 	defer ix.setState(moduleStatePath, st)
 	res, err := sideeffect.AnalyzeGoModule(context.Background(), []string{filepath.Join(ix.cfg.Root, "...")}, ix.cfg.Opts)
 	if err != nil {
 		ix.fail(st, err)
 		return
 	}
-	st.key = cache.Key("go-module\x00" + res.Pkg.Hash)
-	if ix.target.HasEntry(st.key) {
-		st.mode = "warm"
+	st.Key = cache.Key("go-module\x00" + res.Pkg.Hash)
+	if ix.target.HasEntry(st.Key) {
+		st.Mode = "warm"
 		if old != nil {
-			st.procs = old.procs
+			st.Procs = old.Procs
 		}
 		ix.bumpWarm()
 		return
 	}
 	a := res.Analysis
-	snap, err := store.BuildEntry(a, st.key, "go-module", res.Pkg.Notes, res.Pkg.ConfidenceReport())
+	snap, err := store.BuildEntry(a, st.Key, "go-module", res.Pkg.Notes, res.Pkg.ConfidenceReport())
 	if err != nil {
 		ix.fail(st, err)
 		return
@@ -131,13 +131,13 @@ func (ix *Indexer) analyzeModule() {
 	if old == nil {
 		mode = "cold"
 	}
-	st.mode = mode
-	st.procs = len(a.Procedures())
+	st.Mode = mode
+	st.Procs = len(a.Procedures())
 	ix.bumpAnalysis(mode)
 }
 
 // processFile absorbs one created or modified file.
-func (ix *Indexer) processFile(path string, deletedKeys map[string]string, deletedStates map[string]*fileState, renamed map[string]bool) {
+func (ix *Indexer) processFile(path string, deletedKeys map[string]string, deletedStates map[string]*store.FileState, renamed map[string]bool) {
 	lang, ok := ix.exts[filepath.Ext(path)]
 	if !ok {
 		return
@@ -153,22 +153,22 @@ func (ix *Indexer) processFile(path string, deletedKeys map[string]string, delet
 	old := ix.files[path]
 	fp := ix.seen[path]
 	ix.mu.Unlock()
-	if old != nil && old.key == key && old.status == "ok" {
+	if old != nil && old.Key == key && old.Status == "ok" {
 		// Touched but content-identical: refresh the stat fingerprint only.
-		ix.setState(path, &fileState{path: path, lang: lang, key: key,
-			size: fp.size, modTimeNs: fp.modTimeNs,
-			status: "ok", mode: old.mode, procs: old.procs})
+		ix.setState(path, &store.FileState{Path: path, Lang: lang, Key: key,
+			Size: fp.size, ModTimeNs: fp.modTimeNs,
+			Status: "ok", Mode: old.Mode, Procs: old.Procs})
 		return
 	}
 
-	st := &fileState{path: path, lang: lang, key: key, size: fp.size, modTimeNs: fp.modTimeNs, status: "ok"}
+	st := &store.FileState{Path: path, Lang: lang, Key: key, Size: fp.size, ModTimeNs: fp.modTimeNs, Status: "ok"}
 	if oldPath, ok := deletedKeys[key]; ok && ix.target.HasEntry(key) {
 		// A file deleted in this batch reappeared elsewhere with the same
 		// content: a rename. Content addressing means zero re-analysis.
 		renamed[oldPath] = true
-		st.mode = "warm"
+		st.Mode = "warm"
 		if prev := deletedStates[oldPath]; prev != nil {
-			st.procs = prev.procs
+			st.Procs = prev.Procs
 		}
 		ix.bumpWarm()
 		ix.setState(path, st)
@@ -177,9 +177,9 @@ func (ix *Indexer) processFile(path string, deletedKeys map[string]string, delet
 	if ix.target.HasEntry(key) {
 		// Already-known content (a restart over unchanged sources, or a
 		// revert to a previously indexed version): warm, nothing to run.
-		st.mode = "warm"
+		st.Mode = "warm"
 		if old != nil {
-			st.procs = old.procs
+			st.Procs = old.Procs
 		}
 		ix.bumpWarm()
 		ix.setState(path, st)
@@ -193,7 +193,7 @@ func (ix *Indexer) processFile(path string, deletedKeys map[string]string, delet
 		if ix.cfg.GoModule {
 			// Folded into the batch's one whole-module pass; the row
 			// just tracks the file's fingerprint.
-			st.mode = "module"
+			st.Mode = "module"
 		} else {
 			ix.analyzeGo(path, src, key, old != nil, st)
 		}
@@ -203,15 +203,14 @@ func (ix *Indexer) processFile(path string, deletedKeys map[string]string, delet
 
 // analyzeMiniPL runs (or incrementally updates) the MiniPL analysis
 // for path and installs the rendered snapshot.
-func (ix *Indexer) analyzeMiniPL(path, src, key string, known bool, st *fileState) {
+func (ix *Indexer) analyzeMiniPL(path, src, key string, known bool, st *store.FileState) {
 	sess := ix.sessions.get(path)
 	var mode string
 	if sess != nil {
 		em, err := sess.Edit(src)
 		if err != nil {
-			// The session may be broken now; drop it so the next change
-			// takes a clean full analysis.
-			ix.sessions.drop(path)
+			// The session keeps the last good analysis, so the file's
+			// next additive change is still incremental.
 			ix.fail(st, err)
 			return
 		}
@@ -239,15 +238,15 @@ func (ix *Indexer) analyzeMiniPL(path, src, key string, known bool, st *fileStat
 		ix.fail(st, err)
 		return
 	}
-	st.mode = mode
-	st.procs = len(a.Procedures())
+	st.Mode = mode
+	st.Procs = len(a.Procedures())
 	ix.bumpAnalysis(mode)
 }
 
 // analyzeGo runs the Go frontend over path as a single-file package
 // (the same lowering the server's lang=go endpoints use, so the cache
 // key and rendered bytes match) and installs the snapshot.
-func (ix *Indexer) analyzeGo(path, src, key string, known bool, st *fileState) {
+func (ix *Indexer) analyzeGo(path, src, key string, known bool, st *store.FileState) {
 	res, err := sideeffect.AnalyzeGoSource(context.Background(), "source.go", src, ix.cfg.Opts)
 	if err != nil {
 		ix.fail(st, err)
@@ -266,22 +265,22 @@ func (ix *Indexer) analyzeGo(path, src, key string, known bool, st *fileState) {
 	if !known {
 		mode = "cold"
 	}
-	st.mode = mode
-	st.procs = len(res.Analysis.Procedures())
+	st.Mode = mode
+	st.Procs = len(res.Analysis.Procedures())
 	ix.bumpAnalysis(mode)
 }
 
-func (ix *Indexer) fail(st *fileState, err error) {
-	st.status = "error"
-	st.errMsg = err.Error()
-	st.mode = ""
+func (ix *Indexer) fail(st *store.FileState, err error) {
+	st.Status = "error"
+	st.Error = err.Error()
+	st.Mode = ""
 	ix.mu.Lock()
 	ix.stats.Errors++
 	ix.mu.Unlock()
-	ix.logf("indexer: %s: %v", st.path, err)
+	ix.logf("indexer: %s: %v", st.Path, err)
 }
 
-func (ix *Indexer) setState(path string, st *fileState) {
+func (ix *Indexer) setState(path string, st *store.FileState) {
 	ix.mu.Lock()
 	ix.files[path] = st
 	ix.stats.Files = len(ix.files)

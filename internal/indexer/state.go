@@ -30,12 +30,7 @@ func (ix *Indexer) RestoreState(st *store.IndexState) int {
 		} else if lang, ok := ix.exts["."+extOf(f.Path)]; !ok || lang != f.Lang {
 			continue // that frontend is not enabled in this run
 		}
-		ix.files[f.Path] = &fileState{
-			path: f.Path, lang: f.Lang, key: f.Key,
-			size: f.Size, modTimeNs: f.ModTimeNs,
-			status: f.Status, errMsg: f.Error,
-			mode: f.Mode, procs: f.Procs,
-		}
+		ix.files[f.Path] = &f
 		// Priming seen means a stat-identical file raises no event at
 		// all on the first scan; a changed file differs from this
 		// fingerprint and is re-processed. The synthetic module entry
@@ -56,15 +51,7 @@ func (ix *Indexer) ExportState() *store.IndexState {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	st := &store.IndexState{Root: ix.cfg.Root}
-	for _, path := range sortedPaths(ix.files) {
-		f := ix.files[path]
-		st.Files = append(st.Files, store.FileState{
-			Path: f.path, Lang: f.lang, Key: f.key,
-			Size: f.size, ModTimeNs: f.modTimeNs,
-			Status: f.status, Error: f.errMsg,
-			Mode: f.mode, Procs: f.procs,
-		})
-	}
+	st.Files = ix.table()
 	return st
 }
 

@@ -3,6 +3,8 @@ package indexer
 import (
 	"fmt"
 	"strings"
+
+	"sideeffect/internal/store"
 )
 
 // This file is the indexer's read side: the JSON views served on
@@ -12,32 +14,10 @@ import (
 
 // statusView is the /index/status payload.
 type statusView struct {
-	Root             string `json:"root"`
-	Watching         bool   `json:"watching"`
-	Files            int    `json:"files"`
-	Scans            int64  `json:"scans"`
-	Batches          int64  `json:"batches"`
-	Analyses         int64  `json:"analyses"`
-	IncrementalEdits int64  `json:"incrementalEdits"`
-	FullReanalyses   int64  `json:"fullReanalyses"`
-	Warm             int64  `json:"warm"`
-	Deletes          int64  `json:"deletes"`
-	Renames          int64  `json:"renames"`
-	Errors           int64  `json:"errors"`
-	LastScanUnixNs   int64  `json:"lastScanUnixNs,omitempty"`
-}
-
-// fileView is one row of the /index/files table.
-type fileView struct {
-	Path      string `json:"path"`
-	Lang      string `json:"lang"`
-	Key       string `json:"key"`
-	Size      int64  `json:"size"`
-	ModTimeNs int64  `json:"modTimeNs"`
-	Status    string `json:"status"`
-	Error     string `json:"error,omitempty"`
-	Mode      string `json:"mode,omitempty"`
-	Procs     int    `json:"procs"`
+	Root     string `json:"root"`
+	Watching bool   `json:"watching"`
+	Stats
+	LastScanUnixNs int64 `json:"lastScanUnixNs,omitempty"`
 }
 
 // Stats returns a copy of the counters (test hook and daemon logging).
@@ -51,21 +31,9 @@ func (ix *Indexer) Stats() Stats {
 func (ix *Indexer) Status() any {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return statusView{
-		Root:             ix.cfg.Root,
-		Watching:         ix.watching,
-		Files:            len(ix.files),
-		Scans:            ix.stats.Scans,
-		Batches:          ix.stats.Batches,
-		Analyses:         ix.stats.Analyses,
-		IncrementalEdits: ix.stats.IncrementalEdits,
-		FullReanalyses:   ix.stats.FullReanalyses,
-		Warm:             ix.stats.Warm,
-		Deletes:          ix.stats.Deletes,
-		Renames:          ix.stats.Renames,
-		Errors:           ix.stats.Errors,
-		LastScanUnixNs:   ix.lastScanNs,
-	}
+	st := ix.stats
+	st.Files = len(ix.files)
+	return statusView{Root: ix.cfg.Root, Watching: ix.watching, Stats: st, LastScanUnixNs: ix.lastScanNs}
 }
 
 // Files implements the server's IndexView: the per-file table in path
@@ -73,15 +41,14 @@ func (ix *Indexer) Status() any {
 func (ix *Indexer) Files() any {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	out := make([]fileView, 0, len(ix.files))
+	return ix.table()
+}
+
+// table copies the per-file table in path order. ix.mu must be held.
+func (ix *Indexer) table() []store.FileState {
+	out := make([]store.FileState, 0, len(ix.files))
 	for _, path := range sortedPaths(ix.files) {
-		st := ix.files[path]
-		out = append(out, fileView{
-			Path: st.path, Lang: st.lang, Key: st.key,
-			Size: st.size, ModTimeNs: st.modTimeNs,
-			Status: st.status, Error: st.errMsg,
-			Mode: st.mode, Procs: st.procs,
-		})
+		out = append(out, *ix.files[path])
 	}
 	return out
 }

@@ -127,16 +127,15 @@ var chaosInvalid = []string{
 // chaosErrCodes maps every structured error code to its only legal
 // HTTP status.
 var chaosErrCodes = map[string]int{
-	"bad_request":      http.StatusBadRequest,
-	"analysis_failed":  http.StatusUnprocessableEntity,
-	"timeout":          http.StatusServiceUnavailable,
-	"too_large":        http.StatusRequestEntityTooLarge,
-	"not_found":        http.StatusNotFound,
-	"session_limit":    http.StatusTooManyRequests,
-	"overloaded":       http.StatusTooManyRequests,
-	"internal":         http.StatusInternalServerError,
-	"fault_injected":   http.StatusInternalServerError,
-	"session_poisoned": http.StatusConflict,
+	"bad_request":     http.StatusBadRequest,
+	"analysis_failed": http.StatusUnprocessableEntity,
+	"timeout":         http.StatusServiceUnavailable,
+	"too_large":       http.StatusRequestEntityTooLarge,
+	"not_found":       http.StatusNotFound,
+	"session_limit":   http.StatusTooManyRequests,
+	"overloaded":      http.StatusTooManyRequests,
+	"internal":        http.StatusInternalServerError,
+	"fault_injected":  http.StatusInternalServerError,
 }
 
 // chaosResponse is the union of every endpoint's answer shape; unused
@@ -409,11 +408,7 @@ func (c *chaosClient) sessionOp() {
 		lbl += fmt.Sprintf(" edit:%s=%d", which, status)
 		if status != http.StatusOK {
 			c.checkError(lbl, status, resp)
-			if resp.Error != nil && resp.Error.Code == "session_poisoned" {
-				c.deleteSession(id)
-				return
-			}
-			continue // state unchanged (transactional edit semantics)
+			continue // a failed edit leaves the session as it was
 		}
 		lbl += "/" + resp.Mode
 		c.checkReport(lbl, resp.Report, newExpect)

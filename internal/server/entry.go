@@ -18,9 +18,9 @@ import (
 
 // cached is one memoized analysis and the response bodies rendered
 // from it. The entry is shared by every request for the same source
-// hash and must be treated as immutable (sessions, which mutate their
-// analyses, never go through the cache); only the lazily filled lint
-// and query forms below appear after it is built.
+// hash and must be treated as immutable (sessions never go through the
+// cache); only the lazily filled lint and query forms below appear
+// after it is built.
 //
 // An entry has one of two backings: a live Analysis (a is non-nil —
 // the normal computed case), or a restored snapshot (snap is non-nil —

@@ -228,13 +228,12 @@ func (s *Server) handleSessionLint(w http.ResponseWriter, r *http.Request) (int,
 	if apiErr != nil {
 		return 0, nil, apiErr
 	}
-	open.mu.Lock()
-	defer open.mu.Unlock()
+	if apiErr := open.lock(r.Context()); apiErr != nil {
+		return 0, nil, apiErr
+	}
+	defer open.unlock()
 	if r.Context().Err() != nil {
 		return 0, nil, errTimeout()
-	}
-	if open.sess.Broken() {
-		return 0, nil, errSessionBroken()
 	}
 	resp, apiErr := s.buildLintResponse(r.Context(), open.sess.Analysis(), open.id+".mpl", cfg, req.Format)
 	if apiErr != nil {

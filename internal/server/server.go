@@ -286,16 +286,12 @@ func errFaultInjected(err error) *apiError {
 	return &apiError{Status: http.StatusInternalServerError, Code: "fault_injected", Message: err.Error()}
 }
 
-func errSessionBroken() *apiError {
-	return &apiError{Status: http.StatusConflict, Code: "session_poisoned",
-		Message: "a failed edit left this session inconsistent; DELETE it and recreate"}
-}
-
 // errFrom classifies a hardened-pipeline error into the structured
 // vocabulary: an *apiError stays as it is, cancellation → timeout,
-// injected faults → fault_injected, captured panics → internal, broken
-// sessions → session_poisoned, and everything else (parse/semantic
-// failures) → analysis_failed.
+// injected faults → fault_injected, captured panics → internal, and
+// everything else (parse/semantic failures) → analysis_failed. A
+// failed session edit leaves the session as it was, so its error is
+// classified the same way.
 func errFrom(err error) *apiError {
 	var (
 		ae  *apiError
@@ -307,8 +303,6 @@ func errFrom(err error) *apiError {
 		return ae
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return errTimeout()
-	case errors.Is(err, sideeffect.ErrSessionBroken):
-		return errSessionBroken()
 	case errors.As(err, &inj):
 		return errFaultInjected(err)
 	case errors.As(err, &pe):

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -510,8 +511,8 @@ func TestSessionHandleOutlivesDelete(t *testing.T) {
 				t.Fatalf("read through a handle fetched before DELETE panicked: %v", rec)
 			}
 		}()
-		open.mu.Lock()
-		defer open.mu.Unlock()
+		open.lock(context.Background())
+		defer open.unlock()
 		mod, err = open.sess.Analysis().MOD("mid")
 		got = open.state("", true)
 	}()
@@ -563,9 +564,12 @@ func TestSessionLimit(t *testing.T) {
 
 // TestSessionDifferentialHTTP drives the acceptance differential
 // through the HTTP surface: random additive edit sequences through a
-// /session must match /analyze of the edited source byte for byte.
+// /session, then a program replacement, must match /analyze of the
+// edited source byte for byte. Every edit, incremental or full, must
+// leave the report of the analysis it replaced unchanged.
 func TestSessionDifferentialHTTP(t *testing.T) {
-	ts := newTestServer(t, Config{})
+	srv := New(Config{})
+	ts := newHTTPServer(t, srv)
 	steps := 6
 	if testing.Short() {
 		steps = 3
@@ -576,29 +580,29 @@ func TestSessionDifferentialHTTP(t *testing.T) {
 	if code := post(t, ts.URL+"/session", sessionCreateRequest{Source: src}, &sess); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
-	var pairs [][2]int
-	for _, p := range model.Procs {
-		for _, v := range model.Vars {
-			if p.Visible(v) && v.Rank() == 0 {
-				pairs = append(pairs, [2]int{p.ID, v.ID})
-			}
-		}
+	open, ok := srv.sessions.get(sess.ID)
+	if !ok {
+		t.Fatal("created session is not in the table")
 	}
-	for step := 0; step < steps; step++ {
-		pick := pairs[(step*7)%len(pairs)]
-		p, v := model.Procs[pick[0]], model.Vars[pick[1]]
-		if step%2 == 0 {
-			p.IMOD.Add(v.ID)
-		} else {
-			p.IUSE.Add(v.ID)
-		}
-		newSrc := workload.Emit(model)
+	// current returns the session's analysis, read under its lock.
+	current := func() *sideeffect.Analysis {
+		open.lock(context.Background())
+		defer open.unlock()
+		return open.sess.Analysis()
+	}
+	edit := func(step int, newSrc, wantMode string) {
+		t.Helper()
+		prev := current()
+		prevReport := prev.Report()
 		var edited sessionState
 		if code := post(t, ts.URL+"/session/"+sess.ID+"/edit", sessionEditRequest{Source: newSrc}, &edited); code != http.StatusOK {
 			t.Fatalf("step %d: edit status %d", step, code)
 		}
-		if edited.Mode != "incremental" {
-			t.Fatalf("step %d: additive edit took mode %q", step, edited.Mode)
+		if edited.Mode != wantMode {
+			t.Fatalf("step %d: edit took mode %q, want %q", step, edited.Mode, wantMode)
+		}
+		if current() == prev || prev.Report() != prevReport {
+			t.Fatalf("step %d: %s edit wrote the analysis it replaced", step, wantMode)
 		}
 		fresh, err := sideeffect.Analyze(newSrc)
 		if err != nil {
@@ -625,6 +629,25 @@ func TestSessionDifferentialHTTP(t *testing.T) {
 			t.Fatalf("step %d: session report diverged from fresh analysis", step)
 		}
 	}
+	var pairs [][2]int
+	for _, p := range model.Procs {
+		for _, v := range model.Vars {
+			if p.Visible(v) && v.Rank() == 0 {
+				pairs = append(pairs, [2]int{p.ID, v.ID})
+			}
+		}
+	}
+	for step := 0; step < steps; step++ {
+		pick := pairs[(step*7)%len(pairs)]
+		p, v := model.Procs[pick[0]], model.Vars[pick[1]]
+		if step%2 == 0 {
+			p.IMOD.Add(v.ID)
+		} else {
+			p.IUSE.Add(v.ID)
+		}
+		edit(step, workload.Emit(model), "incremental")
+	}
+	edit(steps, workload.Emit(workload.Random(workload.DefaultConfig(12, 43)).Prune()), "full")
 }
 
 // TestConcurrentAnalyzeSingleflight hammers one source from many

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -12,18 +13,42 @@ import (
 	"sideeffect/internal/store"
 )
 
-// session is one open program handle. Each session owns a
-// sideeffect.Session (which mutates its analysis in place on edits),
-// so requests against one session serialize on its mutex while
-// different sessions proceed independently.
+// session is one open program handle. Requests against one session
+// serialize on its turn while different sessions proceed
+// independently.
 type session struct {
-	mu          sync.Mutex
+	// turn is the session's lock, a channel with one slot, so that a
+	// request's wait for it also ends with the request's context.
+	turn        chan struct{}
 	id          string
 	sess        *sideeffect.Session
 	edits       int
 	incremental int
 	full        int
 }
+
+func newSession(id string, sess *sideeffect.Session) *session {
+	return &session{turn: make(chan struct{}, 1), id: id, sess: sess}
+}
+
+// lock takes the session's turn, waiting until it is free or ctx is
+// done, whichever comes first; a done ctx answers 503 timeout. A free
+// turn is taken even when ctx is done.
+func (s *session) lock(ctx context.Context) *apiError {
+	select {
+	case s.turn <- struct{}{}:
+		return nil
+	default:
+	}
+	select {
+	case s.turn <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return errTimeout()
+	}
+}
+
+func (s *session) unlock() { <-s.turn }
 
 // sessionStore is the bounded table of open sessions.
 type sessionStore struct {
@@ -37,6 +62,8 @@ func newSessionStore(max int) *sessionStore {
 	return &sessionStore{max: max, sessions: make(map[string]*session)}
 }
 
+// add registers a new session and returns it with its turn held, so
+// no other request reaches it before its creator has read its state.
 func (st *sessionStore) add(sess *sideeffect.Session) (*session, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -44,7 +71,8 @@ func (st *sessionStore) add(sess *sideeffect.Session) (*session, bool) {
 		return nil, false
 	}
 	st.next++
-	s := &session{id: fmt.Sprintf("s-%d", st.next), sess: sess}
+	s := newSession(fmt.Sprintf("s-%d", st.next), sess)
+	s.turn <- struct{}{}
 	st.sessions[s.id] = s
 	return s, true
 }
@@ -74,9 +102,8 @@ func (st *sessionStore) open() int {
 }
 
 // export snapshots every open session's source and counters, plus the
-// id counter, for checkpointing. Broken sessions are skipped — their
-// maintained solution is not trustworthy, so restoring them would
-// resurrect a broken handle.
+// id counter, for checkpointing. It waits for each session's turn with
+// no deadline.
 func (st *sessionStore) export() ([]store.SessionSnapshot, int) {
 	st.mu.Lock()
 	handles := make([]*session, 0, len(st.sessions))
@@ -88,17 +115,15 @@ func (st *sessionStore) export() ([]store.SessionSnapshot, int) {
 	sort.Slice(handles, func(i, j int) bool { return handles[i].id < handles[j].id })
 	out := make([]store.SessionSnapshot, 0, len(handles))
 	for _, s := range handles {
-		s.mu.Lock()
-		if !s.sess.Broken() {
-			out = append(out, store.SessionSnapshot{
-				ID:          s.id,
-				Source:      s.sess.Source(),
-				Edits:       s.edits,
-				Incremental: s.incremental,
-				Full:        s.full,
-			})
-		}
-		s.mu.Unlock()
+		s.turn <- struct{}{}
+		out = append(out, store.SessionSnapshot{
+			ID:          s.id,
+			Source:      s.sess.Source(),
+			Edits:       s.edits,
+			Incremental: s.incremental,
+			Full:        s.full,
+		})
+		s.unlock()
 	}
 	return out, next
 }
@@ -125,13 +150,9 @@ func (st *sessionStore) restore(snap store.SessionSnapshot, sess *sideeffect.Ses
 	if _, taken := st.sessions[snap.ID]; taken || snap.ID == "" {
 		return false
 	}
-	st.sessions[snap.ID] = &session{
-		id:          snap.ID,
-		sess:        sess,
-		edits:       snap.Edits,
-		incremental: snap.Incremental,
-		full:        snap.Full,
-	}
+	s := newSession(snap.ID, sess)
+	s.edits, s.incremental, s.full = snap.Edits, snap.Incremental, snap.Full
+	st.sessions[snap.ID] = s
 	return true
 }
 
@@ -188,8 +209,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (in
 	if !ok {
 		return 0, nil, errSessionLimit(s.cfg.MaxSessions)
 	}
-	open.mu.Lock()
-	defer open.mu.Unlock()
+	defer open.unlock()
 	return http.StatusCreated, open.state("", true), nil
 }
 
@@ -198,11 +218,10 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) (int, 
 	if !ok {
 		return 0, nil, errNotFound(r.PathValue("id"))
 	}
-	open.mu.Lock()
-	defer open.mu.Unlock()
-	if open.sess.Broken() {
-		return 0, nil, errSessionBroken()
+	if apiErr := open.lock(r.Context()); apiErr != nil {
+		return 0, nil, apiErr
 	}
+	defer open.unlock()
 	return http.StatusOK, open.state("", true), nil
 }
 
@@ -225,8 +244,10 @@ func (s *Server) handleSessionEdit(w http.ResponseWriter, r *http.Request) (int,
 	if !ok {
 		return 0, nil, errNotFound(r.PathValue("id"))
 	}
-	open.mu.Lock()
-	defer open.mu.Unlock()
+	if apiErr := open.lock(r.Context()); apiErr != nil {
+		return 0, nil, apiErr
+	}
+	defer open.unlock()
 	mode, err := open.sess.EditContext(r.Context(), req.Source)
 	if err != nil {
 		return 0, nil, errFrom(err)

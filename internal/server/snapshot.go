@@ -18,8 +18,8 @@ import (
 // renderers every request uses, so restored answers stay
 // byte-identical); already-snapshot-backed entries round-trip as-is.
 // Open sessions persist as (id, source, counters) — their analyses
-// are rebuilt on import, because a session must hold live, mutable
-// state to absorb future edits. Entries that fail to render (only
+// are rebuilt on import, because a session absorbs future edits from
+// its live Analysis. Entries that fail to render (only
 // possible under fault injection) are skipped: a checkpoint may be
 // incomplete, never wrong.
 //

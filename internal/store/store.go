@@ -72,9 +72,9 @@ type Checkpoint struct {
 }
 
 // SessionSnapshot persists one open session. The analysis itself is
-// rebuilt from Source on restore (sessions must hold a live, mutable
-// analysis to absorb future edits, so their state cannot be served
-// from rendered data the way cache entries can).
+// rebuilt from Source on restore (a session absorbs later edits from
+// its Analysis, so its state cannot be served from rendered data the
+// way cache entries can).
 type SessionSnapshot struct {
 	ID     string
 	Source string
@@ -93,28 +93,30 @@ type IndexState struct {
 	Files []FileState
 }
 
-// FileState is one watched file's index record.
+// FileState is one watched file's index record: a row of the
+// indexer's table, of its checkpoint (gob, which keys on the field
+// names) and of /index/files (JSON).
 type FileState struct {
-	// Path is relative to the watched root.
+	// Path is slash-separated, relative to the watched root.
 	Path string `json:"path"`
-	// Lang is "minipl" or "go".
+	// Lang is "minipl", "go" or "go-module".
 	Lang string `json:"lang"`
-	// Key is the content-addressed cache key of the file's last
-	// successfully indexed content ("" while errored).
-	Key string `json:"hash,omitempty"`
+	// Key is the content-addressed cache key of the file's content.
+	Key string `json:"key"`
 	// Size and ModTimeNs are the stat fingerprint of the last indexed
 	// content, used to skip unchanged files on restart.
 	Size      int64 `json:"size"`
-	ModTimeNs int64 `json:"mtimeNs"`
+	ModTimeNs int64 `json:"modTimeNs"`
 	// Status is "ok" or "error"; Error carries the message when
 	// Status is "error".
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
 	// Mode records how the file was last brought up to date: "cold"
 	// (first analysis), "incremental" (additive Session edit), "full"
-	// (non-additive reanalysis), or "warm" (content already indexed —
-	// a restart, rename, or duplicate content).
-	Mode string `json:"mode"`
+	// (non-additive reanalysis), "warm" (content already indexed — a
+	// restart, rename, or duplicate content) or "module" (folded into
+	// the whole-module pass); "" while errored.
+	Mode string `json:"mode,omitempty"`
 	// Procs is the analyzed program's procedure count (0 on error).
 	Procs int `json:"procs"`
 }

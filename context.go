@@ -223,32 +223,33 @@ func NewSessionContext(ctx context.Context, src string, opts Options) (*Session,
 	if err != nil {
 		return nil, err
 	}
-	return &Session{opts: opts, src: src, inc: NewIncremental(a)}, nil
+	return &Session{opts: opts, src: src, a: a}, nil
 }
 
 // EditContext is Edit under cancellation and fault injection. It
-// parses newSrc; if the edit is additive it applies the deltas on the
-// next updater (a copy of the current analysis sharing its rows) and
-// refreshes the derived stages; if that fails, or the edit is not
-// additive, it analyzes the new program beside the session through
-// AnalyzeProgramContext. The session takes the new analysis and source
-// only on success. On failure — a parse error, a done context, an
-// injected fault or a panic — it returns the joined errors and the
-// session is exactly as it was. EditContext never panics.
+// parses newSrc; if the edit is additive it carries the current
+// analysis across the new facts beside the session (additiveEdit, a
+// copy that shares every row it does not write); if that fails, or
+// the edit is not additive, it analyzes the new program beside the
+// session through AnalyzeProgramContext. The session takes the new
+// analysis and source only on success. On failure — a parse error, a
+// done context, an injected fault or a panic — it returns the joined
+// errors and the session is exactly as it was. EditContext never
+// panics.
 func (s *Session) EditContext(ctx context.Context, newSrc string) (EditMode, error) {
 	prog, err := parseMiniPL(newSrc)
 	if err != nil {
 		return EditFull, err
 	}
-	next, ierr := s.inc.edit(ctx, prog, s.opts)
+	next, ierr := additiveEdit(ctx, s.a, prog, s.opts)
 	if next != nil {
-		s.inc, s.src = next, newSrc
+		s.a, s.src = next, newSrc
 		return EditIncremental, nil
 	}
 	a, err := AnalyzeProgramContext(ctx, prog, s.opts)
 	if err != nil {
 		return EditFull, errors.Join(ierr, err)
 	}
-	s.inc, s.src = NewIncremental(a), newSrc
+	s.a, s.src = a, newSrc
 	return EditFull, nil
 }

@@ -1,14 +1,10 @@
 // Incremental: maintain an analysis across edits instead of re-running
 // it — the programming-environment scenario Cooper & Kennedy built the
-// linear-time framework for. Two layers are shown:
-//
-//   - sideeffect.NewIncremental / Incremental.AddLocalEffect record a new
-//     local effect ("leaf now modifies h") and propagate exactly the
-//     delta through RMOD and GMOD/GUSE;
-//   - sideeffect.NewSession works at the source level: each Edit
-//     replaces the program text, and the session decides whether the
-//     change was additive (incremental update) or structural (full
-//     reanalysis) — either way the summaries match a fresh analysis.
+// linear-time framework for. sideeffect.NewSession holds a program
+// open: each Edit replaces the program text, and the session decides
+// whether the change was additive (the new local effects are
+// propagated through RMOD and GMOD/GUSE as deltas) or structural (full
+// reanalysis) — either way the summaries match a fresh analysis.
 //
 // Run with:
 //
@@ -46,31 +42,13 @@ end.
 `
 
 func main() {
-	a, err := sideeffect.Analyze(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	show(a, "initial analysis")
-
-	// Layer 1: effect-level updates. Recompiling leaf revealed a new
-	// statement "h := 2"; instead of re-analyzing the program, record
-	// the new local effect and let the engine propagate it. The return
-	// value names every procedure whose summary changed — here the
-	// whole call chain, since h escapes upward.
-	inc := sideeffect.NewIncremental(a)
-	changed, err := inc.AddLocalEffect("leaf", "h", sideeffect.ModEffect)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("after AddLocalEffect(leaf, h, mod): changed = %v\n", changed)
-	show(a, "maintained analysis")
-
-	// Layer 2: source-level sessions. A session holds the program open;
-	// Edit reports how each new text was absorbed.
+	// A session holds the program open; Edit reports how each new text
+	// was absorbed.
 	sess, err := sideeffect.NewSession(src, sideeffect.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	show(sess.Analysis(), "initial analysis")
 
 	// An additive edit — a new assignment, nothing removed or rebound —
 	// rides the incremental engine.

@@ -31,59 +31,6 @@ begin
 end.
 `
 
-func TestIncrementalAddLocalEffect(t *testing.T) {
-	a, err := Analyze(incrSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := NewIncremental(a)
-	changed, err := inc.AddLocalEffect("leaf", "h", ModEffect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) == 0 {
-		t.Fatal("no procedures changed")
-	}
-	for _, p := range []string{"leaf", "mid", "$main"} {
-		mod, err := a.MOD(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !contains(mod, "h") {
-			t.Errorf("MOD(%s) = %v, missing h", p, mod)
-		}
-	}
-	// The maintained analysis must agree with a fresh analysis of an
-	// equivalent source (same program with the new statement present).
-	fresh, err := Analyze(strings.Replace(incrSrc, "x := 1", "x := 1; h := 2", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMod, _ := a.MOD("mid"); !equalStrings(gotMod, must(fresh.MOD("mid"))) {
-		t.Errorf("MOD(mid): inc %v, fresh %v", gotMod, must(fresh.MOD("mid")))
-	}
-}
-
-func TestIncrementalErrors(t *testing.T) {
-	a, err := Analyze(demoSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := NewIncremental(a)
-	if _, err := inc.AddLocalEffect("nosuch", "g", ModEffect); err == nil {
-		t.Error("unknown procedure accepted")
-	}
-	if _, err := inc.AddLocalEffect("swap", "nosuch", ModEffect); err == nil {
-		t.Error("unknown variable accepted")
-	}
-	if _, err := inc.AddLocalEffect("swap", "A", ModEffect); err == nil {
-		t.Error("array variable accepted as scalar effect")
-	}
-	if _, err := inc.AddLocalEffect("swap", "colset.i", ModEffect); err == nil {
-		t.Error("invisible variable accepted")
-	}
-}
-
 func TestSessionAdditiveAndFullEdits(t *testing.T) {
 	s, err := NewSession(incrSrc, Options{})
 	if err != nil {
@@ -133,6 +80,67 @@ func TestSessionAdditiveAndFullEdits(t *testing.T) {
 	}
 }
 
+// TestSessionAdditiveEditReusesAliases: an additive edit leaves
+// ALIAS(p) as it was, so the next analysis re-points the current alias
+// solution at the new program and shares its pairs instead of
+// recomputing them.
+func TestSessionAdditiveEditReusesAliases(t *testing.T) {
+	s, err := NewSession(incrSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := s.Analysis()
+	if mode, err := s.Edit(strings.Replace(incrSrc, "x := 1", "x := 1; h := g", 1)); err != nil || mode != EditIncremental {
+		t.Fatalf("additive edit: mode %v, err %v", mode, err)
+	}
+	next := s.Analysis()
+	if next.Prog == prev.Prog || next.Aliases.Prog != next.Prog {
+		t.Error("the alias solution is not re-pointed at the new program")
+	}
+	shared := 0
+	for _, p := range next.Prog.Procs {
+		got, was := next.Aliases.Pairs(p), prev.Aliases.Pairs(prev.Prog.Procs[p.ID])
+		if len(got) != len(was) {
+			t.Fatalf("ALIAS(%s): %d pairs, %d before the edit", p.Name, len(got), len(was))
+		}
+		if len(got) > 0 {
+			if &got[0] != &was[0] {
+				t.Errorf("ALIAS(%s) was recomputed, not shared", p.Name)
+			}
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("the program has no alias pairs to share")
+	}
+}
+
+// TestSessionIncrementalEditProfiled: an incremental edit records its
+// own work — the structure rebuild and each problem's update — in the
+// profile it keeps from the analysis it replaces.
+func TestSessionIncrementalEditProfiled(t *testing.T) {
+	s, err := NewSession(incrSrc, Options{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := s.Analysis().Stages
+	if mode, err := s.Edit(strings.Replace(incrSrc, "x := 1", "x := 1; h := g", 1)); err != nil || mode != EditIncremental {
+		t.Fatalf("additive edit: mode %v, err %v", mode, err)
+	}
+	if s.Analysis().Stages != prev {
+		t.Fatal("the incremental edit did not keep the session's profile")
+	}
+	count := map[string]int64{}
+	for _, st := range prev.Snapshot() {
+		count[st.Name] = st.Count
+	}
+	for name, want := range map[string]int64{"structure": 2, "mod.update": 1, "use.update": 1, "factor.mod": 2} {
+		if count[name] != want {
+			t.Errorf("stage %s ran %d times, want %d", name, count[name], want)
+		}
+	}
+}
+
 // scalarVisiblePairs enumerates the (procedure, variable) pairs whose
 // addition as a local fact keeps an edit additive.
 func scalarVisiblePairs(prog *ir.Program) [][2]int {
@@ -148,11 +156,12 @@ func scalarVisiblePairs(prog *ir.Program) [][2]int {
 }
 
 // TestSessionDifferentialRandomEdits is the acceptance differential:
-// random additive edit sequences applied through a Session must yield
-// byte-identical reports (text and JSON) to a fresh Analyze of the
-// edited source, under both the sequential and the parallel schedule.
-// Every edit, incremental or full, must leave the report of the
-// analysis it replaced unchanged.
+// random additive edit sequences, of one fact or of several MOD and USE
+// facts at once, applied through a Session must yield byte-identical
+// reports (text and JSON) to a fresh Analyze of the edited source,
+// under both the sequential and the parallel schedule. Every edit,
+// incremental or full, must leave the report of the analysis it
+// replaced unchanged.
 func TestSessionDifferentialRandomEdits(t *testing.T) {
 	seeds := int64(8)
 	steps := 8
@@ -181,12 +190,20 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 		pairs := scalarVisiblePairs(model)
 		r := rand.New(rand.NewSource(seed*17 + 1))
 		for step := 0; step < steps; step++ {
-			pick := pairs[r.Intn(len(pairs))]
-			p, v := model.Procs[pick[0]], model.Vars[pick[1]]
-			if r.Intn(2) == 0 {
-				p.IMOD.Add(v.ID)
-			} else {
-				p.IUSE.Add(v.ID)
+			// Every other edit adds several facts at once, MOD and USE
+			// mixed.
+			facts := 1
+			if step%2 == 1 {
+				facts = 2 + r.Intn(3)
+			}
+			for k := 0; k < facts; k++ {
+				pick := pairs[r.Intn(len(pairs))]
+				p, v := model.Procs[pick[0]], model.Vars[pick[1]]
+				if r.Intn(2) == 0 {
+					p.IMOD.Add(v.ID)
+				} else {
+					p.IUSE.Add(v.ID)
+				}
 			}
 			newSrc := workload.Emit(model)
 			fresh, err := Analyze(newSrc)
@@ -247,23 +264,4 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 			}
 		}
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func must(xs []string, err error) []string {
-	if err != nil {
-		panic(err)
-	}
-	return xs
 }

@@ -69,6 +69,16 @@ func (a *Analysis) NumPairs() int {
 	return n
 }
 
+// For returns the solution for prog, a program with a.Prog's call-site
+// bindings and nesting under the same IDs, as ir.AdditiveDelta
+// certifies for an additive edit. ALIAS(p) depends on nothing else, so
+// the copy shares a's pairs and adjacency and only its Prog differs.
+func (a *Analysis) For(prog *ir.Program) *Analysis {
+	b := *a
+	b.Prog = prog
+	return &b
+}
+
 // Compute runs the alias-pair analysis.
 func Compute(prog *ir.Program) *Analysis {
 	a := &Analysis{

@@ -200,26 +200,32 @@ func ComputeDMOD(prog *ir.Program, rmod *RMOD, gmod []*bitset.Set, facts *Facts)
 }
 
 // computeDMOD is ComputeDMOD with the per-site rows carved from ar (nil:
-// the heap). A DMOD row accumulates a whole callee's projection, so it
-// is dense at universe width from the start.
+// the heap).
 func computeDMOD(prog *ir.Program, rmod *RMOD, gmod []*bitset.Set, facts *Facts, ar *arena.Arena) []*bitset.Set {
 	out := make([]*bitset.Set, prog.NumSites())
 	for _, cs := range prog.Sites {
-		d := ar.Dense(prog.NumVars())
-		q := cs.Callee
-		// b_e over non-locals: GMOD(q) ∖ LOCAL(q).
-		d.UnionDiffWith(gmod[q.ID], facts.Local[q.ID])
-		for i, a := range cs.Args {
-			if facts.Kind == Use {
-				for _, u := range a.Uses {
-					d.Add(u.ID)
-				}
-			}
-			if a.Mode == ir.FormalRef && a.Var != nil && rmod.Of(q.Formals[i]) {
-				d.Add(a.Var.ID)
-			}
-		}
-		out[cs.ID] = d
+		out[cs.ID] = dmodRow(cs, rmod, gmod, facts, ar)
 	}
 	return out
+}
+
+// dmodRow evaluates equation (2) at one call site, in a row carved from
+// ar (nil: the heap). A DMOD row accumulates a whole callee's
+// projection, so it is dense at universe width from the start.
+func dmodRow(cs *ir.CallSite, rmod *RMOD, gmod []*bitset.Set, facts *Facts, ar *arena.Arena) *bitset.Set {
+	d := ar.Dense(facts.Prog.NumVars())
+	q := cs.Callee
+	// b_e over non-locals: GMOD(q) ∖ LOCAL(q).
+	d.UnionDiffWith(gmod[q.ID], facts.Local[q.ID])
+	for i, a := range cs.Args {
+		if facts.Kind == Use {
+			for _, u := range a.Uses {
+				d.Add(u.ID)
+			}
+		}
+		if a.Mode == ir.FormalRef && a.Var != nil && rmod.Of(q.Formals[i]) {
+			d.Add(a.Var.ID)
+		}
+	}
+	return d
 }

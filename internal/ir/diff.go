@@ -19,12 +19,12 @@ type FactDelta struct {
 // without changing what the analyses see.
 //
 // When ok is true, modAdds and useAdds list the new facts (IDs valid
-// in both programs), and an incrementally maintained analysis of old
-// can be carried to new by core.Incremental.Rebase followed by one
-// AddLocalEffect per delta. When ok is false the programs differ in
-// some way the incremental engine cannot express (a deleted fact, a
-// new call site, a new variable, a changed subscript pattern, ...) and
-// the caller must fall back to full reanalysis.
+// in both programs), and an analysis of old can be carried to new by
+// one core.Update per problem, given that problem's list. When ok is
+// false the programs differ in some way the incremental engine cannot
+// express (a deleted fact, a new call site, a new variable, a changed
+// subscript pattern, ...) and the caller must fall back to full
+// reanalysis.
 func AdditiveDelta(old, new *Program) (modAdds, useAdds []FactDelta, ok bool) {
 	if old.Name != new.Name ||
 		len(old.Vars) != len(new.Vars) ||

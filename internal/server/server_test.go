@@ -563,9 +563,9 @@ func TestSessionLimit(t *testing.T) {
 }
 
 // TestSessionDifferentialHTTP drives the acceptance differential
-// through the HTTP surface: random additive edit sequences through a
-// /session, then a program replacement, must match /analyze of the
-// edited source byte for byte. Every edit, incremental or full, must
+// through the HTTP surface: additive edit sequences through a
+// /session, of one fact or of several at once, then a program
+// replacement, must match /analyze of the edited source byte for byte. Every edit, incremental or full, must
 // leave the report of the analysis it replaced unchanged.
 func TestSessionDifferentialHTTP(t *testing.T) {
 	srv := New(Config{})
@@ -638,12 +638,15 @@ func TestSessionDifferentialHTTP(t *testing.T) {
 		}
 	}
 	for step := 0; step < steps; step++ {
-		pick := pairs[(step*7)%len(pairs)]
-		p, v := model.Procs[pick[0]], model.Vars[pick[1]]
-		if step%2 == 0 {
-			p.IMOD.Add(v.ID)
-		} else {
-			p.IUSE.Add(v.ID)
+		// Odd steps add three facts at once, MOD and USE mixed.
+		for k := 0; k < 1+2*(step%2); k++ {
+			pick := pairs[(step*7+k*5)%len(pairs)]
+			p, v := model.Procs[pick[0]], model.Vars[pick[1]]
+			if (step+k)%2 == 0 {
+				p.IMOD.Add(v.ID)
+			} else {
+				p.IUSE.Add(v.ID)
+			}
 		}
 		edit(step, workload.Emit(model), "incremental")
 	}

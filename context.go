@@ -17,9 +17,10 @@ import (
 // This file holds the public API's one contract. Every entry point
 // honours Options.Faults and never panics: a panic anywhere — in the
 // MiniPL parse and prune, the Go load and lower, a pipeline stage or a
-// lint rule — comes back as an error wrapping *batch.PanicError. The
-// pipeline's one retry policy lives in AnalyzeProgramContext, so MiniPL
-// and Go inputs, batches and session edits all share it. The plain
+// lint rule — comes back as an error wrapping *batch.PanicError. Every
+// analysis, a session edit's included, runs one pipeline
+// (analyzeProgram) under one retry policy (analyzeFrom), so MiniPL and
+// Go inputs, batches and session edits all share them. The plain
 // forms (Analyze, AnalyzeWith, NewSession, Session.Edit) are one-line
 // shells that run with context.Background(); AnalyzeProgramWith, which
 // has no error result, is the one form that re-panics.
@@ -90,21 +91,37 @@ func AnalyzeContext(ctx context.Context, src string, opts Options) (*Analysis, e
 // attempt that failed. When both attempts fail, the error joins their
 // errors.
 func AnalyzeProgramContext(ctx context.Context, prog *ir.Program, opts Options) (*Analysis, error) {
-	a, err := analyzeProgram(ctx, prog, opts)
-	var pe *batch.PanicError
-	if err == nil || !errors.As(err, &pe) || (ctx != nil && ctx.Err() != nil) {
-		return a, err
-	}
-	a, rerr := analyzeProgram(ctx, prog, opts.sequential())
-	if rerr != nil {
-		return nil, errors.Join(err, rerr)
-	}
-	a.Degraded = true
-	return a, nil
+	a, _, err := analyzeFrom(ctx, prog, opts, nil)
+	return a, err
 }
 
-// analyzeProgram is one attempt of AnalyzeProgramContext.
-func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options) (ra *Analysis, err error) {
+// analyzeFrom is the one retry policy of every analysis: an attempt
+// from prev (nil: from nothing) and, if it dies with a captured panic
+// while ctx is live, one retry from nothing on one worker.
+func analyzeFrom(ctx context.Context, prog *ir.Program, opts Options, prev *Analysis) (*Analysis, EditMode, error) {
+	a, mode, err := analyzeProgram(ctx, prog, opts, prev)
+	var pe *batch.PanicError
+	if err == nil || !errors.As(err, &pe) || (ctx != nil && ctx.Err() != nil) {
+		return a, mode, err
+	}
+	a, _, rerr := analyzeProgram(ctx, prog, opts.sequential(), nil)
+	if rerr != nil {
+		return nil, EditFull, errors.Join(err, rerr)
+	}
+	a.Degraded = true
+	return a, EditFull, nil
+}
+
+// analyzeProgram is one attempt of an analysis. When prev is set and
+// prog is an additive extension of prev.Prog (ir.AdditiveDelta: a
+// reparsed, ID-isomorphic program model whose local facts only grew),
+// core.Update carries MOD and USE across the edit's new facts, sharing
+// every row it does not write, and ALIAS(p), which such an edit leaves
+// unchanged, is re-pointed at prog; mode is then EditIncremental.
+// Otherwise both problems and the aliases are solved afresh and mode is
+// EditFull. Either way the derived stages run in full, prev is only
+// read, and the analysis has a profile of its own.
+func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, prev *Analysis) (ra *Analysis, mode EditMode, err error) {
 	a := &Analysis{Prog: prog}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -115,11 +132,11 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options) (ra *An
 		}
 	}()
 	if err = opts.Faults.At("sideeffect.analyze"); err != nil {
-		return nil, err
+		return nil, EditFull, err
 	}
 	if ctx != nil {
 		if err = ctx.Err(); err != nil {
-			return nil, err
+			return nil, EditFull, err
 		}
 	}
 	if opts.Profile {
@@ -139,37 +156,45 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options) (ra *An
 	// the Structure is read-only) share the skeleton.
 	var st *core.Structure
 	a.Stages.Do("structure", func() { st = core.BuildStructure(prog) })
-	co := core.Options{Prof: a.Stages, Structure: st, Faults: opts.Faults}
+	var modAdds, useAdds []ir.FactDelta
+	additive := false
+	if prev != nil {
+		modAdds, useAdds, additive = ir.AdditiveDelta(prev.Prog, prog)
+	}
 	var modErr, useErr error
-	err = batch.RunCtx(ctx, w, []func(){
-		func() { a.Mod, modErr = core.AnalyzeCtx(ctx, prog, core.Mod, co) },
-		func() { a.Use, useErr = core.AnalyzeCtx(ctx, prog, core.Use, co) },
-		func() { a.Stages.Do("aliases", func() { a.Aliases = alias.Compute(prog) }) },
-	})
+	var layer []func()
+	if additive {
+		mode = EditIncremental
+		a.Aliases = prev.Aliases.For(prog)
+		layer = []func(){
+			func() {
+				a.Stages.Do("mod.update", func() { a.Mod, modErr = core.Update(prev.Mod, prog, st.Beta, st.CG, modAdds) })
+			},
+			func() {
+				a.Stages.Do("use.update", func() { a.Use, useErr = core.Update(prev.Use, prog, st.Beta, st.CG, useAdds) })
+			},
+		}
+	} else {
+		co := core.Options{Prof: a.Stages, Structure: st, Faults: opts.Faults}
+		layer = []func(){
+			func() { a.Mod, modErr = core.AnalyzeCtx(ctx, prog, core.Mod, co) },
+			func() { a.Use, useErr = core.AnalyzeCtx(ctx, prog, core.Use, co) },
+			func() { a.Stages.Do("aliases", func() { a.Aliases = alias.Compute(prog) }) },
+		}
+	}
+	err = batch.RunCtx(ctx, w, layer)
 	if err = errors.Join(err, modErr, useErr); err != nil {
-		return nil, err
+		return nil, EditFull, err
 	}
-	if err = a.refreshDerivedCtx(ctx, opts); err != nil {
-		return nil, err
+	if err = opts.Faults.At("sideeffect.derived"); err != nil {
+		return nil, EditFull, err
 	}
-	return a, nil
-}
-
-// refreshDerivedCtx recomputes the second stage layer — both section
-// problems and the alias-factored per-call-site sets — from the
-// current Mod/Use results and alias analysis, with cancellation, fault
-// injection, and panic capture. The pipeline runs it once; the
-// incremental updater reruns it after the core results change.
-func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
-	if err := opts.Faults.At("sideeffect.derived"); err != nil {
-		return err
-	}
-	return batch.RunCtx(ctx, opts.workers(), []func(){
+	err = batch.RunCtx(ctx, w, []func(){
 		func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
 		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
 		// Factored sets share their core Result's lifetime, so they are
 		// drawn from its arena; each arena is touched by exactly one of
-		// these goroutines.
+		// these goroutines. An updated Result has no arena: the heap.
 		func() {
 			a.Stages.Do("factor.mod", func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) })
 		},
@@ -177,6 +202,10 @@ func (a *Analysis) refreshDerivedCtx(ctx context.Context, opts Options) error {
 			a.Stages.Do("factor.use", func() { a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena) })
 		},
 	})
+	if err != nil {
+		return nil, EditFull, err
+	}
+	return a, mode, nil
 }
 
 // AnalyzeAllContext analyzes many source texts concurrently on a
@@ -227,29 +256,24 @@ func NewSessionContext(ctx context.Context, src string, opts Options) (*Session,
 }
 
 // EditContext is Edit under cancellation and fault injection. It
-// parses newSrc; if the edit is additive it carries the current
-// analysis across the new facts beside the session (additiveEdit, a
-// copy that shares every row it does not write); if that fails, or
-// the edit is not additive, it analyzes the new program beside the
-// session through AnalyzeProgramContext. The session takes the new
-// analysis and source only on success. On failure — a parse error, a
-// done context, an injected fault or a panic — it returns the joined
-// errors and the session is exactly as it was. EditContext never
-// panics.
+// parses newSrc and analyzes the new program beside the session, from
+// the session's analysis, under AnalyzeProgramContext's contract and
+// its one retry: an additive edit carries the current solution across
+// the new facts (EditIncremental), any other edit, and the retry after
+// a captured panic, analyzes the program afresh (EditFull). The
+// session takes the new analysis and source only on success. On
+// failure — a parse error, a done context, an injected fault or a
+// panic — it returns the error as every other analysis does, and the
+// session is exactly as it was. EditContext never panics.
 func (s *Session) EditContext(ctx context.Context, newSrc string) (EditMode, error) {
 	prog, err := parseMiniPL(newSrc)
 	if err != nil {
 		return EditFull, err
 	}
-	next, ierr := additiveEdit(ctx, s.a, prog, s.opts)
-	if next != nil {
-		s.a, s.src = next, newSrc
-		return EditIncremental, nil
-	}
-	a, err := AnalyzeProgramContext(ctx, prog, s.opts)
+	a, mode, err := analyzeFrom(ctx, prog, s.opts, s.a)
 	if err != nil {
-		return EditFull, errors.Join(ierr, err)
+		return EditFull, err
 	}
 	s.a, s.src = a, newSrc
-	return EditFull, nil
+	return mode, nil
 }

@@ -218,9 +218,11 @@ func TestEntryPointsTotal(t *testing.T) {
 	}
 }
 
-// TestOneRetryBothLanguages: for a MiniPL and a Go source, an injector
-// seed whose first attempt panics yields Analysis.Degraded and a
-// report byte-identical to the faultless one.
+// TestOneRetryBothLanguages: for a MiniPL and a Go source, and for an
+// additive session edit, an injector seed whose first attempt panics
+// yields Analysis.Degraded and a report byte-identical to the faultless
+// one. The edit's retry starts from nothing: it reports EditFull and
+// equals a fresh Analyze of the edited source.
 func TestOneRetryBothLanguages(t *testing.T) {
 	ctx := context.Background()
 	goSrc, err := os.ReadFile(filepath.Join("testdata", "gofront", "pure", "pure.go"))
@@ -228,33 +230,54 @@ func TestOneRetryBothLanguages(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := chaosSrc(t, 21)
+	edited := strings.Replace(incrSrc, "x := 1", "x := 1; h := g", 1)
+	fresh, err := Analyze(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
-		run  func(o Options) (*Analysis, string, error)
+		run  func(t *testing.T, o Options) (*Analysis, string, error)
 	}{
-		{"minipl", func(o Options) (*Analysis, string, error) {
+		{"minipl", func(t *testing.T, o Options) (*Analysis, string, error) {
 			a, err := AnalyzeContext(ctx, src, o)
 			if err != nil {
 				return nil, "", err
 			}
 			return a, a.Report(), nil
 		}},
-		{"go", func(o Options) (*Analysis, string, error) {
+		{"go", func(t *testing.T, o Options) (*Analysis, string, error) {
 			r, err := AnalyzeGoSource(ctx, "pure.go", string(goSrc), o)
 			if err != nil {
 				return nil, "", err
 			}
 			return r.Analysis, r.GoReport(), nil
 		}},
+		{"session edit", func(t *testing.T, o Options) (*Analysis, string, error) {
+			s, err := NewSessionContext(ctx, incrSrc, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.opts = o
+			mode, err := s.EditContext(ctx, edited)
+			if err != nil {
+				return nil, "", err
+			}
+			a := s.Analysis()
+			if a.Degraded && (mode != EditFull || a.Report() != fresh.Report()) {
+				t.Fatalf("retried edit: mode %v, equals a fresh Analyze: %v", mode, a.Report() == fresh.Report())
+			}
+			return a, a.Report(), nil
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, want, err := c.run(Options{})
+			_, want, err := c.run(t, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for seed := int64(0); seed < 200; seed++ {
-				a, got, err := c.run(Options{Workers: 2, Faults: faultinject.New(faultinject.Config{
+				a, got, err := c.run(t, Options{Workers: 2, Faults: faultinject.New(faultinject.Config{
 					Rate: 0.05, Seed: seed, Kinds: []faultinject.Kind{faultinject.KindPanic},
 				})})
 				if err != nil || !a.Degraded {
@@ -445,6 +468,33 @@ func TestSessionEditContextPanicMidMutation(t *testing.T) {
 	}
 	if s.Analysis().Report() != fresh.Report() {
 		t.Fatal("edit after the faults differs from a fresh analysis")
+	}
+}
+
+// TestSessionEditOneFault: an edit is an analysis like any other. Under
+// an injector that fails every fault point with an error, an additive
+// edit fails at the pipeline's first fault point, with the pipeline's
+// error, and runs no second analysis; the session is left as it was.
+func TestSessionEditOneFault(t *testing.T) {
+	s, err := NewSessionContext(context.Background(), incrSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Analysis()
+	inj := faultinject.New(faultinject.Config{
+		Rate: 1, Seed: 1, Kinds: []faultinject.Kind{faultinject.KindError},
+	})
+	s.opts.Faults = inj
+	_, err = s.EditContext(context.Background(), strings.Replace(incrSrc, "x := 1", "x := 1; h := g", 1))
+	if got := inj.Counts(); len(got) != 1 || got["sideeffect.analyze/error"] != 1 {
+		t.Fatalf("faults fired: %v, want sideeffect.analyze/error=1 only", got)
+	}
+	var ie *faultinject.InjectedError
+	if !errors.As(err, &ie) || !strings.HasPrefix(err.Error(), "sideeffect: analysis failed: ") {
+		t.Fatalf("edit under a rate-1 error injector: err %v, want the pipeline's injected error", err)
+	}
+	if s.Analysis() != before || s.Source() != incrSrc {
+		t.Fatal("failed edit changed the session")
 	}
 }
 

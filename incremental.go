@@ -1,64 +1,15 @@
 package sideeffect
 
-import (
-	"context"
-	"fmt"
-
-	"sideeffect/internal/batch"
-	"sideeffect/internal/binding"
-	"sideeffect/internal/callgraph"
-	"sideeffect/internal/core"
-	"sideeffect/internal/ir"
-)
-
-// additiveEdit returns the analysis of prog built beside cur, when prog
-// is an additive extension of cur.Prog (ir.AdditiveDelta): a reparsed,
-// ID-isomorphic program model whose local facts only grew, so that the
-// next analysis carries the new source's positions. β and the call
-// graph are built once for both problems, core.Update carries each of
-// MOD and USE across all of the edit's new facts, sharing every row it
-// does not write, and the derived stages are refreshed. ALIAS(p) is
-// unchanged by such an edit, so the alias solution is re-pointed at
-// prog, not recomputed. The next analysis keeps cur's Stages profile,
-// which records the edit's own work. It returns nil and no error when
-// the edit is not additive. A panic comes back as an error; either way
-// cur is left as it was.
-func additiveEdit(ctx context.Context, cur *Analysis, prog *ir.Program, opts Options) (next *Analysis, err error) {
-	modAdds, useAdds, ok := ir.AdditiveDelta(cur.Prog, prog)
-	if !ok {
-		return nil, nil
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			next, err = nil, fmt.Errorf("sideeffect: incremental edit failed: %w", batch.Capture(rec))
-		}
-	}()
-	a := *cur
-	a.Prog, a.Aliases = prog, cur.Aliases.For(prog)
-	var beta *binding.Beta
-	var cg *callgraph.CallGraph
-	a.Stages.Do("structure", func() { beta, cg = binding.Build(prog), callgraph.Build(prog) })
-	a.Stages.Do("mod.update", func() { a.Mod, err = core.Update(cur.Mod, prog, beta, cg, modAdds) })
-	if err != nil {
-		return nil, err
-	}
-	a.Stages.Do("use.update", func() { a.Use, err = core.Update(cur.Use, prog, beta, cg, useAdds) })
-	if err != nil {
-		return nil, err
-	}
-	if err := a.refreshDerivedCtx(ctx, opts); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
+import "context"
 
 // EditMode reports how a Session absorbed an edit.
 type EditMode int
 
 // Edit modes.
 const (
-	// EditFull means the edit was non-additive and the program was
-	// reanalyzed from scratch.
+	// EditFull means the program was reanalyzed from scratch: the edit
+	// was not additive, or its first attempt panicked and the retry
+	// started from nothing.
 	EditFull EditMode = iota
 	// EditIncremental means the edit only added local facts and the
 	// current solution was carried across it by delta propagation.
@@ -85,18 +36,19 @@ func (m EditMode) String() string {
 //     same declarations, call sites, and array accesses, with possibly
 //     new scalar modifications/uses (for example a few new assignment
 //     or write statements) — the current solution is carried across
-//     the new facts by delta propagation (core.Update), and the
-//     derived stages are refreshed;
+//     the new facts by delta propagation (core.Update), ALIAS(p) is
+//     kept, and the derived stages run again;
 //   - otherwise the program is reanalyzed from scratch.
 //
-// Either way the resulting Analysis is identical, byte for byte in its
-// reports, to a fresh Analyze of the new source; the mode only changes
-// how much work was done. An edit builds the next analysis beside the
-// current one and swaps it in only once it is complete, so an edit
-// lands whole or not at all, and an Analysis the session handed out is
-// never written by a later edit — except its Stages profile, which an
-// incremental edit carries over and adds its own stages to. A Session
-// is not safe for concurrent use; the server serializes access per
+// Either way the edit is an analysis like any other, run by the same
+// pipeline under the same contract and retry (see EditContext), and
+// the resulting Analysis is identical, byte for byte in its reports,
+// to a fresh Analyze of the new source; the mode only changes how much
+// work was done. An edit builds the next analysis beside the current
+// one, with a profile of its own, and swaps it in only once it is
+// complete, so an edit lands whole or not at all, and an Analysis the
+// session handed out is never written by a later edit. A Session is
+// not safe for concurrent use; the server serializes access per
 // session.
 type Session struct {
 	opts Options

@@ -1,11 +1,15 @@
 package sideeffect
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sideeffect/internal/bitset"
 	"sideeffect/internal/ir"
+	"sideeffect/internal/lint"
 	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
@@ -115,26 +119,33 @@ func TestSessionAdditiveEditReusesAliases(t *testing.T) {
 	}
 }
 
-// TestSessionIncrementalEditProfiled: an incremental edit records its
-// own work — the structure rebuild and each problem's update — in the
-// profile it keeps from the analysis it replaces.
+// TestSessionIncrementalEditProfiled: an incremental edit is an
+// analysis with a profile of its own, which records the edit's work —
+// the structure build, each problem's update and the derived stages,
+// each once — and no full solve; the profile of the analysis it
+// replaces is left as it was.
 func TestSessionIncrementalEditProfiled(t *testing.T) {
 	s, err := NewSession(incrSrc, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := s.Analysis().Stages
+	before := prev.Snapshot()
 	if mode, err := s.Edit(strings.Replace(incrSrc, "x := 1", "x := 1; h := g", 1)); err != nil || mode != EditIncremental {
 		t.Fatalf("additive edit: mode %v, err %v", mode, err)
 	}
-	if s.Analysis().Stages != prev {
-		t.Fatal("the incremental edit did not keep the session's profile")
+	next := s.Analysis().Stages
+	if next == nil || next == prev {
+		t.Fatal("the incremental edit has no profile of its own")
+	}
+	if !reflect.DeepEqual(prev.Snapshot(), before) {
+		t.Error("the incremental edit wrote the profile of the analysis it replaced")
 	}
 	count := map[string]int64{}
-	for _, st := range prev.Snapshot() {
+	for _, st := range next.Snapshot() {
 		count[st.Name] = st.Count
 	}
-	for name, want := range map[string]int64{"structure": 2, "mod.update": 1, "use.update": 1, "factor.mod": 2} {
+	for name, want := range map[string]int64{"structure": 1, "mod.update": 1, "use.update": 1, "factor.mod": 1, "mod.gmod": 0} {
 		if count[name] != want {
 			t.Errorf("stage %s ran %d times, want %d", name, count[name], want)
 		}
@@ -159,8 +170,9 @@ func scalarVisiblePairs(prog *ir.Program) [][2]int {
 // random additive edit sequences, of one fact or of several MOD and USE
 // facts at once, applied through a Session must yield byte-identical
 // reports (text and JSON) to a fresh Analyze of the edited source,
-// under both the sequential and the parallel schedule. Every edit,
-// incremental or full, must leave the report of the analysis it
+// under both the sequential and the parallel schedule, and every other
+// answer a session serves must agree too (sameServedAnswers). Every
+// edit, incremental or full, must leave the report of the analysis it
 // replaced unchanged.
 func TestSessionDifferentialRandomEdits(t *testing.T) {
 	seeds := int64(8)
@@ -238,6 +250,7 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 				if got != wantJSON {
 					t.Fatalf("seed %d step %d %s: session JSON report diverged from fresh analysis", seed, step, name)
 				}
+				sameServedAnswers(t, fmt.Sprintf("seed %d step %d %s", seed, step, name), a, fresh)
 			}
 		}
 		// Replacing the program wholesale must fall back to full
@@ -262,6 +275,46 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 			if s.Analysis().Report() != fresh.Report() {
 				t.Errorf("seed %d %s: post-replacement report diverged", seed, name)
 			}
+			sameServedAnswers(t, fmt.Sprintf("seed %d %s replacement", seed, name), s.Analysis(), fresh)
 		}
+	}
+}
+
+// sameServedAnswers fails unless a serves what fresh serves beyond the
+// two reports, which render DMOD factored anew and no SecUse: the
+// alias-factored per-call-site sets, set by set; CallSites(); the USE
+// sections at every call site; and the text of a zero-config Lint run.
+func sameServedAnswers(t *testing.T, where string, a, fresh *Analysis) {
+	t.Helper()
+	for _, fam := range []struct {
+		name      string
+		got, want []*bitset.Set
+	}{{"ModSets", a.ModSets, fresh.ModSets}, {"UseSets", a.UseSets, fresh.UseSets}} {
+		if len(fam.got) != len(fam.want) {
+			t.Fatalf("%s: %d %s, fresh analysis has %d", where, len(fam.got), fam.name, len(fam.want))
+		}
+		for i := range fam.got {
+			if !fam.got[i].Equal(fam.want[i]) {
+				t.Fatalf("%s: %s[%d] = %v, fresh analysis has %v", where, fam.name, i, fam.got[i], fam.want[i])
+			}
+		}
+	}
+	if got, want := a.CallSites(), fresh.CallSites(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: CallSites() diverged from fresh analysis", where)
+	}
+	for _, cs := range a.Prog.Sites {
+		if got, want := a.SecUse.AtCall(cs), fresh.SecUse.AtCall(fresh.Prog.Sites[cs.ID]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: SecUse at site %d = %v, fresh analysis has %v", where, cs.ID, got, want)
+		}
+	}
+	lintText := func(a *Analysis) string {
+		rep, err := a.Lint(lint.Config{})
+		if err != nil {
+			t.Fatalf("%s: lint: %v", where, err)
+		}
+		return lint.Text([]lint.FileReport{{File: "edit.mpl", Report: rep}})
+	}
+	if lintText(a) != lintText(fresh) {
+		t.Fatalf("%s: lint diverged from fresh analysis", where)
 	}
 }

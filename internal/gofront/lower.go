@@ -262,12 +262,7 @@ func (lw *lowerer) lower(files []*ast.File) (*ir.Program, []Note, error) {
 // declared function/method across all units, then every signature,
 // then every body (so forward, mutual, and cross-package references
 // resolve to real procedures).
-func (lw *lowerer) lowerUnits(units []*lowerUnit) (prog *ir.Program, notes []Note, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("lowering panic: %v", r)
-		}
-	}()
+func (lw *lowerer) lowerUnits(units []*lowerUnit) (*ir.Program, []Note, error) {
 	lw.b = ir.NewBuilder(lw.path)
 	main := lw.b.Main()
 	lw.analyzed = map[*types.Package]bool{}
@@ -401,7 +396,7 @@ func (lw *lowerer) lowerUnits(units []*lowerUnit) (prog *ir.Program, notes []Not
 	}
 
 	sortNotes(lw.notes)
-	prog, err = lw.b.Finish()
+	prog, err := lw.b.Finish()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -54,9 +54,11 @@ type Config struct {
 	// batch touching any .go file triggers one shared-program analysis
 	// of the module rooted at Root (cross-package calls resolved,
 	// closed interfaces devirtualized) instead of per-file
-	// single-package lowerings. The result is installed under a key
-	// derived from the module's content hash, so an unchanged module is
-	// warm across restarts.
+	// single-package lowerings. No request names a whole module, so
+	// the result is installed nowhere: the synthetic "(module)" row
+	// records its status, procedure count and module content hash, and
+	// a restart over an unchanged tree, which raises no event, runs no
+	// analysis.
 	GoModule bool
 	// Opts configures the analyses the indexer runs. Profiling is
 	// forced off: indexer work must never move the server's per-stage

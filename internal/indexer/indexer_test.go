@@ -442,9 +442,10 @@ func writeModule(t *testing.T, dir string) {
 }
 
 // TestModuleMode pins the go-module watcher: the whole module is
-// analyzed as one batch under the synthetic "(module)" state, a file
-// edit re-analyzes the module exactly once, and a revert to indexed
-// content is warm.
+// analyzed as one batch under the synthetic "(module)" state, which
+// records the module hash and installs nothing (no request names a
+// whole module), and every later Go change, a revert to indexed
+// content included, re-analyzes the module exactly once.
 func TestModuleMode(t *testing.T) {
 	dir := t.TempDir()
 	writeModule(t, dir)
@@ -454,35 +455,42 @@ func TestModuleMode(t *testing.T) {
 	ix := startIndexer(t, cfg, ft)
 
 	waitFor(t, "cold module analysis", func() bool { return ix.Stats().Analyses == 1 })
-	files := ix.Files().([]store.FileState)
-	var mod *store.FileState
-	for i := range files {
-		if files[i].Path == moduleStatePath {
-			mod = &files[i]
-		}
+	mod := moduleState(t, ix)
+	if mod.Lang != "go-module" || mod.Mode != "cold" || mod.Procs == 0 || mod.Key == "" {
+		t.Errorf("module state = %+v, want go-module/cold with procs and a hash", mod)
 	}
-	if mod == nil {
-		t.Fatalf("no %q entry in %+v", moduleStatePath, files)
+	if ft.HasEntry(mod.Key) {
+		t.Error("module analysis installed a cache entry")
 	}
-	if mod.Lang != "go-module" || mod.Mode != "cold" || mod.Procs == 0 {
-		t.Errorf("module state = %+v, want go-module/cold with procs", *mod)
-	}
-	if !ft.HasEntry(mod.Key) {
-		t.Error("module snapshot not installed under its content key")
-	}
+	coldKey := mod.Key
 
 	// An edit to any module file re-analyzes the whole module once.
 	edited := "package util\n\ntype C struct{ n int }\n\nfunc (c *C) Add(v int) { c.n += v }\n\nfunc (c *C) Get() int { return c.n }\n"
 	writeFile(t, filepath.Join(dir, "util", "u.go"), edited)
 	waitFor(t, "module re-analysis", func() bool { return ix.Stats().Analyses == 2 })
 
-	// Reverting restores the previous module hash: warm, no analysis.
+	// Reverting restores the previous module hash, and is analysis 3.
 	writeFile(t, filepath.Join(dir, "util", "u.go"),
 		"package util\n\ntype C struct{ n int }\n\nfunc (c *C) Add(v int) { c.n += v }\n")
-	waitFor(t, "module revert warm", func() bool { return ix.Stats().Warm == 1 })
-	if st := ix.Stats(); st.Analyses != 2 {
-		t.Errorf("revert re-analyzed the module: %+v", st)
+	waitFor(t, "module revert analysis", func() bool { return ix.Stats().Analyses == 3 })
+	if mod := moduleState(t, ix); mod.Mode != "full" || mod.Key != coldKey {
+		t.Errorf("module state after the revert = %+v, want mode full and the cold run's hash %s", mod, coldKey)
 	}
+	if st := ix.Stats(); st.Warm != 0 {
+		t.Errorf("module runs counted warm: %+v", st)
+	}
+}
+
+// moduleState returns the indexer's synthetic module row.
+func moduleState(t *testing.T, ix *Indexer) store.FileState {
+	t.Helper()
+	for _, f := range ix.Files().([]store.FileState) {
+		if f.Path == moduleStatePath {
+			return f
+		}
+	}
+	t.Fatalf("no %q row", moduleStatePath)
+	return store.FileState{}
 }
 
 // TestModuleModeRestore pins the restart path: the synthetic module

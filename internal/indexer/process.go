@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"sideeffect"
-	"sideeffect/internal/cache"
 	"sideeffect/internal/store"
 )
 
@@ -60,8 +59,7 @@ func (ix *Indexer) process(b *batch) {
 	ix.mu.Unlock()
 
 	// Module mode: any Go change in the batch re-derives the one
-	// whole-module result (content addressing makes an unchanged
-	// module warm, e.g. after a revert or a touch).
+	// whole-module result.
 	if ix.cfg.GoModule && b.touchesGo(ix.exts) {
 		ix.analyzeModule()
 	}
@@ -93,47 +91,29 @@ func (b *batch) touchesGo(exts map[string]string) bool {
 // extension-addressed relative paths, which this can never be).
 const moduleStatePath = "(module)"
 
-// analyzeModule runs the whole-module Go analysis and installs it
-// under a key derived from the module's content hash, or recognizes
-// that key as warm. The solve that precedes the warm check costs
-// little next to the load it shares.
+// analyzeModule runs the whole-module Go analysis and records it in the
+// synthetic module row only: its status, procedure count and module
+// content hash. No request names a whole module, so nothing is
+// installed in the target's cache. Every run is an analysis: "cold"
+// the first time, "full" after that. The row is written before the
+// run is counted, so a reader that sees Analyses advance sees the row.
 func (ix *Indexer) analyzeModule() {
 	ix.mu.Lock()
 	old := ix.files[moduleStatePath]
 	ix.mu.Unlock()
-	st := &store.FileState{Path: moduleStatePath, Lang: "go-module", Status: "ok"}
-	defer ix.setState(moduleStatePath, st)
+	st := &store.FileState{Path: moduleStatePath, Lang: "go-module", Status: "ok", Mode: "full"}
+	if old == nil {
+		st.Mode = "cold"
+	}
 	res, err := sideeffect.AnalyzeGoModule(context.Background(), []string{filepath.Join(ix.cfg.Root, "...")}, ix.cfg.Opts)
 	if err != nil {
 		ix.fail(st, err)
+		ix.setState(moduleStatePath, st)
 		return
 	}
-	st.Key = cache.Key("go-module\x00" + res.Pkg.Hash)
-	if ix.target.HasEntry(st.Key) {
-		st.Mode = "warm"
-		if old != nil {
-			st.Procs = old.Procs
-		}
-		ix.bumpWarm()
-		return
-	}
-	a := res.Analysis
-	snap, err := store.BuildEntry(a, st.Key, "go-module", res.Pkg.Notes, res.Pkg.ConfidenceReport())
-	if err != nil {
-		ix.fail(st, err)
-		return
-	}
-	if err := ix.target.InstallSnapshot(snap); err != nil {
-		ix.fail(st, err)
-		return
-	}
-	mode := "full"
-	if old == nil {
-		mode = "cold"
-	}
-	st.Mode = mode
-	st.Procs = len(a.Procedures())
-	ix.bumpAnalysis(mode)
+	st.Key, st.Procs = res.Pkg.Hash, len(res.Analysis.Procedures())
+	ix.setState(moduleStatePath, st)
+	ix.bumpAnalysis(st.Mode)
 }
 
 // processFile absorbs one created or modified file.

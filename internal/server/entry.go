@@ -35,9 +35,8 @@ import (
 type cached struct {
 	a    *sideeffect.Analysis
 	snap *store.EntrySnapshot
-	// lang is "minipl" or "go" (or "go-module" for indexer installs),
-	// tracked so the checkpoint exporter can round-trip the entry's
-	// namespace.
+	// lang is "minipl" or "go", tracked so the checkpoint exporter can
+	// round-trip the entry's namespace.
 	lang string
 	// Go-frontend entries carry the per-function lowering-confidence
 	// notes and the rendered confidence table appended to text reports.

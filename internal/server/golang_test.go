@@ -1,10 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"sideeffect/internal/gofront"
 )
 
 const goSrvSrc = `package p
@@ -109,6 +112,32 @@ func TestAnalyzeGoCacheNamespacing(t *testing.T) {
 		t.Fatal("MiniPL analysis of Go source unexpectedly succeeded")
 	} else if eb.Error.Code == "" {
 		t.Error("MiniPL failure carried no structured error code")
+	}
+}
+
+// TestCacheKeyInjectiveAcrossLanguages: a MiniPL source that spells a
+// Go key's namespace in front of a Go source is still a MiniPL source,
+// and one the lexer rejects, so it answers 422 on /analyze and an error
+// entry on /batch even while the cache holds that Go source's entry.
+func TestCacheKeyInjectiveAcrossLanguages(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	var asGo analyzeResponse
+	if code := post(t, ts.URL+"/analyze", map[string]string{"source": goSrvSrc, "lang": "go"}, &asGo); code != http.StatusOK {
+		t.Fatalf("go analysis: status %d", code)
+	}
+	forged := fmt.Sprintf("go\x00v%d\x00", gofront.LoweringVersion) + goSrvSrc
+	var eb errorBody
+	if code := post(t, ts.URL+"/analyze", map[string]string{"source": forged}, &eb); code != http.StatusUnprocessableEntity || eb.Error.Code != "analysis_failed" {
+		t.Fatalf("forged MiniPL source: status %d code %q, want 422 analysis_failed", code, eb.Error.Code)
+	}
+	var batch struct {
+		Results []batchEntry `json:"results"`
+	}
+	if code := post(t, ts.URL+"/batch", batchRequest{Sources: []string{forged}}, &batch); code != http.StatusOK {
+		t.Fatalf("batch: status %d", code)
+	}
+	if len(batch.Results) != 1 || batch.Results[0].Error == "" || batch.Results[0].Report != nil {
+		t.Fatalf("forged MiniPL source in a batch: %+v, want an error entry", batch.Results)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sideeffect/internal/batch"
 	"sideeffect/internal/cache"
 	"sideeffect/internal/lint"
-	"sideeffect/internal/prof"
 )
 
 // lintRequest is the /lint body. Source is required; the remaining
@@ -131,14 +130,13 @@ func renderLintResponse(rep *lint.Report, file string, format string) (*lintResp
 // default severity; concurrent first requests wait for that one run,
 // and a run that fails (a cancelled request, a captured panic) is not
 // kept, so the next request runs it again. Snapshot entries are built
-// with their forms and never reach the engine. The run times itself
-// into a throwaway profile: the shared analysis is never written.
+// with their forms and never reach the engine.
 func (s *Server) entryLint(ctx context.Context, e *cached) (*lintForms, *apiError) {
 	lf, err := e.lint.get(ctx, func() (*lintForms, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rep, err := e.a.Lint(lint.Config{Prof: prof.New()})
+		rep, err := e.a.Lint(lint.Config{})
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"sideeffect"
-	"sideeffect/internal/cache"
 	"sideeffect/internal/report"
 	"sideeffect/internal/store"
 )
@@ -175,7 +174,7 @@ func (s *session) state(mode string, includeReport bool) sessionState {
 	a := s.sess.Analysis()
 	st := sessionState{
 		ID:               s.id,
-		Hash:             cache.Key(s.sess.Source()),
+		Hash:             store.Key("minipl", s.sess.Source()),
 		Procedures:       a.Procedures(),
 		Edits:            s.edits,
 		IncrementalEdits: s.incremental,

@@ -3,28 +3,33 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"sideeffect"
 	"sideeffect/internal/cache"
 	"sideeffect/internal/gofront"
 	"sideeffect/internal/lint"
-	"sideeffect/internal/prof"
 	"sideeffect/internal/report"
 )
 
 // Key is the serving cache's content address for src under lang, the
-// one derivation behind every request handler and the watch-mode
-// indexer, so an installed entry is found by the matching request.
-// MiniPL sources key on their bytes. A "go" key folds a namespace and
-// the frontend's lowering version in front of them: the two frontends
-// never serve each other's entries, and an entry persisted by an older
-// lowering is never served for bytes the new lowering reads
-// differently. Whole-module entries use the indexer's "go-module" key,
-// derived from the module content hash, which folds the version in the
-// same way.
+// one derivation behind every request handler, the session view and
+// the watch-mode indexer, so an installed entry is found by the
+// matching request. It is injective across languages. MiniPL sources
+// key on their bytes. A "go" key folds a namespace and the frontend's
+// lowering version in front of them: the two frontends never serve
+// each other's entries, and an entry persisted by an older lowering is
+// never served for bytes the new lowering reads differently. Every
+// namespace holds a NUL byte, so a MiniPL source that holds one too —
+// which no valid MiniPL program does — is keyed under a "minipl"
+// namespace: a forged source never takes a Go source's key, and no
+// valid source's key moves.
 func Key(lang, src string) string {
-	if lang == "go" {
+	switch {
+	case lang == "go":
 		return cache.Key(fmt.Sprintf("go\x00v%d\x00", gofront.LoweringVersion) + src)
+	case strings.IndexByte(src, 0) >= 0:
+		return cache.Key("minipl\x00" + src)
 	}
 	return cache.Key(src)
 }
@@ -72,9 +77,7 @@ func BuildEntry(a *sideeffect.Analysis, key, lang string, notes []gofront.Note, 
 	if err != nil {
 		return nil, fmt.Errorf("store: render report: %w", err)
 	}
-	// The lint run uses a throwaway profile so snapshotting a profiled
-	// analysis does not fold lint timings into its recorded stages.
-	rep, err := a.Lint(lint.Config{Prof: prof.New()})
+	rep, err := a.Lint(lint.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("store: render lint: %w", err)
 	}

@@ -26,18 +26,15 @@ import (
 // cmd/modlint for the command-line driver and internal/server for the
 // /lint endpoint.
 //
-// When the analysis was built with Options.Profile and cfg carries no
-// profile of its own, per-rule timings join Analysis.Stages under
-// "lint.<rule-id>" names.
+// Lint only reads the analysis. A run is timed only when cfg.Prof is
+// set: per-rule timings go there, under "lint.<rule-id>" names, never
+// into Analysis.Stages.
 func (a *Analysis) Lint(cfg lint.Config) (rep *lint.Report, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			rep, err = nil, fmt.Errorf("sideeffect: lint failed: %w", batch.Capture(rec))
 		}
 	}()
-	if cfg.Prof == nil {
-		cfg.Prof = a.Stages
-	}
 	return lint.Run(a.lintInput(), cfg)
 }
 

@@ -170,6 +170,27 @@ func TestLintDeterministic(t *testing.T) {
 	}
 }
 
+// TestLintLeavesStagesUnchanged: Lint only reads the analysis. A run
+// with a zero Config is untimed, so a profiled analysis's Stages reads
+// the same before and after it.
+func TestLintLeavesStagesUnchanged(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "lint", "se003_alias.mpl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeWith(string(b), Options{Workers: 1, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := a.Stages.Snapshot()
+	if _, err := a.Lint(lint.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := a.Stages.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("Lint wrote the analysis's profile: %d stages before, %d after", len(before), len(after))
+	}
+}
+
 // TestLintConfig exercises rule selection, severity overrides, the
 // minimum-severity filter, and configuration error reporting.
 func TestLintConfig(t *testing.T) {

@@ -239,7 +239,7 @@ func init() {
 // result against core.Analyze of the edited program, so every timed
 // update applies a real edit. The Session.Edit rows time what a
 // session pays for one edit end to end — parse, the additive check,
-// the update or full reanalysis, and the derived stages — from a
+// the update or full reanalysis, alias factoring and sections — from a
 // session created outside the timer. The grown column counts the GMOD
 // rows the incremental edit grew: how far the edit reached.
 func expE12(quick bool) {
@@ -305,9 +305,9 @@ func expE12(quick bool) {
 	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: the incremental update is validated against full recomputation by")
 	fmt.Println("the test suite. A solver update costs what the edit reaches (the grown rows and")
-	fmt.Println("their call sites' DMOD rows); a Session.Edit also reparses the source and")
-	fmt.Println("refreshes the derived stages (sections, alias factoring) in full, so its ratio")
-	fmt.Println("is the smaller one.")
+	fmt.Println("their call sites' DMOD rows); a Session.Edit also reparses the source,")
+	fmt.Println("re-factors the call sites whose DMOD row changed and solves the section")
+	fmt.Println("problems in full, so its ratio is the smaller one.")
 }
 
 // timeEdit returns the median time of one Session.Edit from src to

@@ -201,7 +201,8 @@ func expE14(quick bool) {
 		" write the entry's report bytes rendered on the miss, so their remaining cost is" +
 		" HTTP and they should clearly outrun the cold path, which now also renders those" +
 		" bytes; incremental edits skip only the fixpoint solves (they still" +
-		" parse, rebase, and refresh derived stages), so their lead over cold grows" +
+		" parse, run core.Update, re-factor the sites whose DMOD row changed and solve" +
+		" the section problems), so their lead over cold grows" +
 		" with program size rather than appearing on toy inputs. The batch row counts" +
 		" programs: its eight sources cycle through a four-entry cache, so nearly every" +
 		" one is analyzed and its qps is miss-path throughput with HTTP and JSON" +

@@ -7,6 +7,7 @@ import (
 
 	"sideeffect/internal/alias"
 	"sideeffect/internal/batch"
+	"sideeffect/internal/bitset"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
 	"sideeffect/internal/lang/sem"
@@ -117,10 +118,13 @@ func analyzeFrom(ctx context.Context, prog *ir.Program, opts Options, prev *Anal
 // reparsed, ID-isomorphic program model whose local facts only grew),
 // core.Update carries MOD and USE across the edit's new facts, sharing
 // every row it does not write, and ALIAS(p), which such an edit leaves
-// unchanged, is re-pointed at prog; mode is then EditIncremental.
-// Otherwise both problems and the aliases are solved afresh and mode is
-// EditFull. Either way the derived stages run in full, prev is only
-// read, and the analysis has a profile of its own.
+// unchanged, is re-pointed at prog; alias factoring then keeps prev's
+// factored MOD and USE sets at every call site whose DMOD row Update
+// kept and factors only the new rows; mode is EditIncremental.
+// Otherwise both problems and the aliases are solved and every site is
+// factored afresh, and mode is EditFull. Either way the section
+// problems are solved in full, prev is only read, and the analysis has
+// a profile of its own.
 func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, prev *Analysis) (ra *Analysis, mode EditMode, err error) {
 	a := &Analysis{Prog: prog}
 	defer func() {
@@ -163,9 +167,14 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, prev *A
 	}
 	var modErr, useErr error
 	var layer []func()
+	// from holds the factored rows an additive edit keeps: prev's, at
+	// every site whose DMOD row core.Update kept.
+	var from struct{ modDMOD, modSets, useDMOD, useSets []*bitset.Set }
 	if additive {
 		mode = EditIncremental
 		a.Aliases = prev.Aliases.For(prog)
+		from.modDMOD, from.modSets = prev.Mod.DMOD, prev.ModSets
+		from.useDMOD, from.useSets = prev.Use.DMOD, prev.UseSets
 		layer = []func(){
 			func() {
 				a.Stages.Do("mod.update", func() { a.Mod, modErr = core.Update(prev.Mod, prog, st.Beta, st.CG, modAdds) })
@@ -194,12 +203,17 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, prev *A
 		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
 		// Factored sets share their core Result's lifetime, so they are
 		// drawn from its arena; each arena is touched by exactly one of
-		// these goroutines. An updated Result has no arena: the heap.
+		// these goroutines. An updated Result has no arena: the heap,
+		// and only its new DMOD rows are factored.
 		func() {
-			a.Stages.Do("factor.mod", func() { a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena) })
+			a.Stages.Do("factor.mod", func() {
+				a.ModSets = a.Aliases.FactorArena(a.Mod.DMOD, a.Mod.Arena, from.modDMOD, from.modSets)
+			})
 		},
 		func() {
-			a.Stages.Do("factor.use", func() { a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena) })
+			a.Stages.Do("factor.use", func() {
+				a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena, from.useDMOD, from.useSets)
+			})
 		},
 	})
 	if err != nil {

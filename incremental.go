@@ -37,7 +37,9 @@ func (m EditMode) String() string {
 //     new scalar modifications/uses (for example a few new assignment
 //     or write statements) — the current solution is carried across
 //     the new facts by delta propagation (core.Update), ALIAS(p) is
-//     kept, and the derived stages run again;
+//     kept, only the call sites whose DMOD row changed are factored
+//     through the aliases again (the others keep their factored sets),
+//     and the section problems are solved again;
 //   - otherwise the program is reanalyzed from scratch.
 //
 // Either way the edit is an analysis like any other, run by the same

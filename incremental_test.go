@@ -119,6 +119,85 @@ func TestSessionAdditiveEditReusesAliases(t *testing.T) {
 	}
 }
 
+// shareSrc adds to incrSrc a procedure, other, that an edit of leaf
+// does not reach, so its call site keeps its DMOD rows.
+const shareSrc = `
+program share;
+global g, h;
+
+proc leaf(ref x)
+begin
+  x := 1
+end;
+
+proc mid(ref y)
+begin
+  call leaf(y)
+end;
+
+proc other(ref z)
+begin
+  z := 2;
+  write z
+end;
+
+begin
+  call mid(g);
+  call other(h)
+end.
+`
+
+// TestSessionEditSharesFactoredSets: an additive edit keeps the
+// factored MOD and USE set of the analysis it starts from at exactly
+// the call sites whose DMOD row core.Update kept, and factors the rest
+// anew; a full edit shares none.
+func TestSessionEditSharesFactoredSets(t *testing.T) {
+	s, err := NewSession(shareSrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := s.Analysis()
+	edited := strings.Replace(shareSrc, "x := 1", "x := 1; h := g", 1)
+	if mode, err := s.Edit(edited); err != nil || mode != EditIncremental {
+		t.Fatalf("additive edit: mode %v, err %v", mode, err)
+	}
+	next := s.Analysis()
+	for _, fam := range []struct {
+		name                             string
+		prevDMOD, nextDMOD, prevS, nextS []*bitset.Set
+	}{
+		{"MOD", prev.Mod.DMOD, next.Mod.DMOD, prev.ModSets, next.ModSets},
+		{"USE", prev.Use.DMOD, next.Use.DMOD, prev.UseSets, next.UseSets},
+	} {
+		shared, refreshed := 0, 0
+		for i := range fam.nextS {
+			keptRow, keptSet := fam.nextDMOD[i] == fam.prevDMOD[i], fam.nextS[i] == fam.prevS[i]
+			if keptRow != keptSet {
+				t.Errorf("%s site %d: DMOD row kept %v, factored set kept %v", fam.name, i, keptRow, keptSet)
+			}
+			if keptSet {
+				shared++
+			} else {
+				refreshed++
+			}
+		}
+		if shared == 0 || refreshed == 0 {
+			t.Errorf("%s: %d sites shared, %d refreshed; want some of each", fam.name, shared, refreshed)
+		}
+	}
+
+	prev = next
+	if mode, err := s.Edit(strings.Replace(edited, "call other(h)", "call other(h); call leaf(h)", 1)); err != nil || mode != EditFull {
+		t.Fatalf("structural edit: mode %v, err %v", mode, err)
+	}
+	next = s.Analysis()
+	for i := range prev.ModSets {
+		if next.ModSets[i] == prev.ModSets[i] || next.UseSets[i] == prev.UseSets[i] {
+			t.Errorf("the full edit shares site %d's factored set", i)
+		}
+	}
+}
+
 // TestSessionIncrementalEditProfiled: an incremental edit is an
 // analysis with a profile of its own, which records the edit's work —
 // the structure build, each problem's update and the derived stages,

@@ -217,17 +217,32 @@ func Compute(prog *ir.Program) *Analysis {
 // of DMOD(s). The input sets are not modified; the result is indexed
 // by call-site ID like core.Result.DMOD.
 func (a *Analysis) Factor(dmod []*bitset.Set) []*bitset.Set {
-	return a.FactorArena(dmod, nil)
+	return a.FactorArena(dmod, nil, nil, nil)
 }
 
 // FactorArena is Factor with the output rows carved from ar, so the
 // factored sets share the lifetime of the Result whose arena backs
 // them (core.Result.Arena). A nil arena means the heap; the arena must
 // not be used from another goroutine while this runs.
-func (a *Analysis) FactorArena(dmod []*bitset.Set, ar *arena.Arena) []*bitset.Set {
+//
+// prevDMOD and prevSets are the DMOD rows and the factored rows of the
+// analysis an additive edit starts from, or nil for a fresh analysis.
+// A site whose DMOD row is prevDMOD's own pointer keeps prevSets' row,
+// shared, and every other site is factored anew. That is sound because
+// such an edit leaves ALIAS(p) as it was (see For) and core.Update
+// writes a new DMOD row at every site whose row can change. Factored
+// rows are never written once built, so sharing them is safe.
+func (a *Analysis) FactorArena(dmod []*bitset.Set, ar *arena.Arena, prevDMOD, prevSets []*bitset.Set) []*bitset.Set {
+	if len(prevDMOD) != len(dmod) || len(prevSets) != len(dmod) {
+		prevDMOD = nil
+	}
 	out := make([]*bitset.Set, len(dmod))
 	for _, cs := range a.Prog.Sites {
 		d := dmod[cs.ID]
+		if prevDMOD != nil && d == prevDMOD[cs.ID] {
+			out[cs.ID] = prevSets[cs.ID]
+			continue
+		}
 		m := ar.Row(a.Prog.NumVars(), d)
 		// Iterate the (typically tiny) alias adjacency, not the DMOD
 		// elements: per aliased variable one membership test replaces a

@@ -162,12 +162,12 @@ func (pl *pipeline) solve(prog *ir.Program, rows bool) (*CondensedResult, []*bit
 	st := pl.opts.Structure
 	if st == nil || st.Prog != prog {
 		st = &Structure{Prog: prog}
-		pl.step("beta", func() { st.Beta = binding.Build(prog); st.BetaSCC = st.Beta.G.SCC() })
+		pl.step("beta", func() { st.Beta = binding.Build(prog); st.betaComponents() })
 		pl.step("callgraph", func() { st.CG = callgraph.Build(prog); st.fillLevels() })
 	}
 	r.Beta, r.CG = st.Beta, st.CG
 	pl.step("facts", func() { r.Facts = computeFacts(prog, pl.kind, pl.ar) })
-	pl.step("rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.BetaSCC) })
+	pl.step("rmod", func() { r.RMOD = solveRMOD(st.Beta, r.Facts, st.betaComponents()) })
 	pl.step("imod+", func() { r.IMODPlus = computeIMODPlus(r.Facts, r.RMOD, pl.ar) })
 	var gmod []*bitset.Set
 	pl.step("gmod", func() {

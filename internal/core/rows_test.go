@@ -111,7 +111,7 @@ func TestResultRowRepresentation(t *testing.T) {
 				}
 			}
 		}
-		factored := alias.Compute(r.Prog).FactorArena(r.DMOD, r.Arena)
+		factored := alias.Compute(r.Prog).FactorArena(r.DMOD, r.Arena, nil, nil)
 		for what, rows := range map[string][]*bitset.Set{"DMOD": r.DMOD, "factored": factored} {
 			for i, s := range rows {
 				if s.IsSparse() || s.Words() != width {

@@ -23,10 +23,7 @@ import (
 type Structure struct {
 	Prog *ir.Program
 	Beta *binding.Beta
-	// BetaSCC partitions the binding graph into strongly-connected
-	// components; SolveRMOD's collapse step starts from it.
-	BetaSCC *graph.SCCInfo
-	CG      *callgraph.CallGraph
+	CG   *callgraph.CallGraph
 	// Levels[l] is the call graph of the level-l problem: the call
 	// multi-graph with every edge invoking a procedure at nesting level
 	// < l removed. Levels[0] aliases CG.G (no edge is dropped at level
@@ -36,9 +33,15 @@ type Structure struct {
 	// flat programs, whose single GMOD pass needs no class split.
 	ClassVars []*bitset.Set
 
-	// sccs caches the strongly-connected components of each level's
-	// subgraph for the condensed GMOD solver, computed lazily (a MOD +
-	// USE pair sharing one Structure decomposes each level once).
+	// betaSCC partitions the binding graph into strongly-connected
+	// components, which SolveRMOD's collapse step starts from, and
+	// sccs[l] partitions the level-l subgraph for the condensed GMOD
+	// solver. Each is computed on first use under its sync.Once: a MOD
+	// + USE pair sharing one Structure decomposes each graph once, and
+	// a Structure that serves only Update, which solves no RMOD from
+	// scratch, never decomposes β.
+	betaSCC  *graph.SCCInfo
+	betaOnce sync.Once
 	sccs     []*graph.SCCInfo
 	sccsOnce []sync.Once
 }
@@ -46,7 +49,6 @@ type Structure struct {
 // BuildStructure computes the shared skeleton of prog's analysis.
 func BuildStructure(prog *ir.Program) *Structure {
 	st := &Structure{Prog: prog, Beta: binding.Build(prog)}
-	st.BetaSCC = st.Beta.G.SCC()
 	st.CG = callgraph.Build(prog)
 	st.fillLevels()
 	return st
@@ -93,6 +95,14 @@ func (st *Structure) fillLevels() {
 		// procedures; no call chain can modify them on behalf of a
 		// caller, and they are covered by the IMOD+ base.
 	}
+}
+
+// betaComponents returns the SCC decomposition of the binding graph,
+// computing it on first use; concurrent MOD and USE analyses may race
+// only into the sync.Once.
+func (st *Structure) betaComponents() *graph.SCCInfo {
+	st.betaOnce.Do(func() { st.betaSCC = st.Beta.G.SCC() })
+	return st.betaSCC
 }
 
 // levelSCC returns the SCC decomposition of the level-lvl subgraph,

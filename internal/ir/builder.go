@@ -262,6 +262,11 @@ func (p *Program) Validate() error {
 // sites), implementing the linear-time clean-up step the paper assumes
 // before the nesting arguments of Section 3.3. The original program is
 // not modified.
+//
+// The copy renumbers the variables: globals first, then each kept
+// procedure's formals and locals, in procedure order. Every slice of
+// the copy is sized from the source program, and the old-to-new maps
+// are slices indexed by the old IDs.
 func (p *Program) Prune() *Program {
 	reach := p.ReachableProcs()
 	// A nested procedure's parent chain must be retained even if the
@@ -276,16 +281,63 @@ func (p *Program) Prune() *Program {
 			}
 		}
 	}
+	nProcs, nVars, nSites, nArgs := 0, 0, 0, 0
+	for _, q := range p.Procs {
+		if reach[q.ID] {
+			nProcs++
+			nVars += len(q.Formals) + len(q.Locals)
+		}
+	}
+	for _, v := range p.Vars {
+		if v.Kind == Global {
+			nVars++
+		}
+	}
+	for _, cs := range p.Sites {
+		if reach[cs.Caller.ID] && reach[cs.Callee.ID] {
+			nSites++
+			nArgs += len(cs.Args)
+		}
+	}
 
-	np := &Program{Name: p.Name}
-	procMap := make(map[*Procedure]*Procedure)
-	varMap := make(map[*Variable]*Variable)
+	np := &Program{
+		Name:  p.Name,
+		Procs: make([]*Procedure, 0, nProcs),
+		Vars:  make([]*Variable, 0, nVars),
+		Sites: make([]*CallSite, 0, nSites),
+	}
+	procMap := make([]*Procedure, len(p.Procs))
+	varMap := make([]*Variable, len(p.Vars))
+	siteMap := make([]*CallSite, len(p.Sites))
+	// The copy's variables, call sites and actuals are carved from one
+	// slab each.
+	varSlab, siteSlab, argSlab := make([]Variable, nVars), make([]CallSite, nSites), make([]Actual, nArgs)
+	newVar := func(v *Variable, owner *Procedure) *Variable {
+		nv := &varSlab[len(np.Vars)]
+		*nv = Variable{ID: len(np.Vars), Name: v.Name, Kind: v.Kind, Owner: owner, Ordinal: v.Ordinal, Dims: v.Dims, Pos: v.Pos}
+		np.Vars = append(np.Vars, nv)
+		varMap[v.ID] = nv
+		return nv
+	}
+	mapSubs := func(subs []Sub) []Sub {
+		if len(subs) == 0 {
+			return nil
+		}
+		out := make([]Sub, len(subs))
+		for i, s := range subs {
+			if s.Kind == SubSym {
+				s.Sym = varMap[s.Sym.ID]
+			}
+			out[i] = s
+		}
+		return out
+	}
 
 	// Clone procedures in original ID order (parents precede children
 	// in MiniPL construction order; guard anyway).
 	var cloneProc func(q *Procedure) *Procedure
 	cloneProc = func(q *Procedure) *Procedure {
-		if n, ok := procMap[q]; ok {
+		if n := procMap[q.ID]; n != nil {
 			return n
 		}
 		n := &Procedure{
@@ -296,7 +348,7 @@ func (p *Program) Prune() *Program {
 			IMOD:   bitset.NewSparse(),
 			IUSE:   bitset.NewSparse(),
 		}
-		procMap[q] = n
+		procMap[q.ID] = n
 		if q.Parent != nil {
 			par := cloneProc(q.Parent)
 			n.Parent = par
@@ -309,10 +361,7 @@ func (p *Program) Prune() *Program {
 	// Keep globals (even unused ones: they are part of the universe).
 	for _, v := range p.Vars {
 		if v.Kind == Global {
-			nv := &Variable{Name: v.Name, Kind: Global, Ordinal: -1, Dims: v.Dims, Pos: v.Pos}
-			nv.ID = len(np.Vars)
-			np.Vars = append(np.Vars, nv)
-			varMap[v] = nv
+			newVar(v, nil)
 		}
 	}
 	for _, q := range p.Procs {
@@ -320,78 +369,75 @@ func (p *Program) Prune() *Program {
 			continue
 		}
 		n := cloneProc(q)
-		for _, f := range q.Formals {
-			nv := &Variable{Name: f.Name, Kind: f.Kind, Owner: n, Ordinal: f.Ordinal, Dims: f.Dims, Pos: f.Pos}
-			nv.ID = len(np.Vars)
-			np.Vars = append(np.Vars, nv)
-			n.Formals = append(n.Formals, nv)
-			varMap[f] = nv
+		if len(q.Formals) > 0 {
+			n.Formals = make([]*Variable, len(q.Formals))
+			for i, f := range q.Formals {
+				n.Formals[i] = newVar(f, n)
+			}
 		}
-		for _, l := range q.Locals {
-			nv := &Variable{Name: l.Name, Kind: Local, Owner: n, Ordinal: -1, Dims: l.Dims, Pos: l.Pos}
-			nv.ID = len(np.Vars)
-			np.Vars = append(np.Vars, nv)
-			n.Locals = append(n.Locals, nv)
-			varMap[l] = nv
+		if len(q.Locals) > 0 {
+			n.Locals = make([]*Variable, len(q.Locals))
+			for i, l := range q.Locals {
+				n.Locals[i] = newVar(l, n)
+			}
 		}
 	}
-	np.Main = procMap[p.Main]
+	if p.Main != nil {
+		np.Main = procMap[p.Main.ID]
+	}
 	// Second pass: facts and call sites.
 	for _, q := range p.Procs {
 		if !reach[q.ID] {
 			continue
 		}
-		n := procMap[q]
+		n := procMap[q.ID]
 		q.IMOD.ForEach(func(id int) {
-			if nv, ok := varMap[p.Vars[id]]; ok {
+			if nv := varMap[id]; nv != nil {
 				n.IMOD.Add(nv.ID)
 			}
 		})
 		q.IUSE.ForEach(func(id int) {
-			if nv, ok := varMap[p.Vars[id]]; ok {
+			if nv := varMap[id]; nv != nil {
 				n.IUSE.Add(nv.ID)
 			}
 		})
-		for _, acc := range q.Accesses {
-			na := ArrayAccess{Var: varMap[acc.Var], Mod: acc.Mod, Pos: acc.Pos}
-			for _, s := range acc.Subs {
-				ns := s
-				if s.Kind == SubSym {
-					ns.Sym = varMap[s.Sym]
-				}
-				na.Subs = append(na.Subs, ns)
+		if len(q.Accesses) > 0 {
+			n.Accesses = make([]ArrayAccess, len(q.Accesses))
+			for i, acc := range q.Accesses {
+				n.Accesses[i] = ArrayAccess{Var: varMap[acc.Var.ID], Subs: mapSubs(acc.Subs), Mod: acc.Mod, Pos: acc.Pos}
 			}
-			n.Accesses = append(n.Accesses, na)
+		}
+		if calls := len(q.Calls); calls > 0 {
+			n.Calls = make([]*CallSite, 0, calls)
 		}
 	}
-	siteMap := make(map[*CallSite]*CallSite)
 	for _, cs := range p.Sites {
 		if !reach[cs.Caller.ID] || !reach[cs.Callee.ID] {
 			continue
 		}
-		ncs := &CallSite{
+		ncs := &siteSlab[len(np.Sites)]
+		*ncs = CallSite{
 			ID:     len(np.Sites),
-			Caller: procMap[cs.Caller],
-			Callee: procMap[cs.Callee],
+			Caller: procMap[cs.Caller.ID],
+			Callee: procMap[cs.Callee.ID],
 			Pos:    cs.Pos,
 		}
-		siteMap[cs] = ncs
-		for _, a := range cs.Args {
-			na := Actual{Mode: a.Mode}
-			if a.Var != nil {
-				na.Var = varMap[a.Var]
-			}
-			for _, s := range a.Subs {
-				ns := s
-				if s.Kind == SubSym {
-					ns.Sym = varMap[s.Sym]
+		siteMap[cs.ID] = ncs
+		if n := len(cs.Args); n > 0 {
+			ncs.Args, argSlab = argSlab[:n:n], argSlab[n:]
+			for i, a := range cs.Args {
+				na := Actual{Mode: a.Mode, Subs: mapSubs(a.Subs)}
+				if a.Var != nil {
+					na.Var = varMap[a.Var.ID]
 				}
-				na.Subs = append(na.Subs, ns)
+				if len(a.Uses) > 0 {
+					na.Uses = make([]*Variable, len(a.Uses))
+					for j, u := range a.Uses {
+						na.Uses[j] = varMap[u.ID]
+					}
+				}
+				ncs.Args[i] = na
 			}
-			for _, u := range a.Uses {
-				na.Uses = append(na.Uses, varMap[u])
-			}
-			ncs.Args = append(ncs.Args, na)
 		}
 		np.Sites = append(np.Sites, ncs)
 		ncs.Caller.Calls = append(ncs.Caller.Calls, ncs)
@@ -403,9 +449,9 @@ func (p *Program) Prune() *Program {
 		if !reach[l.Proc.ID] {
 			continue
 		}
-		nl := &Loop{Proc: procMap[l.Proc], Index: varMap[l.Index], Pos: l.Pos}
+		nl := &Loop{Proc: procMap[l.Proc.ID], Index: varMap[l.Index.ID], Pos: l.Pos}
 		for _, cs := range l.Sites {
-			if ncs, ok := siteMap[cs]; ok {
+			if ncs := siteMap[cs.ID]; ncs != nil {
 				nl.Sites = append(nl.Sites, ncs)
 			}
 		}

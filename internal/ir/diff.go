@@ -96,11 +96,16 @@ func AdditiveDelta(old, new *Program) (modAdds, useAdds []FactDelta, ok bool) {
 		np := new.Procs[i]
 		var bad bool
 		collect := func(o, n *bitset.Set, out *[]FactDelta) {
-			d := bitset.Difference(n, o)
-			if !bitset.Difference(o, n).Empty() {
-				bad = true // a fact was removed: not additive
+			// Most procedures are untouched by an edit: test them
+			// without building a difference.
+			if o.Equal(n) {
+				return
 			}
-			d.ForEach(func(id int) {
+			if !o.SubsetOf(n) {
+				bad = true // a fact was removed: not additive
+				return
+			}
+			bitset.Difference(n, o).ForEach(func(id int) {
 				if new.Vars[id].Rank() != 0 {
 					bad = true
 				}

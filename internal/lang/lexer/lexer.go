@@ -11,7 +11,8 @@ import (
 	"sideeffect/internal/lang/token"
 )
 
-// Lexer scans MiniPL source.
+// Lexer scans MiniPL source one token at a time: the parser pulls each
+// token with Next, and no token slice is ever built.
 type Lexer struct {
 	src  string
 	off  int
@@ -58,6 +59,15 @@ func (l *Lexer) advance() byte {
 	return c
 }
 
+// skipTo moves to offset end, on the current line, and returns the
+// text skipped.
+func (l *Lexer) skipTo(end int) string {
+	text := l.src[l.off:end]
+	l.col += end - l.off
+	l.off = end
+	return text
+}
+
 func isLetter(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
 }
@@ -100,25 +110,24 @@ func (l *Lexer) Next() token.Token {
 	c := l.peek()
 	switch {
 	case isLetter(c):
-		start := l.off
-		for l.off < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
-			l.advance()
+		end := l.off + 1
+		for end < len(l.src) && (isLetter(l.src[end]) || isDigit(l.src[end])) {
+			end++
 		}
-		text := l.src[start:l.off]
-		if k, ok := token.Keywords[text]; ok {
-			return token.Token{Kind: k, Text: text, Pos: pos}
-		}
-		return token.Token{Kind: token.IDENT, Text: text, Pos: pos}
+		text := l.skipTo(end)
+		return token.Token{Kind: token.Lookup(text), Text: text, Pos: pos}
 	case isDigit(c):
-		start := l.off
-		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
+		end := l.off + 1
+		for end < len(l.src) && isDigit(l.src[end]) {
+			end++
 		}
-		return token.Token{Kind: token.INT, Text: l.src[start:l.off], Pos: pos}
+		return token.Token{Kind: token.INT, Text: l.skipTo(end), Pos: pos}
 	}
+	// A one-byte token's text is the source byte itself, so it costs
+	// no allocation.
 	one := func(k token.Kind) token.Token {
 		l.advance()
-		return token.Token{Kind: k, Text: string(c), Pos: pos}
+		return token.Token{Kind: k, Text: l.src[l.off-1 : l.off], Pos: pos}
 	}
 	switch c {
 	case '(':
@@ -173,21 +182,9 @@ func (l *Lexer) Next() token.Token {
 		}
 		return token.Token{Kind: token.GT, Text: ">", Pos: pos}
 	}
+	// Not a substring: string(c) converts the byte as a rune, so a
+	// non-ASCII byte shows as its Latin-1 character in diagnostics.
 	l.advance()
 	l.errorf(pos, "illegal character %q", string(c))
 	return token.Token{Kind: token.ILLEGAL, Text: string(c), Pos: pos}
-}
-
-// All scans the entire input and returns the tokens up to and
-// including the terminating EOF token.
-func All(src string) ([]token.Token, []error) {
-	l := New(src)
-	var out []token.Token
-	for {
-		t := l.Next()
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out, l.Errors()
-		}
-	}
 }

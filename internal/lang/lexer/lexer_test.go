@@ -7,8 +7,22 @@ import (
 	"sideeffect/internal/lang/token"
 )
 
+// all scans the entire input and returns the tokens up to and
+// including the terminating EOF token, and the lexical errors.
+func all(src string) ([]token.Token, []error) {
+	l := New(src)
+	var out []token.Token
+	for {
+		t := l.Next()
+		out = append(out, t)
+		if t.Kind == token.EOF {
+			return out, l.Errors()
+		}
+	}
+}
+
 func kinds(src string) []token.Kind {
-	toks, _ := All(src)
+	toks, _ := all(src)
 	out := make([]token.Kind, len(toks))
 	for i, t := range toks {
 		out[i] = t.Kind
@@ -17,7 +31,7 @@ func kinds(src string) []token.Kind {
 }
 
 func TestKeywordsAndIdents(t *testing.T) {
-	toks, errs := All("program foo; proc bar val ref x1 _ignored")
+	toks, errs := all("program foo; proc bar val ref x1 _ignored")
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -54,7 +68,7 @@ func TestOperatorsAndPunct(t *testing.T) {
 }
 
 func TestNumbers(t *testing.T) {
-	toks, errs := All("0 42 123456")
+	toks, errs := all("0 42 123456")
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -66,7 +80,7 @@ func TestNumbers(t *testing.T) {
 }
 
 func TestComments(t *testing.T) {
-	toks, errs := All("x { this is\na comment } y")
+	toks, errs := all("x { this is\na comment } y")
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -79,14 +93,14 @@ func TestComments(t *testing.T) {
 }
 
 func TestUnterminatedComment(t *testing.T) {
-	_, errs := All("x { never closed")
+	_, errs := all("x { never closed")
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "unterminated") {
 		t.Errorf("errs = %v", errs)
 	}
 }
 
 func TestPositions(t *testing.T) {
-	toks, _ := All("a\n  bb\n   c")
+	toks, _ := all("a\n  bb\n   c")
 	wantPos := []token.Pos{{Line: 1, Col: 1}, {Line: 2, Col: 3}, {Line: 3, Col: 4}}
 	for i, p := range wantPos {
 		if toks[i].Pos != p {
@@ -96,7 +110,7 @@ func TestPositions(t *testing.T) {
 }
 
 func TestIllegalChars(t *testing.T) {
-	toks, errs := All("x # y")
+	toks, errs := all("x # y")
 	if len(errs) != 1 {
 		t.Fatalf("errs = %v", errs)
 	}
@@ -106,7 +120,7 @@ func TestIllegalChars(t *testing.T) {
 }
 
 func TestLoneColon(t *testing.T) {
-	toks, errs := All("x : y")
+	toks, errs := all("x : y")
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), ":=") {
 		t.Errorf("errs = %v", errs)
 	}
@@ -116,7 +130,7 @@ func TestLoneColon(t *testing.T) {
 }
 
 func TestAssignVsColon(t *testing.T) {
-	toks, errs := All("x := 1")
+	toks, errs := all("x := 1")
 	if len(errs) != 0 {
 		t.Fatalf("errors: %v", errs)
 	}
@@ -132,5 +146,24 @@ func TestEOFForever(t *testing.T) {
 		if tok := l.Next(); tok.Kind != token.EOF {
 			t.Fatalf("Next after end = %v, want EOF", tok)
 		}
+	}
+}
+
+// TestPunctuationAllocatesNothing: a one-byte token's text is a slice
+// of the source, so scanning punctuation and operators allocates
+// nothing beyond the lexer itself.
+func TestPunctuationAllocatesNothing(t *testing.T) {
+	const src = "( ) [ ] , ; . := * + - / = <> < <= > >= x 42"
+	allocs := testing.AllocsPerRun(20, func() {
+		l := New(src)
+		for l.Next().Kind != token.EOF {
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("lexing %q allocated %.0f times, want at most 1", src, allocs)
+	}
+	toks, _ := all("( ;")
+	if toks[0].Text != "(" || toks[1].Text != ";" {
+		t.Errorf("punctuation texts = %q, %q", toks[0].Text, toks[1].Text)
 	}
 }

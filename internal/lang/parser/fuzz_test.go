@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"sideeffect/internal/lang/lexer"
 	"sideeffect/internal/lang/parser"
 	"sideeffect/internal/lang/sem"
+	"sideeffect/internal/lang/token"
 	"sideeffect/internal/workload"
 )
 
@@ -77,6 +79,14 @@ func TestParseNeverPanicsOnMutatedValidSource(t *testing.T) {
 	}
 }
 
+// lexErrors lexes src to the end and returns its lexical errors.
+func lexErrors(src string) []error {
+	l := lexer.New(src)
+	for l.Next().Kind != token.EOF {
+	}
+	return l.Errors()
+}
+
 // FuzzParse is a native fuzz target (run with `go test -fuzz=FuzzParse
 // ./internal/lang/parser`); in normal test runs it exercises the seed
 // corpus.
@@ -87,10 +97,28 @@ func FuzzParse(f *testing.F) {
 	f.Add("program")
 	f.Add("{")
 	f.Add("program p; begin x := := end.")
+	f.Add("program p; begin x := 1 # end. $ { open")
 	f.Fuzz(func(t *testing.T, src string) {
 		tree, err := parser.Parse(src)
 		if err == nil && tree != nil {
 			_, _ = sem.Analyze(tree)
+		}
+		// Parse's errors begin with every lexical error of src, in order.
+		lexErrs := lexErrors(src)
+		if len(lexErrs) == 0 {
+			return
+		}
+		if err == nil {
+			t.Fatalf("%d lexical errors, Parse returned none", len(lexErrs))
+		}
+		got := err.(interface{ Unwrap() []error }).Unwrap()
+		if len(got) < len(lexErrs) {
+			t.Fatalf("Parse returned %d errors for %d lexical errors", len(got), len(lexErrs))
+		}
+		for i, le := range lexErrs {
+			if got[i].Error() != le.Error() {
+				t.Fatalf("error %d = %q, lexical error %d is %q", i, got[i], i, le)
+			}
 		}
 	})
 }

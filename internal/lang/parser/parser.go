@@ -19,53 +19,60 @@ import (
 
 const maxErrors = 25
 
-// Parser holds parsing state for one source unit.
+// Parser holds parsing state for one source unit. It pulls tokens from
+// the lexer one at a time and holds only the current one.
 type Parser struct {
-	toks []token.Token
-	pos  int
-	errs []error
+	lex  *lexer.Lexer
+	tok  token.Token
+	errs []error // parse errors; the lexer keeps its own
 }
 
 // Parse parses a complete MiniPL program. On any syntax error it
 // returns a non-nil error (the errors joined); the returned Program
 // may still be partially populated for tooling that wants a best
 // effort tree.
+//
+// Every lexical error of src comes first in the error, in source
+// order, then as many parse errors as fit in maxErrors with them. The
+// error budget counts the lexical errors seen so far and the parse
+// errors; once it is spent, parsing stops and the rest of the input is
+// only lexed.
 func Parse(src string) (*ast.Program, error) {
-	toks, lexErrs := lexer.All(src)
-	p := &Parser{toks: toks}
-	p.errs = append(p.errs, lexErrs...)
+	p := &Parser{lex: lexer.New(src)}
+	p.tok = p.lex.Next()
 	prog := p.parseProgram()
-	if len(p.errs) > 0 {
-		return prog, errors.Join(p.errs...)
+	for p.tok.Kind != token.EOF {
+		p.tok = p.lex.Next()
 	}
-	return prog, nil
+	lexErrs := p.lex.Errors()
+	if len(lexErrs)+len(p.errs) == 0 {
+		return prog, nil
+	}
+	keep := max(0, min(len(p.errs), maxErrors-len(lexErrs)))
+	return prog, errors.Join(append(lexErrs, p.errs[:keep]...)...)
 }
 
 type bailout struct{}
 
 func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
-	if len(p.errs) < maxErrors {
+	n := len(p.lex.Errors()) + len(p.errs)
+	if n < maxErrors {
 		p.errs = append(p.errs, fmt.Errorf("%s: parse: %s", pos, fmt.Sprintf(format, args...)))
+		n++
 	}
-	if len(p.errs) >= maxErrors {
+	if n >= maxErrors {
 		panic(bailout{})
 	}
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
-func (p *Parser) peek() token.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *Parser) cur() token.Token { return p.tok }
 
 func (p *Parser) at(k token.Kind) bool { return p.cur().Kind == k }
 
 func (p *Parser) next() token.Token {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != token.EOF {
-		p.pos++
+		p.tok = p.lex.Next()
 	}
 	return t
 }
@@ -254,15 +261,26 @@ func (p *Parser) parseBlock() *ast.Block {
 	return b
 }
 
+// exact returns a heap copy of a list gathered in a frame-local
+// buffer, exactly as long, or nil for an empty list, so growing the
+// list allocates nothing.
+func exact[T any](list []T) []T {
+	if len(list) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(list)), list...)
+}
+
 // parseStmtList parses statements until 'end', 'else', or EOF.
 func (p *Parser) parseStmtList() []ast.Stmt {
-	var out []ast.Stmt
+	var buf [16]ast.Stmt
+	out := buf[:0]
 	for {
 		for p.accept(token.SEMICOLON) {
 		}
 		switch p.cur().Kind {
 		case token.END, token.ELSE, token.UNTIL, token.EOF, token.PERIOD:
-			return out
+			return exact(out)
 		}
 		s := p.parseStmt()
 		if s != nil {
@@ -328,12 +346,15 @@ func (p *Parser) parseCall() ast.Stmt {
 	c.Name = p.expect(token.IDENT).Text
 	p.expect(token.LPAREN)
 	if !p.at(token.RPAREN) {
+		var buf [8]*ast.Arg
+		args := buf[:0]
 		for {
-			c.Args = append(c.Args, p.parseArg())
+			args = append(args, p.parseArg())
 			if !p.accept(token.COMMA) {
 				break
 			}
 		}
+		c.Args = exact(args)
 	}
 	p.expect(token.RPAREN)
 	return c

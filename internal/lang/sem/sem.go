@@ -24,6 +24,7 @@ package sem
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"sideeffect/internal/ir"
 	"sideeffect/internal/lang/ast"
@@ -34,11 +35,7 @@ import (
 // Analyze resolves and lowers a parsed program. On error the returned
 // program is nil and the error joins every diagnostic found.
 func Analyze(prog *ast.Program) (*ir.Program, error) {
-	a := &analyzer{
-		b:       ir.NewBuilder(prog.Name),
-		procs:   make(map[*ast.ProcDecl]*ir.Procedure),
-		globals: make(map[string]*ir.Variable),
-	}
+	a := &analyzer{b: ir.NewBuilder(prog.Name)}
 	a.run(prog)
 	if len(a.errs) > 0 {
 		return nil, errors.Join(a.errs...)
@@ -60,10 +57,8 @@ func AnalyzeSource(src string) (*ir.Program, error) {
 }
 
 type analyzer struct {
-	b       *ir.Builder
-	errs    []error
-	globals map[string]*ir.Variable
-	procs   map[*ast.ProcDecl]*ir.Procedure
+	b    *ir.Builder
+	errs []error
 }
 
 func (a *analyzer) errorf(pos token.Pos, format string, args ...any) {
@@ -101,8 +96,8 @@ func (s *scope) lookupProc(name string) *ir.Procedure {
 
 func (a *analyzer) run(prog *ast.Program) {
 	root := &scope{
-		vars:        make(map[string]*ir.Variable),
-		procsByName: make(map[string]*ir.Procedure),
+		vars:        make(map[string]*ir.Variable, len(prog.Globals)),
+		procsByName: make(map[string]*ir.Procedure, len(prog.Procs)),
 	}
 	for _, g := range prog.Globals {
 		if _, dup := root.vars[g.Name]; dup {
@@ -112,20 +107,21 @@ func (a *analyzer) run(prog *ast.Program) {
 		v := a.b.Global(g.Name, g.Dims...)
 		v.Pos = g.Pos
 		root.vars[g.Name] = v
-		a.globals[g.Name] = v
 	}
-	// Declare all top-level procedures first (forward references).
-	for _, pd := range prog.Procs {
+	// Declare all top-level procedures first (forward references),
+	// then their bodies. decl[i] is prog.Procs[i]'s procedure, nil for
+	// a duplicate.
+	decl := make([]*ir.Procedure, len(prog.Procs))
+	for i, pd := range prog.Procs {
 		if _, dup := root.procsByName[pd.Name]; dup {
 			a.errorf(pd.Pos, "duplicate procedure %q", pd.Name)
 			continue
 		}
-		a.declareProc(pd, nil, root)
+		decl[i] = a.declareProc(pd, nil, root)
 	}
-	// Then their bodies.
-	for _, pd := range prog.Procs {
-		if p, ok := a.procs[pd]; ok {
-			a.procBody(pd, p, root)
+	for i, pd := range prog.Procs {
+		if decl[i] != nil {
+			a.procBody(pd, decl[i], root)
 		}
 	}
 	// Main body executes in the program scope.
@@ -134,10 +130,8 @@ func (a *analyzer) run(prog *ast.Program) {
 	if prog.Body != nil {
 		main.Pos = prog.Body.Pos
 	}
-	mainScope := &scope{parent: root, proc: main,
-		vars:        map[string]*ir.Variable{},
-		procsByName: map[string]*ir.Procedure{},
-	}
+	// The main body declares nothing: its scope's maps stay nil.
+	mainScope := &scope{parent: root, proc: main}
 	if prog.Body != nil {
 		a.block(prog.Body, main, mainScope)
 	}
@@ -146,18 +140,15 @@ func (a *analyzer) run(prog *ast.Program) {
 // declareProc creates the ir.Procedure and its formal parameters (the
 // header), so that calls from siblings declared earlier in the same
 // scope resolve with the right arity before pd's own body is visited.
-func (a *analyzer) declareProc(pd *ast.ProcDecl, parent *ir.Procedure, enclosing *scope) {
+func (a *analyzer) declareProc(pd *ast.ProcDecl, parent *ir.Procedure, enclosing *scope) *ir.Procedure {
 	p := a.b.Proc(pd.Name, parent)
 	p.Pos = pd.Pos
-	a.procs[pd] = p
 	enclosing.procsByName[pd.Name] = p
-	seen := make(map[string]bool)
 	for _, prm := range pd.Params {
-		if seen[prm.Name] {
+		if slices.ContainsFunc(p.Formals, func(f *ir.Variable) bool { return f.Name == prm.Name }) {
 			a.errorf(prm.Pos, "duplicate parameter %q in %s", prm.Name, pd.Name)
 			continue
 		}
-		seen[prm.Name] = true
 		kind := ir.FormalRef
 		if prm.Mode == ast.ByVal {
 			kind = ir.FormalVal
@@ -168,13 +159,14 @@ func (a *analyzer) declareProc(pd *ast.ProcDecl, parent *ir.Procedure, enclosing
 		v := a.b.Formal(p, prm.Name, kind, prm.Rank)
 		v.Pos = prm.Pos
 	}
+	return p
 }
 
 // procBody resolves the declarations and statements of pd.
 func (a *analyzer) procBody(pd *ast.ProcDecl, p *ir.Procedure, enclosing *scope) {
 	sc := &scope{parent: enclosing, proc: p,
-		vars:        make(map[string]*ir.Variable),
-		procsByName: make(map[string]*ir.Procedure),
+		vars:        make(map[string]*ir.Variable, len(p.Formals)+len(pd.Locals)),
+		procsByName: make(map[string]*ir.Procedure, 1+len(pd.Nested)),
 	}
 	sc.procsByName[pd.Name] = p // direct recursion
 	for _, v := range p.Formals {
@@ -189,16 +181,17 @@ func (a *analyzer) procBody(pd *ast.ProcDecl, p *ir.Procedure, enclosing *scope)
 		v.Pos = ld.Pos
 		sc.vars[ld.Name] = v
 	}
-	for _, nd := range pd.Nested {
+	decl := make([]*ir.Procedure, len(pd.Nested))
+	for i, nd := range pd.Nested {
 		if _, dup := sc.procsByName[nd.Name]; dup && nd.Name != pd.Name {
 			a.errorf(nd.Pos, "duplicate nested procedure %q in %s", nd.Name, pd.Name)
 			continue
 		}
-		a.declareProc(nd, p, sc)
+		decl[i] = a.declareProc(nd, p, sc)
 	}
-	for _, nd := range pd.Nested {
-		if np, ok := a.procs[nd]; ok {
-			a.procBody(nd, np, sc)
+	for i, nd := range pd.Nested {
+		if decl[i] != nil {
+			a.procBody(nd, decl[i], sc)
 		}
 	}
 	if pd.Body != nil {

@@ -90,14 +90,60 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Keywords maps keyword spellings to their kinds.
-var Keywords = map[string]Kind{
-	"program": PROGRAM, "global": GLOBAL, "proc": PROC, "var": VAR,
-	"ref": REF, "val": VAL, "begin": BEGIN, "end": END, "call": CALL,
-	"if": IF, "then": THEN, "else": ELSE, "while": WHILE, "do": DO,
-	"for": FOR, "to": TO, "repeat": REPEAT, "until": UNTIL,
-	"read": READ, "write": WRITE,
-	"and": AND, "or": OR, "not": NOT,
+// Lookup returns the kind of the keyword spelled s, or IDENT when s
+// is not a keyword. It is a switch rather than a map because the lexer
+// asks it about every identifier: the compiled switch compares lengths
+// first and hashes nothing.
+func Lookup(s string) Kind {
+	switch s {
+	case "program":
+		return PROGRAM
+	case "global":
+		return GLOBAL
+	case "proc":
+		return PROC
+	case "var":
+		return VAR
+	case "ref":
+		return REF
+	case "val":
+		return VAL
+	case "begin":
+		return BEGIN
+	case "end":
+		return END
+	case "call":
+		return CALL
+	case "if":
+		return IF
+	case "then":
+		return THEN
+	case "else":
+		return ELSE
+	case "while":
+		return WHILE
+	case "do":
+		return DO
+	case "for":
+		return FOR
+	case "to":
+		return TO
+	case "repeat":
+		return REPEAT
+	case "until":
+		return UNTIL
+	case "read":
+		return READ
+	case "write":
+		return WRITE
+	case "and":
+		return AND
+	case "or":
+		return OR
+	case "not":
+		return NOT
+	}
+	return IDENT
 }
 
 // Pos is a source position (1-based line and column).

@@ -115,7 +115,7 @@ var metaIdent = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 func renameIdents(src string) (string, map[string]string) {
 	names := make(map[string]string)
 	out := metaIdent.ReplaceAllStringFunc(src, func(id string) string {
-		if _, kw := token.Keywords[id]; kw {
+		if token.Lookup(id) != token.IDENT {
 			return id
 		}
 		r, ok := names[id]

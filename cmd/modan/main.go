@@ -131,7 +131,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		show(*gmod, func() string { return report.Summaries(a.Mod, a.Use) })
 		show(*rmod, func() string { return report.RMODTable(a.Mod) })
 		show(*aliases, func() string { return report.Aliases(a.Aliases) })
-		show(*sites, func() string { return report.CallSites(a.Mod, a.Use, a.Aliases) })
+		show(*sites, func() string { return report.CallSites(a.Prog, a.ModSets, a.UseSets) })
 		show(*sections, func() string { return report.Sections(a.SecMod) })
 		if !any {
 			fmt.Fprint(w, a.Report())
@@ -245,7 +245,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *asJSON {
-		jr := report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod)
+		jr := a.JSONReport()
 		if a.Stages != nil {
 			jr.Stages = a.Stages.Snapshot()
 		}

@@ -42,12 +42,12 @@ func TestReportersDeterministic(t *testing.T) {
 			t.Errorf("%s: Report not deterministic across runs", name)
 		}
 		// Each renderer run twice on each result: all four byte-equal.
-		j11, err := report.JSON(a1.Mod, a1.Use, a1.Aliases, a1.SecMod)
+		j11, err := a1.JSONReport().Render()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		j12, _ := report.JSON(a1.Mod, a1.Use, a1.Aliases, a1.SecMod)
-		j21, _ := report.JSON(a2.Mod, a2.Use, a2.Aliases, a2.SecMod)
+		j12, _ := a1.JSONReport().Render()
+		j21, _ := a2.JSONReport().Render()
 		if j11 != j12 {
 			t.Errorf("%s: JSON differs between two renders of one result", name)
 		}

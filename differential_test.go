@@ -8,7 +8,6 @@ import (
 	"sideeffect/internal/baseline"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
-	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -99,11 +98,11 @@ func TestSequentialParallelIdentical(t *testing.T) {
 		if s, p := seq.Report(), par.Report(); s != p {
 			t.Errorf("%s: sequential and parallel reports differ:\n--- seq\n%s\n--- par\n%s", name, s, p)
 		}
-		sj, err := report.JSON(seq.Mod, seq.Use, seq.Aliases, seq.SecMod)
+		sj, err := seq.JSONReport().Render()
 		if err != nil {
 			t.Fatalf("%s: json: %v", name, err)
 		}
-		pj, err := report.JSON(par.Mod, par.Use, par.Aliases, par.SecMod)
+		pj, err := par.JSONReport().Render()
 		if err != nil {
 			t.Fatalf("%s: json: %v", name, err)
 		}

@@ -91,7 +91,7 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		_ = seq.Report()
 		_ = seq.CallSites()
-		if _, err := report.JSON(seq.Mod, seq.Use, seq.Aliases, seq.SecMod); err != nil {
+		if _, err := seq.JSONReport().Render(); err != nil {
 			t.Fatalf("JSON rendering failed: %v", err)
 		}
 		par, err := AnalyzeWith(src, Options{Workers: 4})

@@ -10,7 +10,6 @@ import (
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/ir"
 	"sideeffect/internal/lint"
-	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -302,7 +301,7 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 				t.Fatalf("seed %d step %d: fresh analyze: %v", seed, step, err)
 			}
 			wantText := fresh.Report()
-			wantJSON, err := report.JSON(fresh.Mod, fresh.Use, fresh.Aliases, fresh.SecMod)
+			wantJSON, err := fresh.JSONReport().Render()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,7 +321,7 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 				if got := a.Report(); got != wantText {
 					t.Fatalf("seed %d step %d %s: session text report diverged from fresh analysis", seed, step, name)
 				}
-				got, err := report.JSON(a.Mod, a.Use, a.Aliases, a.SecMod)
+				got, err := a.JSONReport().Render()
 				if err != nil {
 					t.Fatal(err)
 				}

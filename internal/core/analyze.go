@@ -211,21 +211,31 @@ func computeDMOD(prog *ir.Program, rmod *RMOD, gmod []*bitset.Set, facts *Facts,
 
 // dmodRow evaluates equation (2) at one call site, in a row carved from
 // ar (nil: the heap). A DMOD row accumulates a whole callee's
-// projection, so it is dense at universe width from the start.
+// projection, so it is dense, and it is as wide as what it can hold:
+// the callee's GMOD row and the highest actual the site adds (a
+// by-reference actual bound to an RMOD formal, and for Use every
+// argument's uses). Up to arena.DenseRowBits the GMOD row spans the
+// universe, and so does the DMOD row.
 func dmodRow(cs *ir.CallSite, rmod *RMOD, gmod []*bitset.Set, facts *Facts, ar *arena.Arena) *bitset.Set {
-	d := ar.Dense(facts.Prog.NumVars())
 	q := cs.Callee
-	// b_e over non-locals: GMOD(q) ∖ LOCAL(q).
-	d.UnionDiffWith(gmod[q.ID], facts.Local[q.ID])
-	for i, a := range cs.Args {
-		if facts.Kind == Use {
-			for _, u := range a.Uses {
-				d.Add(u.ID)
+	// actuals calls f on each variable the site adds to b_e(GMOD(q)).
+	actuals := func(f func(id int)) {
+		for i, a := range cs.Args {
+			if facts.Kind == Use {
+				for _, u := range a.Uses {
+					f(u.ID)
+				}
+			}
+			if a.Mode == ir.FormalRef && a.Var != nil && rmod.Of(q.Formals[i]) {
+				f(a.Var.ID)
 			}
 		}
-		if a.Mode == ir.FormalRef && a.Var != nil && rmod.Of(q.Formals[i]) {
-			d.Add(a.Var.ID)
-		}
 	}
+	nbits := gmod[q.ID].Words() * 64
+	actuals(func(id int) { nbits = max(nbits, id+1) })
+	d := ar.Dense(nbits)
+	// b_e over non-locals: GMOD(q) ∖ LOCAL(q).
+	d.UnionDiffWith(gmod[q.ID], facts.Local[q.ID])
+	actuals(d.Add)
 	return d
 }

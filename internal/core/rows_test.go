@@ -10,6 +10,7 @@ import (
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/callgraph"
 	"sideeffect/internal/core"
+	"sideeffect/internal/ir"
 	"sideeffect/internal/workload"
 )
 
@@ -87,12 +88,16 @@ func sameRows(t *testing.T, what string, got, want []*bitset.Set) {
 	}
 }
 
-// TestResultRowRepresentation pins arena.Row's rule on Analyze's rows.
-// At or below DenseRowBits every row is dense at universe width. Above
-// it a copied row keeps its source's representation, so every copied
-// row (facts, LOCAL, IMOD+, GMOD) that holds at most SparseMax elements
-// is still sparse. DMOD rows, and the alias-factored rows that copy
-// them, are dense at universe width on both sides.
+// TestResultRowRepresentation pins arena.Row's rule on Analyze's rows
+// and the width rule of DMOD and factored rows. At or below
+// DenseRowBits every row is dense at universe width. Above it a copied
+// row keeps its source's representation, so every copied row (facts,
+// LOCAL, IMOD+, GMOD) that holds at most SparseMax elements is still
+// sparse; a DMOD row is dense and no wider than the callee's GMOD row
+// or the highest actual the site adds; and an alias-factored row is
+// the DMOD row itself exactly where ALIAS(caller) adds no name to it,
+// and otherwise a distinct row that holds it. Every case above the
+// threshold has factored rows of both kinds.
 func TestResultRowRepresentation(t *testing.T) {
 	forEachRowCase(t, func(t *testing.T, r *core.Result) {
 		nvars := r.Prog.NumVars()
@@ -111,16 +116,66 @@ func TestResultRowRepresentation(t *testing.T) {
 				}
 			}
 		}
-		factored := alias.Compute(r.Prog).FactorArena(r.DMOD, r.Arena, nil, nil)
-		for what, rows := range map[string][]*bitset.Set{"DMOD": r.DMOD, "factored": factored} {
-			for i, s := range rows {
-				if s.IsSparse() || s.Words() != width {
-					t.Errorf("%s[%d] over %d vars: sparse=%v words=%d, want dense at %d words",
-						what, i, nvars, s.IsSparse(), s.Words(), width)
+		aliases := alias.Compute(r.Prog)
+		factored := aliases.FactorArena(r.DMOD, r.Arena, nil, nil)
+		if small {
+			for what, rows := range map[string][]*bitset.Set{"DMOD": r.DMOD, "factored": factored} {
+				for i, s := range rows {
+					if s.IsSparse() || s.Words() != width {
+						t.Errorf("%s[%d] over %d vars: sparse=%v words=%d, want dense at %d words",
+							what, i, nvars, s.IsSparse(), s.Words(), width)
+					}
 				}
 			}
+			return
+		}
+		shared, copied := 0, 0
+		for _, cs := range r.Prog.Sites {
+			d, f := r.DMOD[cs.ID], factored[cs.ID]
+			if bound := dmodWords(r, cs); d.IsSparse() || d.Words() > bound {
+				t.Errorf("DMOD[%d] over %d vars: sparse=%v words=%d, want dense within %d words",
+					cs.ID, nvars, d.IsSparse(), d.Words(), bound)
+			}
+			adds := false
+			for _, pr := range aliases.Pairs(cs.Caller) {
+				adds = adds || d.Has(pr.X) != d.Has(pr.Y)
+			}
+			switch {
+			case f == d:
+				shared++
+				if adds {
+					t.Errorf("factored[%d] is the DMOD row, but ALIAS(%s) adds to it", cs.ID, cs.Caller.Name)
+				}
+			case !adds:
+				t.Errorf("factored[%d] is a copy, but ALIAS(%s) adds nothing to the DMOD row", cs.ID, cs.Caller.Name)
+			case !d.SubsetOf(f) || f.Equal(d):
+				t.Errorf("factored[%d] = %v, want a strict superset of DMOD %v", cs.ID, f, d)
+			default:
+				copied++
+			}
+		}
+		if shared == 0 || copied == 0 {
+			t.Errorf("%d factored rows are DMOD rows and %d are copies; want some of each", shared, copied)
 		}
 	})
+}
+
+// dmodWords is the width bound of DMOD(s), in words: the callee's GMOD
+// row, or the highest variable the site adds on its own (a by-reference
+// actual bound to an RMOD formal, and for Use every argument's uses).
+func dmodWords(r *core.Result, cs *ir.CallSite) int {
+	top := -1
+	for i, a := range cs.Args {
+		if r.Kind == core.Use {
+			for _, u := range a.Uses {
+				top = max(top, u.ID)
+			}
+		}
+		if a.Mode == ir.FormalRef && a.Var != nil && r.RMOD.Of(cs.Callee.Formals[i]) {
+			top = max(top, a.Var.ID)
+		}
+	}
+	return max(r.GMOD[cs.Callee.ID].Words(), (top+64)/64)
 }
 
 // TestArenaResultsIndependent: sets carved from the same arena must

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"sideeffect/internal/alias"
+	"sideeffect/internal/bitset"
 	"sideeffect/internal/core"
 	"sideeffect/internal/prof"
 	"sideeffect/internal/section"
@@ -59,18 +60,26 @@ type JSONCallSite struct {
 	Sections []string `json:"sections,omitempty"`
 }
 
-// BuildJSON assembles the report structure. mod and use must be the
-// two problem results for the same program; aliases and secMod may be
-// nil (the corresponding fields are then omitted and MOD/USE are the
-// unfactored DMOD/DUSE).
+// BuildJSON is BuildJSONSets for a caller that holds only the two
+// problem results: it factors their DMOD rows through aliases, or
+// prints the DMOD rows themselves when aliases is nil. An analysis
+// holds its factored rows already (sideeffect.Analysis.JSONReport).
 func BuildJSON(mod, use *core.Result, aliases *alias.Analysis, secMod *section.Result) *JSONReport {
-	prog := mod.Prog
-	r := &JSONReport{Program: prog.Name}
 	modSets, useSets := mod.DMOD, use.DMOD
 	if aliases != nil {
-		modSets = aliases.Factor(mod.DMOD)
-		useSets = aliases.Factor(use.DMOD)
+		modSets, useSets = aliases.Factor(mod.DMOD), aliases.Factor(use.DMOD)
 	}
+	return BuildJSONSets(mod, use, aliases, secMod, modSets, useSets)
+}
+
+// BuildJSONSets assembles the report structure. mod and use must be
+// the two problem results for the same program, and modSets and
+// useSets the final per-call-site sets, indexed by call-site ID;
+// aliases and secMod may be nil (the corresponding fields are then
+// omitted).
+func BuildJSONSets(mod, use *core.Result, aliases *alias.Analysis, secMod *section.Result, modSets, useSets []*bitset.Set) *JSONReport {
+	prog := mod.Prog
+	r := &JSONReport{Program: prog.Name}
 	for _, p := range prog.Procs {
 		jp := JSONProcedure{
 			Name:  p.Name,
@@ -117,9 +126,4 @@ func BuildJSON(mod, use *core.Result, aliases *alias.Analysis, secMod *section.R
 		r.CallSites = append(r.CallSites, jc)
 	}
 	return r
-}
-
-// JSON renders the report as indented JSON.
-func JSON(mod, use *core.Result, aliases *alias.Analysis, secMod *section.Result) (string, error) {
-	return BuildJSON(mod, use, aliases, secMod).Render()
 }

@@ -110,15 +110,9 @@ func rmodRows(mod *core.Result) [][]string {
 	return rows
 }
 
-// callSiteRows is the per-call-site MOD and USE table, alias-factored
-// when aliases is non-nil.
-func callSiteRows(mod, use *core.Result, aliases *alias.Analysis) [][]string {
-	prog := mod.Prog
-	modSets, useSets := mod.DMOD, use.DMOD
-	if aliases != nil {
-		modSets = aliases.Factor(mod.DMOD)
-		useSets = aliases.Factor(use.DMOD)
-	}
+// callSiteRows is the per-call-site MOD and USE table of the final
+// sets, indexed by call-site ID.
+func callSiteRows(prog *ir.Program, modSets, useSets []*bitset.Set) [][]string {
 	rows := [][]string{{"call site", "at", "MOD", "USE"}}
 	for _, cs := range prog.Sites {
 		rows = append(rows, []string{
@@ -187,10 +181,10 @@ func Summaries(mod, use *core.Result) string { return Table(summaryRows(mod, use
 // RMODTable renders the reference-formal-parameter solution.
 func RMODTable(mod *core.Result) string { return Table(rmodRows(mod)) }
 
-// CallSites renders the per-call-site MOD and USE sets (after alias
-// factoring when aliases is non-nil).
-func CallSites(mod, use *core.Result, aliases *alias.Analysis) string {
-	return Table(callSiteRows(mod, use, aliases))
+// CallSites renders the per-call-site MOD and USE sets, indexed by
+// call-site ID (an analysis's alias-factored sets, or DMOD rows).
+func CallSites(prog *ir.Program, modSets, useSets []*bitset.Set) string {
+	return Table(callSiteRows(prog, modSets, useSets))
 }
 
 // Sections renders the regular-section refinement per call site: for
@@ -205,8 +199,9 @@ func Aliases(a *alias.Analysis) string {
 }
 
 // Full renders the complete report for a program, every table written
-// into one builder.
-func Full(mod, use *core.Result, aliases *alias.Analysis, secMod *section.Result) string {
+// into one builder. modSets and useSets are the final per-call-site
+// sets, indexed by call-site ID.
+func Full(mod, use *core.Result, aliases *alias.Analysis, secMod *section.Result, modSets, useSets []*bitset.Set) string {
 	prog := mod.Prog
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %s: %d procedures, %d call sites, %d variables (%d global)\n\n",
@@ -218,7 +213,7 @@ func Full(mod, use *core.Result, aliases *alias.Analysis, secMod *section.Result
 	b.WriteString("\n== Alias pairs ==\n")
 	writeAliases(&b, aliases)
 	b.WriteString("\n== Call sites ==\n")
-	writeTable(&b, callSiteRows(mod, use, aliases))
+	writeTable(&b, callSiteRows(prog, modSets, useSets))
 	if secMod != nil {
 		b.WriteString("\n== Regular sections (MOD) ==\n")
 		writeTable(&b, sectionRows(secMod))

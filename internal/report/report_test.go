@@ -108,9 +108,9 @@ func TestRMODTable(t *testing.T) {
 }
 
 func TestCallSitesWithAndWithoutAliases(t *testing.T) {
-	_, mod, use, al, _ := results(t)
-	plain := CallSites(mod, use, nil)
-	factored := CallSites(mod, use, al)
+	prog, mod, use, al, _ := results(t)
+	plain := CallSites(prog, mod.DMOD, use.DMOD)
+	factored := CallSites(prog, al.Factor(mod.DMOD), al.Factor(use.DMOD))
 	if !strings.Contains(plain, "touch") {
 		t.Errorf("CallSites:\n%s", plain)
 	}
@@ -146,7 +146,8 @@ func TestAliasesTable(t *testing.T) {
 
 func TestFull(t *testing.T) {
 	_, mod, use, al, sec := results(t)
-	out := Full(mod, use, al, sec)
+	modSets, useSets := al.Factor(mod.DMOD), al.Factor(use.DMOD)
+	out := Full(mod, use, al, sec, modSets, useSets)
 	for _, want := range []string{
 		"program rpt:", "Interprocedural summaries", "Reference formal",
 		"Alias pairs", "Call sites", "Regular sections",
@@ -156,7 +157,7 @@ func TestFull(t *testing.T) {
 		}
 	}
 	// Without sections.
-	out = Full(mod, use, al, nil)
+	out = Full(mod, use, al, nil, modSets, useSets)
 	if strings.Contains(out, "Regular sections") {
 		t.Error("Full(nil sections) should omit the section table")
 	}
@@ -200,7 +201,7 @@ func TestDotBinding(t *testing.T) {
 
 func TestJSON(t *testing.T) {
 	_, mod, use, al, sec := results(t)
-	out, err := JSON(mod, use, al, sec)
+	out, err := BuildJSON(mod, use, al, sec).Render()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestJSON(t *testing.T) {
 		t.Error("JSON missing section A(*, 2)")
 	}
 	// Nil aliases/sections: fields omitted, MOD falls back to DMOD.
-	out2, err := JSON(mod, use, nil, nil)
+	out2, err := BuildJSON(mod, use, nil, nil).Render()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"sideeffect"
-	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -69,7 +68,7 @@ func chaosGroundTruth(t *testing.T, src string) (any, []string, map[string][]str
 	if err != nil {
 		t.Fatalf("ground truth: %v", err)
 	}
-	raw, err := json.Marshal(report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod))
+	raw, err := json.Marshal(a.JSONReport())
 	if err != nil {
 		t.Fatal(err)
 	}

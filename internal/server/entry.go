@@ -70,7 +70,7 @@ type cached struct {
 // full-report body. pkg is the Go frontend's package, whose confidence
 // notes and table the entry keeps (nil for MiniPL).
 func newCached(a *sideeffect.Analysis, lang string, pkg *gofront.Package) (*cached, error) {
-	doc, err := json.Marshal(report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod))
+	doc, err := json.Marshal(a.JSONReport())
 	if err != nil {
 		return nil, fmt.Errorf("render report: %w", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sideeffect"
-	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
 )
 
@@ -608,7 +607,7 @@ func TestSessionDifferentialHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantJSON, err := report.JSON(fresh.Mod, fresh.Use, fresh.Aliases, fresh.SecMod)
+		wantJSON, err := fresh.JSONReport().Render()
 		if err != nil {
 			t.Fatal(err)
 		}

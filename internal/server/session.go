@@ -182,7 +182,7 @@ func (s *session) state(mode string, includeReport bool) sessionState {
 		Mode:             mode,
 	}
 	if includeReport {
-		st.Report = report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod)
+		st.Report = a.JSONReport()
 	}
 	return st
 }

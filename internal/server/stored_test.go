@@ -89,7 +89,7 @@ func newStoredFixture(t *testing.T, src, lang string) *storedFixture {
 		}
 		f.a, f.key = a, cache.Key(src)
 	}
-	jr := report.BuildJSON(f.a.Mod, f.a.Use, f.a.Aliases, f.a.SecMod)
+	jr := f.a.JSONReport()
 	f.cases = append(f.cases, storedCase{"analyze", "/analyze", analyzeRequest{Source: src, Lang: lang},
 		func(hit bool) any { return analyzeResponse{Hash: f.key, Cached: hit, Report: jr, Notes: f.notes} }})
 	for _, l := range []struct {
@@ -311,7 +311,7 @@ func TestBatchStoredReportsMatchEncoder(t *testing.T) {
 				continue
 			}
 			a := res.Analysis
-			out[i].Report = report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod)
+			out[i].Report = a.JSONReport()
 		}
 		return encodeRef(t, map[string][]refBatchEntry{"results": out})
 	}

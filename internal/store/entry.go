@@ -9,7 +9,6 @@ import (
 	"sideeffect/internal/cache"
 	"sideeffect/internal/gofront"
 	"sideeffect/internal/lint"
-	"sideeffect/internal/report"
 )
 
 // Key is the serving cache's content address for src under lang, the
@@ -72,7 +71,7 @@ type EntrySnapshot struct {
 // the given cache key. notes and conf are the Go frontend's
 // confidence data (nil/"" for MiniPL). The analysis is only read.
 func BuildEntry(a *sideeffect.Analysis, key, lang string, notes []gofront.Note, conf string) (*EntrySnapshot, error) {
-	jr := report.BuildJSON(a.Mod, a.Use, a.Aliases, a.SecMod)
+	jr := a.JSONReport()
 	data, err := json.Marshal(jr)
 	if err != nil {
 		return nil, fmt.Errorf("store: render report: %w", err)

@@ -80,7 +80,9 @@ type Analysis struct {
 	// SecMod and SecUse are the Section 6 regular-section results.
 	SecMod, SecUse *section.Result
 	// ModSets and UseSets are the final per-call-site answers,
-	// DMOD/DUSE extended with aliases (equation (2) + Section 5).
+	// DMOD/DUSE extended with aliases (equation (2) + Section 5). Where
+	// aliasing adds nothing to a site, its row is the DMOD/DUSE row
+	// itself. Like every result row, they are read-only.
 	ModSets, UseSets []*bitset.Set
 	// Stages holds the per-stage profile when the analysis ran with
 	// Options.Profile; nil otherwise. Stage names are hierarchical:
@@ -240,5 +242,11 @@ func (a *Analysis) CallSites() []CallSite {
 
 // Report renders the complete human-readable analysis report.
 func (a *Analysis) Report() string {
-	return report.Full(a.Mod, a.Use, a.Aliases, a.SecMod)
+	return report.Full(a.Mod, a.Use, a.Aliases, a.SecMod, a.ModSets, a.UseSets)
+}
+
+// JSONReport assembles the machine-readable report of the analysis,
+// with its own factored sets as the call sites' MOD and USE.
+func (a *Analysis) JSONReport() *report.JSONReport {
+	return report.BuildJSONSets(a.Mod, a.Use, a.Aliases, a.SecMod, a.ModSets, a.UseSets)
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,9 +21,13 @@ func init() {
 	)
 }
 
-// lintBenchRecord is one row of BENCH_lint.json. The per-rule times are
-// means over the lint runs timeIt samples, its warm-ups left out, from
-// the engine's own profile; the lint time is their median.
+// lintBenchRecord is one row of BENCH_lint.json. The per-rule, order
+// and render times are means over the lint runs timeIt samples, its
+// warm-ups left out, from the engine's own profile; the lint time is
+// their median. The rules' stages only report records: rendering is
+// the render stage's. The query time is the median over fresh analyses
+// of 64 MOD queries, which includes building the program's name order
+// where the queries pay for it.
 type lintBenchRecord struct {
 	Name           string         `json:"name"`
 	Procs          int            `json:"procs"`
@@ -29,6 +35,9 @@ type lintBenchRecord struct {
 	LintNsPerOp    int64          `json:"lint_ns_per_op"`
 	SE003NsPerOp   int64          `json:"se003_ns_per_op"`
 	SE005NsPerOp   int64          `json:"se005_ns_per_op"`
+	OrderNsPerOp   int64          `json:"order_ns_per_op"`
+	RenderNsPerOp  int64          `json:"render_ns_per_op"`
+	QueriesNsPerOp int64          `json:"mod_queries_ns_per_op"`
 	OverheadPct    float64        `json:"overhead_pct"`
 	Findings       int            `json:"findings"`
 	Counts         map[string]int `json:"counts"`
@@ -56,14 +65,44 @@ func compactCounts(counts map[string]int) string {
 	return strings.Join(parts, " ")
 }
 
-// ruleNS returns the mean time per run of one rule in a lint profile.
-func ruleNS(p *prof.Profile, id string) int64 {
+// stageNS returns the mean time per run of one lint stage ("SE003",
+// "order", "render") in a lint profile.
+func stageNS(p *prof.Profile, stage string) int64 {
 	for _, st := range p.Snapshot() {
-		if st.Name == "lint."+id {
+		if st.Name == "lint."+stage {
 			return st.NS / st.Count
 		}
 	}
 	return 0
+}
+
+// modQueries is the number of MOD queries timed per row, as many as the
+// repository benchmark's minipl-large op asks of each program.
+const modQueries = 64
+
+// queryTime returns the median time of modQueries MOD queries of
+// procedures drawn at random, each sample on a fresh analysis of src.
+func queryTime(src string) time.Duration {
+	var samples []time.Duration
+	for i := 0; i < timeItWarmups+5; i++ {
+		a, err := sideeffect.AnalyzeWith(src, sideeffect.Options{Workers: 1})
+		if err != nil {
+			panic(err)
+		}
+		procs := a.Procedures()
+		rng := rand.New(rand.NewSource(int64(len(procs))))
+		start := time.Now()
+		for q := 0; q < modQueries; q++ {
+			if _, err := a.MOD(procs[rng.Intn(len(procs))]); err != nil {
+				panic(err)
+			}
+		}
+		if i >= timeItWarmups {
+			samples = append(samples, time.Since(start))
+		}
+	}
+	slices.Sort(samples)
+	return samples[len(samples)/2]
 }
 
 // expE15 measures the diagnostics engine against the pipeline it rides
@@ -83,7 +122,7 @@ func expE15(quick bool) {
 	}
 
 	var records []lintBenchRecord
-	rows := [][]string{{"workload", "procs", "analyze", "lint", "SE003", "SE005", "overhead", "findings", "per-finding", "per-rule"}}
+	rows := [][]string{{"workload", "procs", "analyze", "lint", "SE003", "SE005", "order", "render", "64 MOD", "overhead", "findings", "per-finding", "per-rule"}}
 	addRow := func(name string, procs int, src string) {
 		a, err := sideeffect.AnalyzeWith(src, sideeffect.Options{Workers: 1})
 		if err != nil {
@@ -103,7 +142,9 @@ func expE15(quick bool) {
 		if err != nil {
 			panic(err)
 		}
-		se003, se005 := ruleNS(lp, "SE003"), ruleNS(lp, "SE005")
+		se003, se005 := stageNS(lp, "SE003"), stageNS(lp, "SE005")
+		order, render := stageNS(lp, "order"), stageNS(lp, "render")
+		queries := queryTime(src)
 		overhead := 100 * float64(lintTime) / float64(analyze)
 		perFinding := "—"
 		if n := len(rep.Diags); n > 0 {
@@ -111,12 +152,14 @@ func expE15(quick bool) {
 		}
 		rows = append(rows, []string{
 			name, fmt.Sprint(procs), dur(analyze), dur(lintTime), dur(time.Duration(se003)), dur(time.Duration(se005)),
+			dur(time.Duration(order)), dur(time.Duration(render)), dur(queries),
 			f2(overhead) + "%", fmt.Sprint(len(rep.Diags)), perFinding, compactCounts(rep.Counts),
 		})
 		records = append(records, lintBenchRecord{
 			Name: name, Procs: procs,
 			AnalyzeNsPerOp: analyze.Nanoseconds(), LintNsPerOp: lintTime.Nanoseconds(),
 			SE003NsPerOp: se003, SE005NsPerOp: se005,
+			OrderNsPerOp: order, RenderNsPerOp: render, QueriesNsPerOp: queries.Nanoseconds(),
 			OverheadPct: overhead, Findings: len(rep.Diags), Counts: rep.Counts,
 		})
 	}

@@ -65,7 +65,8 @@ func TestE15LintOverhead(t *testing.T) {
 		}
 	}
 	// Every row with alias hazards has a time for SE003 from the
-	// profile of the sampled runs.
+	// profile of the sampled runs, every row with findings one for the
+	// engine's order and render stages, and every row a query time.
 	data, err := os.ReadFile("BENCH_lint.json")
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +78,12 @@ func TestE15LintOverhead(t *testing.T) {
 	for _, r := range doc.Records {
 		if r.Counts["SE003"] > 0 && r.SE003NsPerOp <= 0 {
 			t.Errorf("row %q: %d SE003 findings but se003_ns_per_op = %d", r.Name, r.Counts["SE003"], r.SE003NsPerOp)
+		}
+		if r.Findings > 0 && (r.OrderNsPerOp <= 0 || r.RenderNsPerOp <= 0) {
+			t.Errorf("row %q: %d findings but order_ns_per_op = %d, render_ns_per_op = %d", r.Name, r.Findings, r.OrderNsPerOp, r.RenderNsPerOp)
+		}
+		if r.QueriesNsPerOp <= 0 {
+			t.Errorf("row %q: mod_queries_ns_per_op = %d", r.Name, r.QueriesNsPerOp)
 		}
 	}
 }

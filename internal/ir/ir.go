@@ -272,6 +272,8 @@ type Program struct {
 	// Loops are the counted loops with calls in their bodies, in
 	// program order (outer loops precede the loops they contain).
 	Loops []*Loop
+
+	names names // see NameOrder
 }
 
 // NumVars returns the size of the variable universe (bit-vector

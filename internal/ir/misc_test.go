@@ -122,3 +122,47 @@ func TestValidateCatchesSubscriptArity(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// TestNameOrder checks the ranks against string order, that equal
+// names share a rank, the space check, and the build rule: the order
+// waits until the sorts asked for cost as much as ranking every
+// variable.
+func TestNameOrder(t *testing.T) {
+	b := NewBuilder("names")
+	for _, g := range []string{"b", "a", "p.x", "a b"} {
+		b.Global(g)
+	}
+	p := b.Proc("p", nil)
+	b.Local(p, "x")
+	b.Local(p, "a")
+	prog := b.MustFinish()
+	if o := prog.NameOrder(1); o != nil {
+		t.Fatal("one small sort built the order")
+	}
+	o := prog.NameOrder(len(prog.Vars))
+	if o == nil {
+		t.Fatal("a sort as large as the program did not build the order")
+	}
+	for i, v := range prog.Vars {
+		for j, w := range prog.Vars {
+			if got, want := o.Rank(i) < o.Rank(j), v.String() < w.String(); got != want {
+				t.Errorf("Rank(%q) < Rank(%q) = %v", v, w, got)
+			}
+			if got, want := o.PlainRank(i) == o.PlainRank(j), v.Name == w.Name; got != want {
+				t.Errorf("PlainRank(%q) == PlainRank(%q) = %v", v.Name, w.Name, got)
+			}
+			if got, want := o.Position(i) < o.Position(j), v.String() < w.String() || v.String() == w.String() && i < j; got != want {
+				t.Errorf("Position(%q) < Position(%q) = %v", v, w, got)
+			}
+		}
+		if o.At(o.Position(i)) != v.String() {
+			t.Errorf("At(Position(%d)) = %q, want %q", i, o.At(o.Position(i)), v)
+		}
+	}
+	if o.SpaceFree() {
+		t.Error(`SpaceFree with a global named "a b"`)
+	}
+	if prog.NameOrder(0) != o {
+		t.Error("the order was built twice")
+	}
+}

@@ -20,11 +20,21 @@
 // Once the summaries exist, a question should cost what the paper's
 // solver costs: one Run takes O(N+S) bit-vector steps, for N
 // procedures and S call sites, plus O(1) work per scanned alias pair
-// and per finding, and an O(F log F) sort of the F findings. Per rule:
+// and per finding. The rules report compact records (a position, the
+// rule, the IDs to render from and a tie key); the engine orders the F
+// records by integer keys in O(F + lines + V), for V variables, with
+// one stable counting sort per key (stage "lint.order"), then renders
+// each Diagnostic once into its slot (stage "lint.render"). Strings
+// are compared only among records whose integer keys all tie: at zero
+// positions, at positions that collide across the files of one Go
+// package, and where names void SE003's tie key. Per rule:
 //
 //   - SE001: one RMOD lookup per formal.
 //   - SE002: one Len per procedure, one lookup per local and formal.
-//   - SE003: two DMOD lookups per pair of ALIAS(p) per call site of p.
+//   - SE003: two DMOD lookups per pair of ALIAS(p) per call site of p;
+//     its tie key reads the program's name order
+//     (ir.Program.NameOrder), and the messages of one call site share
+//     one allocation.
 //   - SE004: 2N unions, then one lookup per global.
 //   - SE005: N unions, then at most seven set operations per call
 //     site, copies into one reused scratch set included, plus four
@@ -34,7 +44,6 @@
 package lint
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -159,116 +168,168 @@ func Run(in *Input, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Counts: make(map[string]int)}
-	var found findings
-	for _, rl := range registry {
-		sev, on := sel.level(rl)
+	var recs []record
+	var sev [len(registry)]Severity
+	for ri := range registry {
+		rl := &registry[ri]
+		s, on := sel.level(*rl)
 		if !on {
 			continue
 		}
 		rep.Counts[rl.ID] = 0
-		if sev < cfg.MinSeverity {
+		if s < cfg.MinSeverity {
 			continue // selected but filtered: count stays visible at 0
 		}
+		sev[ri] = s
 		cfg.Prof.Do("lint."+rl.ID, func() {
-			n := found.n
-			rl.run(in, func(d Diagnostic) {
-				d.Rule, d.Name, d.Severity = rl.ID, rl.Name, sev
-				found.add(d)
+			start := len(recs)
+			rl.run(in, func(r record) {
+				// Doubling copies a record about once as the slice
+				// grows; append's quarter steps would copy it about
+				// four times.
+				if len(recs) == cap(recs) {
+					recs = slices.Grow(recs, len(recs))
+				}
+				r.rule = uint8(ri)
+				recs = append(recs, r)
 			})
-			rep.Counts[rl.ID] = found.n - n
+			mine := recs[start:]
+			if rl.tie != nil && len(mine) > 0 {
+				if ord := in.Prog.NameOrder(len(mine)); ord != nil && ord.SpaceFree() {
+					for i := range mine {
+						mine[i].tie = rl.tie(ord, &mine[i])
+					}
+				}
+			}
+			rep.Counts[rl.ID] = len(mine)
 		})
 	}
-	rep.Diags = found.flatten()
-	sortDiagnostics(rep.Diags)
+	var slots []int32
+	cfg.Prof.Do("lint.order", func() { slots = order(recs) })
+	cfg.Prof.Do("lint.render", func() {
+		rep.Diags = place(recs, slots, func(ri uint8, slots []int32, out []Diagnostic) {
+			rl := &registry[ri]
+			rl.render(in, Diagnostic{Rule: rl.ID, Name: rl.Name, Severity: sev[ri]}, recs, slots, out)
+		})
+	})
 	return rep, nil
 }
 
-// findings collects a run's diagnostics in emission order, in chunks
-// that each hold as many as all the chunks before them, from 64 up to
-// maxChunk, and flattens them into one slice of the exact length at
-// the end. Each finding is written twice; one slice grown by append
-// writes it about five times, since a large slice grows by a quarter
-// at a time.
-type findings struct {
-	chunks [][]Diagnostic
-	n      int
+// record is one finding as a rule reports it: where, which rule, the
+// IDs the rule renders it from, and a tie key that orders the rule's
+// findings at one position as their (Subject, Message) would. A rule
+// without a tie key leaves it zero, and strings decide its ties.
+type record struct {
+	line, col int32
+	rule      uint8 // index into registry
+	flag      uint8 // the rule's own
+	ids       [3]int32
+	tie       [3]int32
 }
 
-// maxChunk bounds a chunk at about 400 KB, so a run leaves at most that
-// much unused.
-const maxChunk = 4096
-
-func (f *findings) add(d Diagnostic) {
-	k := len(f.chunks) - 1
-	if k < 0 || len(f.chunks[k]) == cap(f.chunks[k]) {
-		f.chunks = append(f.chunks, make([]Diagnostic, 0, min(max(f.n, 64), maxChunk)))
-		k++
+// at starts a record at pos with the given IDs.
+func at(pos token.Pos, ids ...int) record {
+	r := record{line: int32(pos.Line), col: int32(pos.Col)}
+	for i, id := range ids {
+		r.ids[i] = int32(id)
 	}
-	f.chunks[k] = append(f.chunks[k], d)
-	f.n++
+	return r
 }
 
-// flatten returns the findings in emission order; nil when there are
-// none.
-func (f *findings) flatten() []Diagnostic {
-	if f.n == 0 {
+// order returns the records' indices in the engine's total order:
+// (line, col, rule, tie key), then emission order. It is a stable
+// counting sort per key, least significant first, in O(F + lines + V)
+// for F records and V variables: no two records are compared. The rule
+// key is the rule's index in registry, which is rule-ID order
+// (TestRegistryIsInIDOrder).
+func order(recs []record) []int32 {
+	if len(recs) == 0 {
 		return nil
 	}
-	out := make([]Diagnostic, 0, f.n)
-	for _, c := range f.chunks {
-		out = append(out, c...)
+	slots := make([]int32, len(recs))
+	for i := range slots {
+		slots[i] = int32(i)
 	}
-	return out
+	spare := make([]int32, len(recs))
+	digit := make([]int32, len(recs))
+	var count []int32
+	// pass stably sorts slots by key; keys all equal leave them be.
+	pass := func(key func(r *record) int32) {
+		lowest, highest := key(&recs[0]), key(&recs[0])
+		for i := range recs {
+			d := key(&recs[i])
+			digit[i] = d
+			lowest, highest = min(lowest, d), max(highest, d)
+		}
+		if lowest == highest {
+			return
+		}
+		count = slices.Grow(count[:0], int(highest-lowest)+1)[:int(highest-lowest)+1]
+		clear(count)
+		for _, d := range digit {
+			count[d-lowest]++
+		}
+		sum := int32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, i := range slots {
+			d := digit[i] - lowest
+			spare[count[d]] = i
+			count[d]++
+		}
+		slots, spare = spare, slots
+	}
+	for k := len(record{}.tie) - 1; k >= 0; k-- {
+		pass(func(r *record) int32 { return r.tie[k] })
+	}
+	pass(func(r *record) int32 { return int32(r.rule) })
+	pass(func(r *record) int32 { return r.col })
+	pass(func(r *record) int32 { return r.line })
+	return slots
 }
 
-// sortDiagnostics imposes the engine's total order: position first
-// (line, then column), then rule ID, then subject and message as
-// tie-breakers for co-located findings, and emission order last, which
-// is the order a stable sort on the first five keys gives. It sorts an
-// index permutation rather than the findings, then moves each finding
-// once along the permutation's cycles: the []int32 is its only
-// allocation.
-func sortDiagnostics(ds []Diagnostic) {
-	perm := make([]int32, len(ds))
-	for i := range perm {
-		perm[i] = int32(i)
+// place writes the diagnostics of recs in slot order into a slice of
+// the exact length, each once; nil when there are none. draw renders
+// one run of adjacent slots holding records of one rule. Where every
+// integer key of adjacent records ties, their (Subject, Message)
+// decide, and emission order after that: at zero positions, at
+// positions that collide across the files of one Go package, and where
+// the names void a tie key.
+func place(recs []record, slots []int32, draw func(rule uint8, slots []int32, out []Diagnostic)) []Diagnostic {
+	if len(slots) == 0 {
+		return nil
 	}
-	slices.SortFunc(perm, func(i, j int32) int {
-		a, b := &ds[i], &ds[j]
-		if c := cmp.Compare(a.Pos.Line, b.Pos.Line); c != 0 {
-			return c
+	out := make([]Diagnostic, len(slots))
+	for lo := 0; lo < len(slots); {
+		ri := recs[slots[lo]].rule
+		hi := lo + 1
+		for hi < len(slots) && recs[slots[hi]].rule == ri {
+			hi++
 		}
-		if c := cmp.Compare(a.Pos.Col, b.Pos.Col); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Rule, b.Rule); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Message, b.Message); c != 0 {
-			return c
-		}
-		return cmp.Compare(i, j)
-	})
-	// perm[k] names the finding that belongs at k. Each cycle is
-	// rotated through one spare, and a placed slot is marked perm[k] = k.
-	for start := range perm {
-		if int(perm[start]) == start {
-			continue
-		}
-		spare := ds[start]
-		k := start
-		for {
-			next := int(perm[k])
-			perm[k] = int32(k)
-			if next == start {
-				ds[k] = spare
+		draw(ri, slots[lo:hi], out[lo:hi])
+		lo = hi
+	}
+	for lo := 0; lo < len(slots); {
+		a := &recs[slots[lo]]
+		hi := lo + 1
+		for hi < len(slots) {
+			b := &recs[slots[hi]]
+			if a.line != b.line || a.col != b.col || a.rule != b.rule || a.tie != b.tie {
 				break
 			}
-			ds[k] = ds[next]
-			k = next
+			hi++
 		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(out[lo:hi], func(x, y Diagnostic) int {
+				if c := strings.Compare(x.Subject, y.Subject); c != 0 {
+					return c
+				}
+				return strings.Compare(x.Message, y.Message)
+			})
+		}
+		lo = hi
 	}
+	return out
 }

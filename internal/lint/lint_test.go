@@ -94,6 +94,31 @@ func TestConfigSelection(t *testing.T) {
 	}
 }
 
+// ruleIndex returns the registry index of a rule ID.
+func ruleIndex(t testing.TB, id string) uint8 {
+	for i, rl := range registry {
+		if rl.ID == id {
+			return uint8(i)
+		}
+	}
+	t.Fatalf("no rule %s", id)
+	return 0
+}
+
+// arrange runs the engine's ordering step on synthetic findings: ds[i]
+// is the rendering of recs[i], and each record takes its position and
+// rule from it.
+func arrange(t testing.TB, recs []record, ds []Diagnostic) []Diagnostic {
+	for i, d := range ds {
+		recs[i].line, recs[i].col, recs[i].rule = int32(d.Pos.Line), int32(d.Pos.Col), ruleIndex(t, d.Rule)
+	}
+	return place(recs, order(recs), func(_ uint8, slots []int32, out []Diagnostic) {
+		for k, i := range slots {
+			out[k] = ds[i]
+		}
+	})
+}
+
 func TestSortDiagnostics(t *testing.T) {
 	d := func(line, col int, rule, subject string) Diagnostic {
 		return Diagnostic{Rule: rule, Subject: subject, Pos: token.Pos{Line: line, Col: col}}
@@ -105,9 +130,8 @@ func TestSortDiagnostics(t *testing.T) {
 		d(1, 2, "SE007", "i"),
 		d(1, 5, "SE001", "a"),
 	}
-	sortDiagnostics(ds)
 	var got []string
-	for _, x := range ds {
+	for _, x := range arrange(t, make([]record, len(ds)), ds) {
 		got = append(got, x.Rule+":"+x.Subject)
 	}
 	want := []string{"SE007:i", "SE001:a", "SE001:x", "SE002:p", "SE004:g"}
@@ -116,43 +140,65 @@ func TestSortDiagnostics(t *testing.T) {
 	}
 }
 
-// TestFindingsKeepEmissionOrder fills far more chunks than a capacity
-// computed by shifting could address before overflowing int, and
-// checks that flatten returns every finding once, in emission order,
-// in a slice of the exact length.
+// TestRegistryIsInIDOrder pins the rule-index key: the engine orders
+// the findings at one position by their rule's index in registry where
+// the reference compares rule IDs, so the two must agree. Moving an
+// entry fails here.
+func TestRegistryIsInIDOrder(t *testing.T) {
+	if !slices.IsSortedFunc(registry[:], func(a, b Rule) int { return strings.Compare(a.ID, b.ID) }) {
+		t.Fatal("registry is not in rule-ID order")
+	}
+	var ds []Diagnostic
+	for i := len(registry) - 1; i >= 0; i-- {
+		ds = append(ds, Diagnostic{Rule: registry[i].ID, Pos: token.Pos{Line: 3, Col: 4}})
+	}
+	got := arrange(t, make([]record, len(ds)), ds)
+	if !slices.IsSortedFunc(got, func(a, b Diagnostic) int { return strings.Compare(a.Rule, b.Rule) }) {
+		t.Errorf("findings at one position are not in rule-ID order: %v", got)
+	}
+}
+
+// TestFindingsKeepEmissionOrder places far more findings than a run of
+// any fixture, and checks that every finding comes back once, in
+// emission order, in a slice of the exact length.
 func TestFindingsKeepEmissionOrder(t *testing.T) {
-	var none findings
-	if none.flatten() != nil {
-		t.Error("flatten of no findings is not nil")
+	if arrange(t, nil, nil) != nil {
+		t.Error("placing no findings is not nil")
 	}
 	const n = 300_000
-	var f findings
-	for i := 0; i < n; i++ {
-		f.add(Diagnostic{Pos: token.Pos{Line: i}})
+	ds := make([]Diagnostic, n)
+	for i := range ds {
+		ds[i] = Diagnostic{Rule: "SE003", Pos: token.Pos{Line: i}}
 	}
-	ds := f.flatten()
-	if len(ds) != n || cap(ds) != n {
-		t.Fatalf("flatten: len %d cap %d, want %d", len(ds), cap(ds), n)
+	got := arrange(t, make([]record, n), ds)
+	if len(got) != n || cap(got) != n {
+		t.Fatalf("place: len %d cap %d, want %d", len(got), cap(got), n)
 	}
-	for i, d := range ds {
+	for i, d := range got {
 		if d.Pos.Line != i {
 			t.Fatalf("finding %d has line %d: emission order lost", i, d.Pos.Line)
 		}
 	}
 }
 
-// TestSortDiagnosticsIsStable checks the index sort against a stable
-// sort of the findings on inputs dense with ties, where only Proc,
-// which no key reads, tells tied findings apart.
+// TestSortDiagnosticsIsStable checks the ordering step against a
+// stable sort of the findings on inputs dense with ties, where only
+// Proc, which no key reads, tells tied findings apart. SE003's records
+// carry a tie key that orders as their (Subject, Message) do, with
+// ties of its own; the other rules' ties are left to the strings.
 func TestSortDiagnosticsIsStable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	pick := func(vals ...string) string { return vals[r.Intn(len(vals))] }
 	for _, n := range []int{0, 1, 2, 7, 100, 3000} {
 		ds := make([]Diagnostic, n)
+		recs := make([]record, n)
 		for i := range ds {
 			ds[i] = Diagnostic{
 				Rule: pick("SE001", "SE003", "SE005"), Subject: pick("a", "b"), Message: pick("m", "n"),
 				Proc: strconv.Itoa(i), Pos: token.Pos{Line: r.Intn(4), Col: r.Intn(3)},
+			}
+			if ds[i].Rule == "SE003" {
+				recs[i].tie = [3]int32{int32(ds[i].Subject[0]), int32(ds[i].Message[0])}
 			}
 		}
 		want := slices.Clone(ds)
@@ -169,9 +215,8 @@ func TestSortDiagnosticsIsStable(t *testing.T) {
 			}
 			return a.Message < b.Message
 		})
-		sortDiagnostics(ds)
-		if !slices.Equal(ds, want) {
-			t.Errorf("n=%d: index sort differs from the stable sort", n)
+		if got := arrange(t, recs, ds); !slices.Equal(got, want) {
+			t.Errorf("n=%d: the ordering step differs from the stable sort", n)
 		}
 	}
 }

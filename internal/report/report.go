@@ -17,11 +17,26 @@ import (
 	"sideeffect/internal/section"
 )
 
-// VarNames returns the qualified names of the variables in s, sorted.
+// VarNames returns the qualified names of the variables in s sorted by
+// string, or nil when s is empty. Once the program's name order pays
+// for itself (ir.Program.NameOrder), it sorts the variables by their
+// positions in that order, a bit each, and reads the names from it;
+// until then it sorts the names.
 func VarNames(prog *ir.Program, s *bitset.Set) []string {
-	var out []string
-	s.ForEach(func(id int) { out = append(out, prog.Vars[id].String()) })
-	sort.Strings(out)
+	n := s.Len()
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	ord := prog.NameOrder(n)
+	if ord == nil {
+		s.ForEach(func(id int) { out = append(out, prog.Vars[id].String()) })
+		sort.Strings(out)
+		return out
+	}
+	at := bitset.New(len(prog.Vars))
+	s.ForEach(func(id int) { at.Add(ord.Position(id)) })
+	at.ForEach(func(k int) { out = append(out, ord.At(k)) })
 	return out
 }
 

@@ -2,6 +2,8 @@ package report
 
 import (
 	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -53,6 +55,63 @@ func TestVarNames(t *testing.T) {
 	if VarNames(prog, bitset.New(0)) != nil {
 		t.Error("VarNames of empty set should be nil")
 	}
+}
+
+// TestVarNamesMatchesStringSort checks VarNames against sort.Strings
+// over Variable.String() on names that share prefixes and a qualified
+// name held by two variables, for every set of up to three variables,
+// on both sides of the name order's build rule, and for the empty set,
+// which gives nil before and after, so that JSON keeps null.
+func TestVarNamesMatchesStringSort(t *testing.T) {
+	b := ir.NewBuilder("names")
+	for _, g := range []string{"g1", "g10", "g1x", "px", "p", "g1.x", "g1 "} {
+		b.Global(g)
+	}
+	p := b.Proc("p", nil)
+	b.Local(p, "x")
+	b.Local(p, "x1")
+	q := b.Proc("g1", nil)
+	b.Formal(q, "x", ir.FormalRef, 0)
+	b.Local(q, "y")
+	prog := b.MustFinish()
+	want := func(s *bitset.Set) []string {
+		var out []string
+		s.ForEach(func(id int) { out = append(out, prog.Vars[id].String()) })
+		sort.Strings(out)
+		return out
+	}
+	checkEmpty := func() {
+		t.Helper()
+		names := VarNames(prog, bitset.New(0))
+		if js, _ := json.Marshal(names); names != nil || string(js) != "null" {
+			t.Errorf("VarNames of the empty set = %#v (JSON %s), want nil", names, js)
+		}
+	}
+	checkEmpty()
+	var before, after int
+	n := len(prog.Vars)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			for k := j; k < n; k++ {
+				s := bitset.New(n)
+				s.Add(i)
+				s.Add(j)
+				s.Add(k)
+				if prog.NameOrder(0) == nil {
+					before++
+				} else {
+					after++
+				}
+				if got, w := VarNames(prog, s), want(s); !slices.Equal(got, w) {
+					t.Fatalf("VarNames(%v) = %q, want %q", s, got, w)
+				}
+			}
+		}
+	}
+	if before == 0 || after == 0 {
+		t.Errorf("%d sets sorted before the name order was built and %d after; want both", before, after)
+	}
+	checkEmpty()
 }
 
 func TestTable(t *testing.T) {

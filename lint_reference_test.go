@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"sideeffect/internal/ir"
+	"sideeffect/internal/lang/token"
 	"sideeffect/internal/lint"
 	"sideeffect/internal/report"
 	"sideeffect/internal/workload"
@@ -271,9 +273,10 @@ func checkAgainstReference(t *testing.T, name string, a *Analysis, configs []lin
 // TestLintMatchesReference holds the engine to the reference engine on
 // the lint fixtures, the determinism corpus, the differential corpus
 // (once as source and once straight from the IR, where every position
-// is zero and order rests on the tie-breaks) and depth-3 nested
-// programs, under the zero config, a rule subset, severity overrides
-// and a minimum severity.
+// is zero and order rests on the tie-breaks), depth-3 nested programs,
+// IR-built programs with repeated and spaced names, multi-file GOROOT
+// packages and a program with crowded call sites, under the zero
+// config, a rule subset, severity overrides and a minimum severity.
 func TestLintMatchesReference(t *testing.T) {
 	configs := []lint.Config{
 		{},
@@ -314,6 +317,81 @@ func TestLintMatchesReference(t *testing.T) {
 		name := fmt.Sprintf("nested depth 3, seed %d", cfg.Seed)
 		checkAgainstReference(t, name, analyze(name, workload.Emit(workload.Random(cfg))), configs)
 	}
+	for name, prog := range awkwardNamePrograms() {
+		a, err := AnalyzeProgramContext(context.Background(), prog, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkAgainstReference(t, name, a, configs[:2])
+	}
+	// Multi-file packages bring $-prefixed temporaries, method owners
+	// and positions that collide across the files of one package.
+	for _, pkg := range []string{"sort", "strconv", "bufio"} {
+		results, err := AnalyzeGoPackages([]string{filepath.Join(runtime.GOROOT(), "src", pkg)}, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", pkg, err)
+		}
+		for _, r := range results {
+			checkAgainstReference(t, "GOROOT "+pkg, r.Analysis, configs[:1])
+		}
+	}
+	// Many SE003 findings per call site, ordered by their tie keys.
+	cfg := workload.DefaultConfig(300, 1)
+	cfg.MaxDepth, cfg.NestFraction = 3, 0.5
+	a := analyze("nested depth 3, 300 procedures", workload.Emit(workload.Random(cfg)))
+	rep, err := a.Lint(lint.Config{Enable: []string{"SE003"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSite := map[token.Pos]int{}
+	for _, d := range rep.Diags {
+		perSite[d.Pos]++
+	}
+	crowded := 0
+	for _, n := range perSite {
+		if n >= 100 {
+			crowded++
+		}
+	}
+	if crowded < 100 {
+		t.Fatalf("only %d call sites carry 100 or more SE003 findings; the input no longer tests crowded sites", crowded)
+	}
+	checkAgainstReference(t, "nested depth 3, 300 procedures", a, configs[:1])
+}
+
+// awkwardNamePrograms returns programs built straight from the IR, so
+// every position is zero, renamed after construction: qualified names
+// repeat across procedures, and in half of them names hold a space or
+// a tab, which void SE003's tie key. Their ties rest on the strings.
+func awkwardNamePrograms() map[string]*ir.Program {
+	out := map[string]*ir.Program{}
+	for seed := int64(0); seed < 6; seed++ {
+		cfg := workload.DefaultConfig(30, 700+seed)
+		if seed%3 == 2 {
+			cfg.MaxDepth, cfg.NestFraction = 2, 0.4
+		}
+		prog := workload.Random(cfg)
+		procs, globals, locals := []string{"p", "q", "pq"}, []string{"g", "gh", "g!", "h"}, []string{"x", "y", "xy"}
+		kind := "repeated names"
+		if seed%2 == 1 {
+			kind = "names with spaces and tabs"
+			procs = append(procs, "p q", "p\tq")
+			globals = append(globals, "g h", "g\th", "g ")
+			locals = append(locals, "x y", "x\ty")
+		}
+		for _, p := range prog.Procs[1:] {
+			p.Name = procs[p.ID%len(procs)]
+		}
+		for _, v := range prog.Vars {
+			if v.Owner == nil {
+				v.Name = globals[v.ID%len(globals)]
+			} else {
+				v.Name = locals[v.ID%len(locals)]
+			}
+		}
+		out[fmt.Sprintf("IR-built, %s, seed %d", kind, cfg.Seed)] = prog
+	}
+	return out
 }
 
 // TestIgnorableCallCases pins SE005's "used by another call" and

@@ -168,7 +168,9 @@ func (a *Analysis) proc(name string) (*ir.Procedure, error) {
 }
 
 // MOD returns GMOD(proc): the qualified names of variables whose
-// values an invocation of proc may modify.
+// values an invocation of proc may modify, sorted by qualified name;
+// nil when the set is empty. Repeated queries on one analysis share
+// the program's name order once it pays for itself (report.VarNames).
 func (a *Analysis) MOD(proc string) ([]string, error) {
 	p, err := a.proc(proc)
 	if err != nil {
@@ -178,7 +180,8 @@ func (a *Analysis) MOD(proc string) ([]string, error) {
 }
 
 // USE returns GUSE(proc): the qualified names of variables whose
-// values an invocation of proc may use.
+// values an invocation of proc may use, sorted by qualified name; nil
+// when the set is empty.
 func (a *Analysis) USE(proc string) ([]string, error) {
 	p, err := a.proc(proc)
 	if err != nil {

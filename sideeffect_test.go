@@ -1,8 +1,12 @@
 package sideeffect
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"sideeffect/internal/workload"
 )
 
 const demoSrc = `
@@ -222,4 +226,59 @@ func contains(xs []string, w string) bool {
 		}
 	}
 	return false
+}
+
+// TestConcurrentQueriesShareNameOrder has 8 goroutines ask one fresh
+// analysis for MOD, USE, CallSites and Report at once, so that the
+// program's name order is built while others read it, and checks every
+// answer against a sequential fresh analysis of the same source. CI
+// runs it under -race -count=10.
+func TestConcurrentQueriesShareNameOrder(t *testing.T) {
+	cfg := workload.DefaultConfig(120, 9)
+	cfg.MaxDepth, cfg.NestFraction = 2, 0.4
+	src := workload.Emit(workload.Random(cfg))
+	answers := func(a *Analysis) (mod, use [][]string, sites []CallSite, rep string) {
+		for _, p := range a.Procedures() {
+			m, err := a.MOD(p)
+			if err != nil {
+				t.Error(err)
+			}
+			u, err := a.USE(p)
+			if err != nil {
+				t.Error(err)
+			}
+			mod, use = append(mod, m), append(use, u)
+		}
+		return mod, use, a.CallSites(), a.Report()
+	}
+	ref, err := Analyze(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMOD, wantUSE, wantSites, wantReport := answers(ref)
+	a, err := Analyze(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mod, use, sites, rep := answers(a)
+			if !reflect.DeepEqual(mod, wantMOD) || !reflect.DeepEqual(use, wantUSE) {
+				t.Error("MOD or USE answers differ from a sequential analysis")
+			}
+			if !reflect.DeepEqual(sites, wantSites) {
+				t.Error("CallSites differ from a sequential analysis")
+			}
+			if rep != wantReport {
+				t.Error("Report differs from a sequential analysis")
+			}
+		}()
+	}
+	wg.Wait()
+	if a.Prog.NameOrder(0) == nil {
+		t.Error("the queries never built the name order")
+	}
 }

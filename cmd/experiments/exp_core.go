@@ -238,10 +238,11 @@ func init() {
 // refreshed. The solver rows time core.Update from the unchanged base
 // result against core.Analyze of the edited program, so every timed
 // update applies a real edit. The Session.Edit rows time what a
-// session pays for one edit end to end — parse, the additive check,
-// the update or full reanalysis, alias factoring and sections — from a
-// session created outside the timer. The grown column counts the GMOD
-// rows the incremental edit grew: how far the edit reached.
+// session pays for one edit end to end — parse, sem and prune, the
+// additive check, the update or full reanalysis, alias factoring and
+// sections — from a session created outside the timer. The grown
+// column counts the GMOD rows the incremental edit grew: how far the
+// edit reached.
 func expE12(quick bool) {
 	rows := [][]string{{"layer", "N", "E", "grown", "full", "incremental", "speedup"}}
 	for _, n := range sizes(quick) {
@@ -305,9 +306,10 @@ func expE12(quick bool) {
 	fmt.Print(report.Table(rows))
 	fmt.Println("\nClaim check: the incremental update is validated against full recomputation by")
 	fmt.Println("the test suite. A solver update costs what the edit reaches (the grown rows and")
-	fmt.Println("their call sites' DMOD rows); a Session.Edit also reparses the source,")
-	fmt.Println("re-factors the call sites whose DMOD row changed and solves the section")
-	fmt.Println("problems in full, so its ratio is the smaller one.")
+	fmt.Println("their call sites' DMOD rows); a Session.Edit also parses the items whose text")
+	fmt.Println("changed, runs sem and prune over the whole program, re-factors the call sites")
+	fmt.Println("whose DMOD row changed and keeps the section solutions unless a grown GMOD row")
+	fmt.Println("gained a subscript variable, so its ratio is the smaller one.")
 }
 
 // timeEdit returns the median time of one Session.Edit from src to

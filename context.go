@@ -10,6 +10,8 @@ import (
 	"sideeffect/internal/bitset"
 	"sideeffect/internal/core"
 	"sideeffect/internal/ir"
+	"sideeffect/internal/lang/ast"
+	"sideeffect/internal/lang/parser"
 	"sideeffect/internal/lang/sem"
 	"sideeffect/internal/prof"
 	"sideeffect/internal/section"
@@ -47,15 +49,37 @@ func frontend[T any](step func() (T, error)) (v T, err error) {
 }
 
 // parseMiniPL parses and checks MiniPL source and prunes the
-// procedures unreachable from the main program.
-func parseMiniPL(src string) (*ir.Program, error) {
-	return frontend(func() (*ir.Program, error) {
-		prog, err := sem.AnalyzeSource(src)
+// procedures unreachable from the main program. A session passes its
+// tree, prev, and gets the new text's tree back: the parse takes every
+// top-level item whose text is unchanged from prev (parser.ParseFrom),
+// and a new session passes the zero Tree. Every other caller passes
+// nil, parses in one piece and gets no tree.
+func parseMiniPL(src string, prev *parser.Tree) (*ir.Program, *parser.Tree, error) {
+	var tree *parser.Tree
+	prog, err := frontend(func() (*ir.Program, error) {
+		var (
+			syntax *ast.Program
+			err    error
+		)
+		if prev == nil {
+			syntax, err = parser.Parse(src)
+		} else {
+			tree, err = parser.ParseFrom(src, prev)
+			syntax = tree.Prog
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sideeffect: %w", err)
+		}
+		prog, err := sem.Analyze(syntax)
 		if err != nil {
 			return nil, fmt.Errorf("sideeffect: %w", err)
 		}
 		return prog.Prune(), nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, tree, nil
 }
 
 // AnalyzeContext is Analyze with deadline propagation and fault
@@ -64,7 +88,7 @@ func parseMiniPL(src string) (*ir.Program, error) {
 // the parser or in the pipeline, injected or genuine — is returned as
 // an error wrapping *batch.PanicError. It never panics.
 func AnalyzeContext(ctx context.Context, src string, opts Options) (*Analysis, error) {
-	prog, err := parseMiniPL(src)
+	prog, _, err := parseMiniPL(src, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -120,11 +144,13 @@ func analyzeFrom(ctx context.Context, prog *ir.Program, opts Options, prev *Anal
 // every row it does not write, and ALIAS(p), which such an edit leaves
 // unchanged, is re-pointed at prog; alias factoring then keeps prev's
 // factored MOD and USE sets at every call site whose DMOD row Update
-// kept and factors only the new rows; mode is EditIncremental.
-// Otherwise both problems and the aliases are solved and every site is
-// factored afresh, and mode is EditFull. Either way the section
-// problems are solved in full, prev is only read, and the analysis has
-// a profile of its own.
+// kept and factors only the new rows; the section solutions are kept,
+// re-pointed at prog, unless a GMOD row Update grew gained a variable
+// of the section problem's symbol universe (section.Holds), and solved
+// in full otherwise; mode is EditIncremental. Otherwise both problems,
+// the aliases and the sections are solved and every site is factored
+// afresh, and mode is EditFull. Either way prev is only read, and the
+// analysis has a profile of its own.
 func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, prev *Analysis) (ra *Analysis, mode EditMode, err error) {
 	a := &Analysis{Prog: prog}
 	defer func() {
@@ -198,9 +224,19 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, prev *A
 	if err = opts.Faults.At("sideeffect.derived"); err != nil {
 		return nil, EditFull, err
 	}
-	err = batch.RunCtx(ctx, w, []func(){
-		func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
-		func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
+	var sections []func()
+	if additive && section.Holds(section.Symbols(prog), prev.Mod, a.Mod) {
+		// No GMOD row the update grew gained a variable that a symbolic
+		// coordinate can name, so both section solutions hold as they
+		// are.
+		a.SecMod, a.SecUse = prev.SecMod.For(a.Mod), prev.SecUse.For(a.Mod)
+	} else {
+		sections = []func(){
+			func() { a.SecMod = section.AnalyzeProf(a.Mod, core.Mod, section.SimpleSections, a.Stages) },
+			func() { a.SecUse = section.AnalyzeProf(a.Mod, core.Use, section.SimpleSections, a.Stages) },
+		}
+	}
+	err = batch.RunCtx(ctx, w, append(sections,
 		// Factored sets share their core Result's lifetime, so they are
 		// drawn from its arena; each arena is touched by exactly one of
 		// these goroutines. An updated Result has no arena: the heap,
@@ -215,7 +251,7 @@ func analyzeProgram(ctx context.Context, prog *ir.Program, opts Options, prev *A
 				a.UseSets = a.Aliases.FactorArena(a.Use.DMOD, a.Use.Arena, from.useDMOD, from.useSets)
 			})
 		},
-	})
+	))
 	if err != nil {
 		return nil, EditFull, err
 	}
@@ -258,29 +294,31 @@ func analyzeAll[T any](ctx context.Context, items []T, opts Options, analyze fun
 	return out
 }
 
-// NewSessionContext parses, checks, and analyzes src through
-// AnalyzeContext and holds it open for edits. The session keeps opts
-// for every later edit.
+// NewSessionContext parses, checks, and analyzes src as AnalyzeContext
+// does and holds it open for edits: the session starts empty and src is
+// its first edit. The session keeps opts for every later edit.
 func NewSessionContext(ctx context.Context, src string, opts Options) (*Session, error) {
-	a, err := AnalyzeContext(ctx, src, opts)
-	if err != nil {
+	s := &Session{opts: opts, tree: new(parser.Tree)}
+	if _, err := s.EditContext(ctx, src); err != nil {
 		return nil, err
 	}
-	return &Session{opts: opts, src: src, a: a}, nil
+	return s, nil
 }
 
 // EditContext is Edit under cancellation and fault injection. It
-// parses newSrc and analyzes the new program beside the session, from
-// the session's analysis, under AnalyzeProgramContext's contract and
-// its one retry: an additive edit carries the current solution across
-// the new facts (EditIncremental), any other edit, and the retry after
-// a captured panic, analyzes the program afresh (EditFull). The
-// session takes the new analysis and source only on success. On
-// failure — a parse error, a done context, an injected fault or a
-// panic — it returns the error as every other analysis does, and the
-// session is exactly as it was. EditContext never panics.
+// parses newSrc from the session's tree, taking every top-level item
+// whose text is unchanged, and analyzes the new program beside the
+// session, from the session's analysis, under AnalyzeProgramContext's
+// contract and its one retry: an additive edit carries the current
+// solution across the new facts (EditIncremental), any other edit, and
+// the retry after a captured panic, analyzes the program afresh
+// (EditFull). The session takes the new analysis, source and tree only
+// on success. On failure — a parse or sem error, a done context, an
+// injected fault or a panic — it returns the error as every other
+// analysis does, and the session is exactly as it was. EditContext
+// never panics.
 func (s *Session) EditContext(ctx context.Context, newSrc string) (EditMode, error) {
-	prog, err := parseMiniPL(newSrc)
+	prog, tree, err := parseMiniPL(newSrc, s.tree)
 	if err != nil {
 		return EditFull, err
 	}
@@ -288,6 +326,6 @@ func (s *Session) EditContext(ctx context.Context, newSrc string) (EditMode, err
 	if err != nil {
 		return EditFull, err
 	}
-	s.a, s.src = a, newSrc
+	s.a, s.src, s.tree = a, newSrc, tree
 	return mode, nil
 }

@@ -67,7 +67,7 @@ func TestAnalyzeContextPanicBecomesError(t *testing.T) {
 // must re-panic the *batch.PanicError (TestAnalyzeProgramWithRepanics).
 func TestEntryPointsTotal(t *testing.T) {
 	ctx := context.Background()
-	prog, err := parseMiniPL(goldenSrc)
+	prog, _, err := parseMiniPL(goldenSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

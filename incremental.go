@@ -1,6 +1,10 @@
 package sideeffect
 
-import "context"
+import (
+	"context"
+
+	"sideeffect/internal/lang/parser"
+)
 
 // EditMode reports how a Session absorbed an edit.
 type EditMode int
@@ -29,8 +33,12 @@ func (m EditMode) String() string {
 // edited and the environment wants updated summaries without
 // re-running the whole-program analysis — and is the unit of service
 // behind the analysis server's /session endpoints. Each Edit replaces
-// the source text; the session decides how to bring the analysis up to
-// date:
+// the source text. The session keeps the parse tree of its text, and an
+// edit parses only the top-level items (global declarations,
+// procedures, the main block) whose text changed, taking every other
+// one from that tree (parser.ParseFrom); sem and prune still run over
+// the whole program. The session then decides how to bring the
+// analysis up to date:
 //
 //   - if the new source is an additive extension of the old one — the
 //     same declarations, call sites, and array accesses, with possibly
@@ -39,7 +47,9 @@ func (m EditMode) String() string {
 //     the new facts by delta propagation (core.Update), ALIAS(p) is
 //     kept, only the call sites whose DMOD row changed are factored
 //     through the aliases again (the others keep their factored sets),
-//     and the section problems are solved again;
+//     and the section solutions are kept unless a GMOD row the update
+//     grew gained a variable that a symbolic subscript can name, when
+//     they are solved again;
 //   - otherwise the program is reanalyzed from scratch.
 //
 // Either way the edit is an analysis like any other, run by the same
@@ -47,15 +57,16 @@ func (m EditMode) String() string {
 // the resulting Analysis is identical, byte for byte in its reports,
 // to a fresh Analyze of the new source; the mode only changes how much
 // work was done. An edit builds the next analysis beside the current
-// one, with a profile of its own, and swaps it in only once it is
-// complete, so an edit lands whole or not at all, and an Analysis the
-// session handed out is never written by a later edit. A Session is
-// not safe for concurrent use; the server serializes access per
-// session.
+// one, with a profile of its own, and swaps it in, with the new text
+// and its tree, only once it is complete, so an edit lands whole or not
+// at all, and neither an Analysis the session handed out nor a tree is
+// ever written by a later edit. A Session is not safe for concurrent
+// use; the server serializes access per session.
 type Session struct {
 	opts Options
 	src  string
 	a    *Analysis
+	tree *parser.Tree
 }
 
 // NewSession is NewSessionContext with no deadline.

@@ -1,15 +1,21 @@
 package sideeffect
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"sideeffect/internal/batch"
 	"sideeffect/internal/bitset"
+	"sideeffect/internal/faultinject"
 	"sideeffect/internal/ir"
+	"sideeffect/internal/lang/ast"
 	"sideeffect/internal/lint"
+	"sideeffect/internal/section"
 	"sideeffect/internal/workload"
 )
 
@@ -360,8 +366,9 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 
 // sameServedAnswers fails unless a serves what fresh serves beyond the
 // two reports, which render DMOD factored anew and no SecUse: the
-// alias-factored per-call-site sets, set by set; CallSites(); the USE
-// sections at every call site; and the text of a zero-config Lint run.
+// alias-factored per-call-site sets, set by set; CallSites(); the MOD
+// and USE sections at every call site and of every array formal; and
+// the text of a zero-config Lint run.
 func sameServedAnswers(t *testing.T, where string, a, fresh *Analysis) {
 	t.Helper()
 	for _, fam := range []struct {
@@ -380,9 +387,21 @@ func sameServedAnswers(t *testing.T, where string, a, fresh *Analysis) {
 	if got, want := a.CallSites(), fresh.CallSites(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: CallSites() diverged from fresh analysis", where)
 	}
-	for _, cs := range a.Prog.Sites {
-		if got, want := a.SecUse.AtCall(cs), fresh.SecUse.AtCall(fresh.Prog.Sites[cs.ID]); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: SecUse at site %d = %v, fresh analysis has %v", where, cs.ID, got, want)
+	for _, sec := range []struct {
+		name      string
+		got, want *section.Result
+	}{{"SecMod", a.SecMod, fresh.SecMod}, {"SecUse", a.SecUse, fresh.SecUse}} {
+		for _, cs := range a.Prog.Sites {
+			if got, want := sec.got.AtCall(cs), sec.want.AtCall(fresh.Prog.Sites[cs.ID]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s at site %d = %v, fresh analysis has %v", where, sec.name, cs.ID, got, want)
+			}
+		}
+		for _, v := range a.Prog.Vars {
+			if v.IsFormal() && v.Rank() > 0 {
+				if got, want := sec.got.FormalOf(v), sec.want.FormalOf(fresh.Prog.Vars[v.ID]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s of formal %s = %v, fresh analysis has %v", where, sec.name, v, got, want)
+				}
+			}
 		}
 	}
 	lintText := func(a *Analysis) string {
@@ -394,5 +413,181 @@ func sameServedAnswers(t *testing.T, where string, a, fresh *Analysis) {
 	}
 	if lintText(a) != lintText(fresh) {
 		t.Fatalf("%s: lint diverged from fresh analysis", where)
+	}
+}
+
+// sectionSrc has symbolic subscripts, shaped like
+// testdata/lint/se006_loops.mpl: r, k and i name section coordinates,
+// m names none, and bump, which row calls, modifies neither yet.
+const sectionSrc = `
+program loops;
+global grid[8, 8];
+global hist[8];
+global n, i, k, m;
+proc relaxcol(ref col[*], val len)
+  var r;
+begin
+  for r := 1 to len do col[r] := col[r] + 1 end
+end;
+proc bump()
+begin
+  write n
+end;
+proc scatter(ref h[*], val v)
+  var slot;
+begin
+  slot := v - v / 2 * 2;
+  h[slot + 1] := h[slot + 1] + v
+end;
+proc row(ref a[*, *])
+begin
+  a[k, 1] := 0;
+  call bump()
+end;
+begin
+  for i := 1 to n do
+    call relaxcol(grid[*, i], 8)
+  end;
+  call row(grid);
+  for i := 1 to n do
+    call scatter(hist, i)
+  end
+end.
+`
+
+// TestSessionEditKeepsSections: an additive edit keeps both section
+// solutions when no GMOD row it grew gained a variable that a symbolic
+// coordinate can name, and solves them again when one did. Here bump
+// first modifies m, which no subscript names, so the edit's profile has
+// no sections stage; then bump modifies k, which row's a[k, 1] names,
+// so row's section of grid widens from grid[k, 1] to grid[*, 1] and
+// only a fresh solve gets it right.
+func TestSessionEditKeepsSections(t *testing.T) {
+	s, err := NewSession(sectionSrc, Options{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := func() int {
+		n := 0
+		for _, st := range s.Analysis().Stages.Snapshot() {
+			if strings.HasPrefix(st.Name, "sections.") {
+				n++
+			}
+		}
+		return n
+	}
+	src := sectionSrc
+	for _, step := range []struct {
+		stmt string
+		keep bool
+	}{{"m := 1", true}, {"k := 1", false}} {
+		src = strings.Replace(src, "  write n", "  "+step.stmt+";\n  write n", 1)
+		prev := s.Analysis()
+		mode, err := s.Edit(src)
+		if err != nil || mode != EditIncremental {
+			t.Fatalf("%s: mode %v, err %v", step.stmt, mode, err)
+		}
+		a := s.Analysis()
+		if kept := sections() == 0; kept != step.keep {
+			t.Errorf("%s: sections kept %v, want %v", step.stmt, kept, step.keep)
+		}
+		if step.keep && (a.SecMod.Prog != a.Prog || a.SecUse.Prog != a.Prog) {
+			t.Errorf("%s: the kept sections are not re-pointed at the new program", step.stmt)
+		}
+		if prev.SecMod.Prog != prev.Prog {
+			t.Errorf("%s: the edit re-pointed the previous analysis's sections", step.stmt)
+		}
+		fresh, err := Analyze(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Report() != fresh.Report() {
+			t.Fatalf("%s: session report differs from a fresh analysis", step.stmt)
+		}
+		sameServedAnswers(t, step.stmt, a, fresh)
+	}
+}
+
+// TestSessionEditFailureKeepsTree: a failed edit — a parse error, a
+// sem error, a done context, an injected fault, a panic, or a panic on
+// an item the parse takes from the session's tree — leaves the
+// session's source, analysis and tree exactly as they were, and the
+// next edit still takes every unchanged item from that tree.
+func TestSessionEditFailureKeepsTree(t *testing.T) {
+	s, err := NewSession(shareSrc, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(shareSrc, "x := 1", "x := 1; h := g", 1)
+	if _, err := s.Edit(edited); err != nil {
+		t.Fatal(err)
+	}
+	tree, src, a := s.tree, s.Source(), s.Analysis()
+	procs := append([]*ast.ProcDecl(nil), tree.Prog.Procs...)
+	items := tree.Items()
+	unchanged := func(what string) {
+		t.Helper()
+		if s.tree != tree || s.Source() != src || s.Analysis() != a {
+			t.Fatalf("%s: the failed edit changed the session", what)
+		}
+		if tree.Items() != items || !reflect.DeepEqual(tree.Prog.Procs, procs) {
+			t.Fatalf("%s: the failed edit wrote the session's tree", what)
+		}
+	}
+	additive := strings.Replace(edited, "z := 2", "z := 2; g := 1", 1)
+
+	if _, err := s.Edit(strings.Replace(additive, "begin\n  call mid", "begin\n  call mid(", 1)); err == nil {
+		t.Fatal("parse error accepted")
+	}
+	unchanged("parse error")
+	if _, err := s.Edit(strings.Replace(additive, "call mid(g)", "call nosuch(g)", 1)); err == nil {
+		t.Fatal("sem error accepted")
+	}
+	unchanged("sem error")
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.EditContext(done, additive); !errors.Is(err, context.Canceled) {
+		t.Fatalf("done context: %v", err)
+	}
+	unchanged("done context")
+	for _, kind := range []faultinject.Kind{faultinject.KindError, faultinject.KindPanic} {
+		s.opts.Faults = faultinject.New(faultinject.Config{Rate: 1, Seed: 1, Kinds: []faultinject.Kind{kind}})
+		if _, err := s.Edit(additive); err == nil {
+			t.Fatalf("%v fault: edit succeeded", kind)
+		}
+		s.opts.Faults = nil
+		unchanged(kind.String() + " fault")
+	}
+	// A nil statement in mid's body makes sem panic on the item that
+	// the edit of other takes from the tree.
+	mid := procs[1]
+	if mid.Name != "mid" {
+		t.Fatalf("procedure 1 is %s", mid.Name)
+	}
+	body := mid.Body.Stmts
+	mid.Body.Stmts = append(body[:len(body):len(body)], nil)
+	_, err = s.Edit(additive)
+	var pe *batch.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panic on a taken item: err %v, want a captured panic", err)
+	}
+	unchanged("panic on a taken item")
+	mid.Body.Stmts = body
+
+	mode, err := s.Edit(additive)
+	if err != nil || mode != EditIncremental {
+		t.Fatalf("edit after the failures: mode %v, err %v", mode, err)
+	}
+	for i, d := range s.tree.Prog.Procs {
+		if taken := d == procs[i]; taken != (d.Name != "other") {
+			t.Errorf("procedure %s taken from the tree: %v", d.Name, taken)
+		}
+	}
+	fresh, err := Analyze(additive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Analysis().Report() != fresh.Report() {
+		t.Fatal("edit after the failures differs from a fresh analysis")
 	}
 }

@@ -16,11 +16,13 @@ import (
 // breaks ties by ID. The plain ranks, which only lint reads, are built
 // on first use. A NameOrder is safe for concurrent readers.
 type NameOrder struct {
-	vars           []*Variable
-	qual, position []int32
-	// sorted holds the qualified names by position.
-	sorted    []string
-	spaceFree bool
+	vars []*Variable
+	// names holds every qualified name in ID order: variable id's is
+	// names[offs[id]:offs[id+1]].
+	names                 string
+	offs                  []int32
+	qual, position, byPos []int32
+	spaceFree             bool
 
 	plainOnce sync.Once
 	plain     []int32
@@ -43,7 +45,9 @@ func (o *NameOrder) PlainRank(id int) int {
 func (o *NameOrder) Position(id int) int { return int(o.position[id]) }
 
 // At returns the qualified name at a position.
-func (o *NameOrder) At(position int) string { return o.sorted[position] }
+func (o *NameOrder) At(position int) string { return o.qualified(int(o.byPos[position])) }
+
+func (o *NameOrder) qualified(id int) string { return o.names[o.offs[id]:o.offs[id+1]] }
 
 // SpaceFree reports whether no qualified name holds a byte at or below
 // ' '. Then a name followed by a space sorts exactly as the name alone,
@@ -82,7 +86,8 @@ func (p *Program) NameOrder(sorting int) *NameOrder {
 }
 
 // buildNameOrder ranks vars by qualified name, whose strings it
-// writes into one string; the plain ranks wait for PlainRank.
+// writes into one string, read back through offsets; the plain ranks
+// wait for PlainRank.
 func buildNameOrder(vars []*Variable) *NameOrder {
 	n := len(vars)
 	size := 0
@@ -94,33 +99,27 @@ func buildNameOrder(vars []*Variable) *NameOrder {
 	}
 	var b strings.Builder
 	b.Grow(size)
-	ends := make([]int, n)
+	o := &NameOrder{
+		vars:     vars,
+		offs:     make([]int32, n+1),
+		qual:     make([]int32, n),
+		position: make([]int32, n),
+		byPos:    make([]int32, n),
+	}
 	for i, v := range vars {
 		if v.Owner != nil {
 			b.WriteString(v.Owner.Name)
 			b.WriteByte('.')
 		}
 		b.WriteString(v.Name)
-		ends[i] = b.Len()
+		o.offs[i+1] = int32(b.Len())
 	}
-	all := b.String()
-	qual := make([]string, n)
-	start := 0
-	for i, end := range ends {
-		qual[i] = all[start:end]
-		start = end
-	}
-	o := &NameOrder{
-		vars:      vars,
-		qual:      make([]int32, n),
-		position:  make([]int32, n),
-		sorted:    make([]string, n),
-		spaceFree: !strings.ContainsFunc(all, func(r rune) bool { return r <= ' ' }),
-	}
-	keys := rank(n, func(id int) string { return qual[id] }, o.qual)
+	o.names = b.String()
+	o.spaceFree = !strings.ContainsFunc(o.names, func(r rune) bool { return r <= ' ' })
+	keys := rank(n, o.qualified, o.qual)
 	for k, key := range keys {
 		o.position[key.id] = int32(k)
-		o.sorted[k] = qual[key.id]
+		o.byPos[k] = key.id
 	}
 	return o
 }

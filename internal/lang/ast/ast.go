@@ -15,6 +15,46 @@ type Program struct {
 	Procs   []*ProcDecl // top-level procedure declarations, in order
 	Body    *Block      // the main program body
 	Pos     token.Pos
+	// Shift is nil unless the parse took top-level items from the tree
+	// of an earlier text (parser.ParseFrom). Such an item keeps the
+	// positions of the text it was parsed from, so its nodes are shared
+	// with that tree; Shift says how far each item has moved since.
+	// Read positions inside an item through the accessors below.
+	Shift *Shift
+}
+
+// Shift holds the line shift of every top-level item of a Program: a
+// position recorded inside Globals[i], Procs[i] or Body lies Globals[i],
+// Procs[i] or Body lines further down the text. Columns do not move: an
+// item is only taken from an earlier text at the column it had there.
+type Shift struct {
+	Globals, Procs []int
+	Body           int
+}
+
+// GlobalShift returns the line shift of Globals[i].
+func (p *Program) GlobalShift(i int) int {
+	if p.Shift == nil {
+		return 0
+	}
+	return p.Shift.Globals[i]
+}
+
+// ProcShift returns the line shift of Procs[i], its nested procedures
+// included.
+func (p *Program) ProcShift(i int) int {
+	if p.Shift == nil {
+		return 0
+	}
+	return p.Shift.Procs[i]
+}
+
+// BodyShift returns the line shift of Body.
+func (p *Program) BodyShift() int {
+	if p.Shift == nil {
+		return 0
+	}
+	return p.Shift.Body
 }
 
 // VarDecl declares a scalar or array variable. Dims is nil for

@@ -7,6 +7,7 @@ package lexer
 
 import (
 	"fmt"
+	"strings"
 
 	"sideeffect/internal/lang/token"
 )
@@ -19,12 +20,62 @@ type Lexer struct {
 	line int
 	col  int
 	errs []error
+
+	// start is the offset of the token Next returned last, and gap the
+	// offset just past the token before it.
+	start, gap int
+	// names, once Copying is called, holds the copy of every
+	// identifier scanned so far, keyed by its text.
+	names map[string]string
 }
 
 // New returns a lexer over src.
 func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
+
+// Copying makes the lexer return each identifier's text as a copy of
+// its bytes, so that a tree kept after its source is dropped does not
+// keep that source alive. Equal identifiers share one copy.
+func (l *Lexer) Copying() { l.names = map[string]string{} }
+
+// Start returns the offset in the source of the token Next returned
+// last.
+func (l *Lexer) Start() int { return l.start }
+
+// End returns the offset just past the token before the one Next
+// returned last: once a parser has consumed a construct and pulled one
+// token beyond it, the offset where the construct ends.
+func (l *Lexer) End() int { return l.gap }
+
+// Peek returns the identifier that follows the last token across
+// blanks, or "" when none does. It moves nothing and records no error.
+func (l *Lexer) Peek() string {
+	i := l.off
+	for i < len(l.src) && (l.src[i] == ' ' || l.src[i] == '\t' || l.src[i] == '\r' || l.src[i] == '\n') {
+		i++
+	}
+	if i == len(l.src) || !isLetter(l.src[i]) {
+		return ""
+	}
+	j := i + 1
+	for j < len(l.src) && (isLetter(l.src[j]) || isDigit(l.src[j])) {
+		j++
+	}
+	return l.src[i:j]
+}
+
+// Jump moves the lexer to offset off, at line and column col, without
+// scanning what lies between: the parser has taken those bytes' tree
+// from an earlier parse. The next token is scanned from off.
+func (l *Lexer) Jump(off, line, col int) {
+	l.off, l.line, l.col = off, line, col
+}
+
+// IsWordByte reports whether c can continue an identifier, keyword or
+// number, so that two such tokens with nothing between them would scan
+// as one.
+func IsWordByte(c byte) bool { return isLetter(c) || isDigit(c) }
 
 // Errors returns the lexical errors encountered so far.
 func (l *Lexer) Errors() []error { return l.errs }
@@ -102,7 +153,9 @@ func (l *Lexer) skipBlanksAndComments() {
 // Next returns the next token. At end of input it returns EOF tokens
 // forever.
 func (l *Lexer) Next() token.Token {
+	l.gap = l.off
 	l.skipBlanksAndComments()
+	l.start = l.off
 	pos := token.Pos{Line: l.line, Col: l.col}
 	if l.off >= len(l.src) {
 		return token.Token{Kind: token.EOF, Pos: pos}
@@ -115,7 +168,16 @@ func (l *Lexer) Next() token.Token {
 			end++
 		}
 		text := l.skipTo(end)
-		return token.Token{Kind: token.Lookup(text), Text: text, Pos: pos}
+		kind := token.Lookup(text)
+		if l.names != nil && kind == token.IDENT {
+			name, ok := l.names[text]
+			if !ok {
+				name = strings.Clone(text)
+				l.names[name] = name
+			}
+			text = name
+		}
+		return token.Token{Kind: kind, Text: text, Pos: pos}
 	case isDigit(c):
 		end := l.off + 1
 		for end < len(l.src) && isDigit(l.src[end]) {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"sideeffect/internal/lang/ast"
 	"sideeffect/internal/lang/lexer"
@@ -25,6 +26,15 @@ type Parser struct {
 	lex  *lexer.Lexer
 	tok  token.Token
 	errs []error // parse errors; the lexer keeps its own
+
+	// When a tree is kept (ParseFrom), src is the text, prev the tree
+	// its items may come from and tree the tree being built. An item of
+	// prev is looked for at cursor, just past the last one found, and
+	// only then by key through index, built on first use.
+	src        string
+	prev, tree *Tree
+	cursor     int
+	index      map[itemKey]int
 }
 
 // Parse parses a complete MiniPL program. On any syntax error it
@@ -38,7 +48,36 @@ type Parser struct {
 // errors; once it is spent, parsing stops and the rest of the input is
 // only lexed.
 func Parse(src string) (*ast.Program, error) {
-	p := &Parser{lex: lexer.New(src)}
+	return (&Parser{lex: lexer.New(src)}).parse()
+}
+
+// ParseFrom is Parse for an edited text, given the tree of the text
+// before the edit (the zero Tree when there is none): it returns the
+// new text's tree, whose program and errors are exactly Parse's, and
+// which a later ParseFrom can take items from in turn.
+//
+// The unit of reuse is a top-level item: a global declaration, a
+// procedure with its nested procedures, or the main block, from its
+// keyword to its last token. An item of prev is taken, without lexing
+// its text again, where the new text has an item of the same kind and
+// leading name (a procedure's, the first global's) that starts at the
+// same column and whose bytes equal the old item's, and the next byte
+// does not continue its last token. Only items that parsed without any
+// lexical or syntax error are kept, and a taken item's nodes are
+// prev's: the new program records how many lines each item moved
+// (ast.Program.Shift). Identifiers parsed here are copies, not
+// substrings of src, so items handed from tree to tree keep none of the
+// texts they were parsed from alive; a tree holds only its own text.
+func ParseFrom(src string, prev *Tree) (*Tree, error) {
+	p := &Parser{lex: lexer.New(src), src: src, prev: prev,
+		tree: &Tree{src: src, items: make([]item, 0, len(prev.items))}}
+	p.lex.Copying()
+	prog, err := p.parse()
+	p.tree.Prog = prog
+	return p.tree, err
+}
+
+func (p *Parser) parse() (*ast.Program, error) {
 	p.tok = p.lex.Next()
 	prog := p.parseProgram()
 	for p.tok.Kind != token.EOF {
@@ -50,6 +89,126 @@ func Parse(src string) (*ast.Program, error) {
 	}
 	keep := max(0, min(len(p.errs), maxErrors-len(lexErrs)))
 	return prog, errors.Join(append(lexErrs, p.errs[:keep]...)...)
+}
+
+// Tree is a parsed program kept for the parse of its next edit
+// (ParseFrom): the program, its text, and where in that text each of
+// its top-level items lies that parsed without an error. Its zero
+// value is a tree with no items. A Tree is never written once built.
+type Tree struct {
+	Prog  *ast.Program
+	src   string
+	items []item
+}
+
+// itemKey finds an item of the previous tree: its kind (GLOBAL, PROC
+// or BEGIN) and leading name.
+type itemKey struct {
+	kind token.Kind
+	name string
+}
+
+// item is one top-level item of a Tree that parsed without an error.
+type item struct {
+	itemKey
+	start, end int // its text is src[start:end]
+	line, col  int // the position of its first byte
+	lines      int // the newlines in its text
+	endCol     int // the column just past its last byte
+	shift      int // its nodes' positions lie shift lines above line's
+	globals    []*ast.VarDecl
+	proc       *ast.ProcDecl
+	body       *ast.Block
+}
+
+// Items returns how many top-level items the tree keeps for reuse.
+func (t *Tree) Items() int { return len(t.items) }
+
+// parseItem parses the top-level item of the given kind at the current
+// token with parse, which sets its node. When a tree is kept, it takes
+// the item from the previous tree instead if it can, and records a
+// parsed item in the tree being built unless an error was reported
+// while it was parsed. An error in the lookahead token beyond the item
+// counts too, which only keeps an item out that could have been kept.
+func (p *Parser) parseItem(kind token.Kind, parse func(it *item)) item {
+	if p.tree == nil {
+		var it item
+		parse(&it)
+		return it
+	}
+	if it, ok := p.take(kind); ok {
+		return it
+	}
+	it := item{itemKey: itemKey{kind: kind}, start: p.lex.Start(), line: p.tok.Pos.Line, col: p.tok.Pos.Col}
+	errs := len(p.lex.Errors()) + len(p.errs)
+	parse(&it)
+	if len(p.lex.Errors())+len(p.errs) == errs {
+		p.keep(it)
+	}
+	return it
+}
+
+// keep records it, a parsed item the parser has just consumed, in the
+// tree being built. The key's name is the parsed one, a copy, so the
+// tree's keys hold no substring of the text.
+func (p *Parser) keep(it item) {
+	switch it.kind {
+	case token.GLOBAL:
+		it.name = it.globals[0].Name
+	case token.PROC:
+		it.name = it.proc.Name
+	}
+	it.end = p.lex.End()
+	text := p.src[it.start:it.end]
+	it.lines = strings.Count(text, "\n")
+	if it.lines == 0 {
+		it.endCol = it.col + len(text)
+	} else {
+		it.endCol = len(text) - strings.LastIndexByte(text, '\n')
+	}
+	p.tree.items = append(p.tree.items, it)
+}
+
+// take looks in the previous tree for the item that starts at the
+// current token: the same kind, name and column, and the same bytes,
+// with no word byte right after them that would join the item's last
+// token. On a match it moves the lexer past the item, keeps the item in
+// the tree being built at its new place, and returns it.
+func (p *Parser) take(kind token.Kind) (item, bool) {
+	key := itemKey{kind: kind}
+	if kind != token.BEGIN {
+		key.name = p.lex.Peek()
+	}
+	k := p.cursor
+	if k >= len(p.prev.items) || p.prev.items[k].itemKey != key {
+		if p.index == nil {
+			p.index = make(map[itemKey]int, len(p.prev.items))
+			for k, it := range p.prev.items {
+				p.index[it.itemKey] = k
+			}
+		}
+		var ok bool
+		if k, ok = p.index[key]; !ok {
+			return item{}, false
+		}
+	}
+	p.cursor = k + 1
+	old := p.prev.items[k]
+	start := p.lex.Start()
+	end := start + old.end - old.start
+	if old.col != p.tok.Pos.Col || end > len(p.src) ||
+		p.src[start:end] != p.prev.src[old.start:old.end] ||
+		end < len(p.src) && lexer.IsWordByte(p.src[end]) && lexer.IsWordByte(p.src[end-1]) {
+		return item{}, false
+	}
+	it := old
+	it.start, it.end = start, end
+	it.line = p.tok.Pos.Line
+	it.shift = old.shift + it.line - old.line
+	p.lex.Jump(end, it.line+it.lines, it.endCol)
+	p.tok = p.lex.Next()
+	p.tree.items = append(p.tree.items, it)
+	return it, true
 }
 
 type bailout struct{}
@@ -117,17 +276,35 @@ func (p *Parser) parseProgram() (prog *ast.Program) {
 		}
 	}()
 	prog = &ast.Program{Pos: p.cur().Pos}
+	if p.tree != nil {
+		prog.Shift = &ast.Shift{}
+	}
 	p.expect(token.PROGRAM)
 	prog.Name = p.expect(token.IDENT).Text
 	p.expect(token.SEMICOLON)
 	for {
 		switch p.cur().Kind {
 		case token.GLOBAL:
-			prog.Globals = append(prog.Globals, p.parseGlobalDecl()...)
+			it := p.parseItem(token.GLOBAL, func(it *item) { it.globals = p.parseGlobalDecl() })
+			prog.Globals = append(prog.Globals, it.globals...)
+			if prog.Shift != nil {
+				for range it.globals {
+					prog.Shift.Globals = append(prog.Shift.Globals, it.shift)
+				}
+			}
 		case token.PROC:
-			prog.Procs = append(prog.Procs, p.parseProcDecl())
+			it := p.parseItem(token.PROC, func(it *item) { it.proc = p.parseProcDecl() })
+			prog.Procs = append(prog.Procs, it.proc)
+			if prog.Shift != nil {
+				prog.Shift.Procs = append(prog.Shift.Procs, it.shift)
+			}
+			p.accept(token.SEMICOLON) // optional ';' after 'end'
 		case token.BEGIN:
-			prog.Body = p.parseBlock()
+			it := p.parseItem(token.BEGIN, func(it *item) { it.body = p.parseBlock() })
+			prog.Body = it.body
+			if prog.Shift != nil {
+				prog.Shift.Body = it.shift
+			}
 			p.expect(token.PERIOD)
 			if !p.at(token.EOF) {
 				p.errorf(p.cur().Pos, "trailing input after final '.'")
@@ -208,9 +385,9 @@ func (p *Parser) parseProcDecl() *ast.ProcDecl {
 			p.expect(token.SEMICOLON)
 		case token.PROC:
 			d.Nested = append(d.Nested, p.parseProcDecl())
+			p.accept(token.SEMICOLON) // optional ';' after 'end'
 		case token.BEGIN:
 			d.Body = p.parseBlock()
-			p.accept(token.SEMICOLON) // optional ';' after 'end'
 			return d
 		default:
 			p.errorf(p.cur().Pos, "expected 'var', 'proc', or 'begin' in procedure %s, found %s", d.Name, p.cur())

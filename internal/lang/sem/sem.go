@@ -59,10 +59,20 @@ func AnalyzeSource(src string) (*ir.Program, error) {
 type analyzer struct {
 	b    *ir.Builder
 	errs []error
+	// shift is the line shift of the top-level item being resolved
+	// (ast.Program.Shift), added to every position copied into the IR
+	// or into a diagnostic.
+	shift int
+}
+
+// at returns pos where it lies in the text: moved by the item's shift.
+func (a *analyzer) at(pos token.Pos) token.Pos {
+	pos.Line += a.shift
+	return pos
 }
 
 func (a *analyzer) errorf(pos token.Pos, format string, args ...any) {
-	a.errs = append(a.errs, fmt.Errorf("%s: sem: %s", pos, fmt.Sprintf(format, args...)))
+	a.errs = append(a.errs, fmt.Errorf("%s: sem: %s", a.at(pos), fmt.Sprintf(format, args...)))
 }
 
 // scope is a chain of visible declarations for one procedure body.
@@ -99,13 +109,14 @@ func (a *analyzer) run(prog *ast.Program) {
 		vars:        make(map[string]*ir.Variable, len(prog.Globals)),
 		procsByName: make(map[string]*ir.Procedure, len(prog.Procs)),
 	}
-	for _, g := range prog.Globals {
+	for i, g := range prog.Globals {
+		a.shift = prog.GlobalShift(i)
 		if _, dup := root.vars[g.Name]; dup {
 			a.errorf(g.Pos, "duplicate global %q", g.Name)
 			continue
 		}
 		v := a.b.Global(g.Name, g.Dims...)
-		v.Pos = g.Pos
+		v.Pos = a.at(g.Pos)
 		root.vars[g.Name] = v
 	}
 	// Declare all top-level procedures first (forward references),
@@ -113,6 +124,7 @@ func (a *analyzer) run(prog *ast.Program) {
 	// a duplicate.
 	decl := make([]*ir.Procedure, len(prog.Procs))
 	for i, pd := range prog.Procs {
+		a.shift = prog.ProcShift(i)
 		if _, dup := root.procsByName[pd.Name]; dup {
 			a.errorf(pd.Pos, "duplicate procedure %q", pd.Name)
 			continue
@@ -121,14 +133,16 @@ func (a *analyzer) run(prog *ast.Program) {
 	}
 	for i, pd := range prog.Procs {
 		if decl[i] != nil {
+			a.shift = prog.ProcShift(i)
 			a.procBody(pd, decl[i], root)
 		}
 	}
 	// Main body executes in the program scope.
 	main := a.b.Main()
 	main.Pos = prog.Pos
+	a.shift = prog.BodyShift()
 	if prog.Body != nil {
-		main.Pos = prog.Body.Pos
+		main.Pos = a.at(prog.Body.Pos)
 	}
 	// The main body declares nothing: its scope's maps stay nil.
 	mainScope := &scope{parent: root, proc: main}
@@ -142,7 +156,7 @@ func (a *analyzer) run(prog *ast.Program) {
 // scope resolve with the right arity before pd's own body is visited.
 func (a *analyzer) declareProc(pd *ast.ProcDecl, parent *ir.Procedure, enclosing *scope) *ir.Procedure {
 	p := a.b.Proc(pd.Name, parent)
-	p.Pos = pd.Pos
+	p.Pos = a.at(pd.Pos)
 	enclosing.procsByName[pd.Name] = p
 	for _, prm := range pd.Params {
 		if slices.ContainsFunc(p.Formals, func(f *ir.Variable) bool { return f.Name == prm.Name }) {
@@ -157,7 +171,7 @@ func (a *analyzer) declareProc(pd *ast.ProcDecl, parent *ir.Procedure, enclosing
 			}
 		}
 		v := a.b.Formal(p, prm.Name, kind, prm.Rank)
-		v.Pos = prm.Pos
+		v.Pos = a.at(prm.Pos)
 	}
 	return p
 }
@@ -178,7 +192,7 @@ func (a *analyzer) procBody(pd *ast.ProcDecl, p *ir.Procedure, enclosing *scope)
 			continue
 		}
 		v := a.b.Local(p, ld.Name, ld.Dims...)
-		v.Pos = ld.Pos
+		v.Pos = a.at(ld.Pos)
 		sc.vars[ld.Name] = v
 	}
 	decl := make([]*ir.Procedure, len(pd.Nested))
@@ -247,7 +261,7 @@ func (a *analyzer) stmt(s ast.Stmt, p *ir.Procedure, sc *scope) {
 		nSites := len(p.Calls)
 		a.block(s.Body, p, sc)
 		if v != nil && len(p.Calls) > nSites {
-			a.b.Loop(p, v, p.Calls[nSites:len(p.Calls):len(p.Calls)], s.Pos)
+			a.b.Loop(p, v, p.Calls[nSites:len(p.Calls):len(p.Calls)], a.at(s.Pos))
 		}
 	case *ast.Call:
 		a.call(s, p, sc)
@@ -280,7 +294,7 @@ func (a *analyzer) target(t *ast.VarRef, p *ir.Procedure, sc *scope) {
 		return
 	}
 	subs := a.subList(t.Subs, p, sc)
-	a.b.Access(p, v, subs, true, t.Pos)
+	a.b.Access(p, v, subs, true, a.at(t.Pos))
 }
 
 // subList classifies subscript expressions and records their uses.
@@ -336,7 +350,7 @@ func (a *analyzer) expr(e ast.Expr, p *ir.Procedure, sc *scope) {
 			return
 		}
 		subs := a.subList(e.Subs, p, sc)
-		a.b.Access(p, v, subs, false, e.Pos)
+		a.b.Access(p, v, subs, false, a.at(e.Pos))
 	case *ast.SectionRef:
 		a.errorf(e.Pos, "array section %q cannot appear in an expression", e.Name)
 	case *ast.Unary:
@@ -467,5 +481,5 @@ func (a *analyzer) call(c *ast.Call, p *ir.Procedure, sc *scope) {
 	if bad {
 		return
 	}
-	a.b.Call(p, callee, args, c.Pos)
+	a.b.Call(p, callee, args, a.at(c.Pos))
 }

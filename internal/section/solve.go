@@ -435,3 +435,95 @@ func (r *Result) atCall(cs *ir.CallSite, iv invView) map[int]RSD {
 	}
 	return out
 }
+
+// Symbols returns the section problem's symbol universe on prog: every
+// variable used as a symbolic (ir.SubSym) subscript in an access or an
+// actual, and, transitively, every scalar actual passed to a formal in
+// the set. A symbolic coordinate only ever names one of them, so they
+// are the only variables whose variance the solver and the call-site
+// queries ask about: over two Mod results whose GMOD rows agree on
+// them, a solution is the same.
+func Symbols(prog *ir.Program) *bitset.Set {
+	syms := bitset.New(len(prog.Vars))
+	var work []*ir.Variable
+	add := func(v *ir.Variable) {
+		if !syms.Has(v.ID) {
+			syms.Add(v.ID)
+			work = append(work, v)
+		}
+	}
+	subs := func(ss []ir.Sub) {
+		for _, s := range ss {
+			if s.Kind == ir.SubSym {
+				add(s.Sym)
+			}
+		}
+	}
+	for _, p := range prog.Procs {
+		for _, acc := range p.Accesses {
+			subs(acc.Subs)
+		}
+	}
+	for _, cs := range prog.Sites {
+		for _, a := range cs.Args {
+			subs(a.Subs)
+		}
+	}
+	if len(work) == 0 {
+		return syms
+	}
+	callers := make([][]*ir.CallSite, prog.NumProcs())
+	for _, cs := range prog.Sites {
+		callers[cs.Callee.ID] = append(callers[cs.Callee.ID], cs)
+	}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		if !v.IsFormal() {
+			continue
+		}
+		for _, cs := range callers[v.Owner.ID] {
+			if a := cs.Args[v.Ordinal]; a.Var != nil && a.Var.Rank() == 0 {
+				add(a.Var)
+			}
+		}
+	}
+	return syms
+}
+
+// Holds reports whether a section solution over prev's GMOD sets holds
+// over next's, where next was carried from prev across an additive
+// edit by core.Update, which replaces exactly the rows it grows: no
+// replaced row gained a variable of syms (Symbols of the edited
+// program, which an additive edit leaves as it was).
+func Holds(syms *bitset.Set, prev, next *core.Result) bool {
+	if syms.Empty() {
+		return true
+	}
+	for pid, row := range next.GMOD {
+		old := prev.GMOD[pid]
+		if row == old {
+			continue
+		}
+		gained := false
+		syms.ForEach(func(vid int) {
+			if !gained && row.Has(vid) && !old.Has(vid) {
+				gained = true
+			}
+		})
+		if gained {
+			return false
+		}
+	}
+	return true
+}
+
+// For returns the solution re-pointed at modRes, a Mod result over an
+// additive edit of r.Prog over which the solution holds (Holds): the
+// descriptors are shared, not copied, and the call-site queries consult
+// modRes's GMOD sets.
+func (r *Result) For(modRes *core.Result) *Result {
+	n := *r
+	n.Prog, n.Beta, n.inv = modRes.Prog, modRes.Beta, modRes.GMOD
+	return &n
+}
